@@ -34,7 +34,6 @@ from .model import (
     add_local_branching_cut,
     build_model,
     export_text,
-    fix_variable_zero,
     full_integrality,
 )
 from .milp import BnbConfig, LpResult, reduced_cost, solve_bnb, solve_lp

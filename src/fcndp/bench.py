@@ -159,19 +159,14 @@ class ComparisonRow:
 
 
 def _run_one(args) -> dict:
+    """One seeded run as a record; a run that raises is recorded as failed."""
     inst, name, cfg, rep = args
-    cfg = replace(cfg, seed=cfg.seed + rep)
-    sol, rec = vfhlb(inst, cfg)
-    out = rec.to_dict()
-    out.update(
-        {
-            "instance": inst.name or "unnamed",
-            "method": name,
-            "repetition": rep,
-            "ok": True,
-        }
-    )
-    return out
+    out = {"instance": inst.name or "unnamed", "method": name, "repetition": rep}
+    try:
+        _, rec = vfhlb(inst, replace(cfg, seed=cfg.seed + rep))
+    except Exception as exc:  # per-run failures recorded, not fatal
+        return {**out, "ok": False, "error": str(exc)}
+    return {**rec.to_dict(), **out, "ok": True}
 
 
 def batch(
@@ -196,25 +191,11 @@ def batch(
         for name, cfg in methods
         for rep in range(repetitions)
     ]
-    records: list[dict] = []
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             records = list(pool.map(_run_one, tasks))
     else:
-        for task in tasks:
-            try:
-                records.append(_run_one(task))
-            except Exception as exc:  # per-run failures recorded, not fatal
-                inst, name, _, rep = task
-                records.append(
-                    {
-                        "instance": inst.name or "unnamed",
-                        "method": name,
-                        "repetition": rep,
-                        "ok": False,
-                        "error": str(exc),
-                    }
-                )
+        records = [_run_one(task) for task in tasks]
     records.sort(key=lambda r: (r["instance"], r["method"], r["repetition"]))
     rows: list[ComparisonRow] = []
     for inst in instances:

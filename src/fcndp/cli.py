@@ -4,8 +4,8 @@ Subcommands: solve (full heuristic run), verify (check a solution file
 against its instance), oracle (exact enumeration), generate (random
 instances), bench (time-to-target series or comparison tables).
 
-Exit codes: 0 success, 1 usage/IO/parse failure, 2 budget exhausted without
-a feasible solution, 3 verification failure.
+Exit codes: 0 success, 1 usage/IO/parse or solve failure, 3 verification
+failure.
 """
 
 from __future__ import annotations
@@ -22,13 +22,7 @@ from .bench import batch, run_ttt, write_compare_csv, write_records_ndjson, writ
 from .driver import SolverConfig, vfhlb
 from .instance import InstanceError, generate_instance, load_instance, save_instance
 from .oracle import oracle_solution, solve_exact
-from .solution import (
-    Feasibility,
-    evaluate_cost,
-    solution_from_dict,
-    solution_to_dict,
-    verify_bilevel,
-)
+from .solution import evaluate_cost, solution_from_dict, solution_to_dict, verify_bilevel
 
 
 def _default_seed() -> int:
@@ -102,9 +96,6 @@ def cmd_solve(args) -> int:
     t0 = time.monotonic()
     sol, rec = vfhlb(inst, cfg)
     wall = time.monotonic() - t0
-    if sol.feasible != Feasibility.FEASIBLE:
-        print("no feasible solution within budget", file=sys.stderr)
-        return 2
     payload = solution_to_dict(
         inst, sol, lower_bound=rec.lower_bound, seed=cfg.seed, wall_time_s=wall
     )

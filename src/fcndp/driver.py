@@ -21,7 +21,6 @@ class SolverConfig:
     iterations: int = 10
     seed: int = 0
     time_limit: float | None = None
-    node_limit: int = 200_000
 
     def __post_init__(self):
         if not 0 < self.gamma <= 1:
@@ -84,15 +83,13 @@ def vfhlb(inst: Instance, cfg: SolverConfig | None = None) -> tuple[Solution, Ru
     def out_of_time() -> bool:
         return cfg.time_limit is not None and time.monotonic() - t0 >= cfg.time_limit
 
-    res = vfh(inst, cfg.gamma, rng=rng, node_limit=cfg.node_limit, time_limit=left())
+    res = vfh(inst, cfg.gamma, rng=rng, time_limit=left())
     status = "ok"
     current = res.solution
     bound = res.lower_bound
     best = current
     trajectory = [(best.cost, time.monotonic() - t0)]
-    current = local_branching(
-        inst, current, delta, node_limit=cfg.node_limit, time_limit=left()
-    )
+    current = local_branching(inst, current, delta, time_limit=left())
     best = update_best(best, current)
     trajectory.append((best.cost, time.monotonic() - t0))
     if abs(best.cost - bound) >= 1:
@@ -101,9 +98,7 @@ def vfhlb(inst: Instance, cfg: SolverConfig | None = None) -> tuple[Solution, Ru
                 status = "time-limit"
                 break
             current = ejection_cycle(inst, current, cfg.gamma, rng=rng)
-            current = local_branching(
-                inst, current, delta, node_limit=cfg.node_limit, time_limit=left()
-            )
+            current = local_branching(inst, current, delta, time_limit=left())
             best = update_best(best, current)
             trajectory.append((best.cost, time.monotonic() - t0))
     wall = time.monotonic() - t0

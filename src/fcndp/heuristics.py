@@ -21,7 +21,7 @@ from .milp import (
     solve_bnb,
     solve_lp,
 )
-from .model import IntegralityPlan, MipModel, add_local_branching_cut, build_model, fix_variable_zero, full_integrality
+from .model import IntegralityPlan, MipModel, add_local_branching_cut, build_model, full_integrality
 from .solution import (
     Feasibility,
     Solution,
@@ -137,7 +137,6 @@ def partial_decoupling(
             pr = dijkstra(open_adj, com.origin, c)
             x[k, extract_path(pr, com.destination)] = 1
         sol = close_unused_edges(inst, Solution(y, x, 0.0, Feasibility.FEASIBLE))
-        sol.feasible = Feasibility.FEASIBLE
         if round_costs is not None:
             round_costs.append(sol.cost)
         if best is None or sol.cost < best.cost:
@@ -176,12 +175,7 @@ class LboundResult:
     iterations: int
 
 
-def lbound(
-    inst: Instance,
-    *,
-    node_limit: int = 200_000,
-    time_limit: float | None = None,
-) -> LboundResult:
+def lbound(inst: Instance, *, time_limit: float | None = None) -> LboundResult:
     """Progressive-integrality lower bound.
 
     Re-solves the relaxation while promoting every opening variable at value
@@ -203,7 +197,7 @@ def lbound(
     nvbin = 0
     iterations = 0
     value = res.objective
-    cfg = BnbConfig(node_limit=node_limit, time_limit=time_limit)
+    cfg = BnbConfig(time_limit=time_limit)
     while True:
         promote = [e for e in sorted(remaining) if res.values[e] >= 0.5]
         plan = plan.with_binary(promote)
@@ -230,14 +224,7 @@ class VfhResult:
     fixed_edges: list[int] = field(default_factory=list)
 
 
-def vfh(
-    inst: Instance,
-    gamma: float,
-    rng=0,
-    *,
-    node_limit: int = 200_000,
-    time_limit: float | None = None,
-) -> VfhResult:
+def vfh(inst: Instance, gamma: float, rng=0, *, time_limit: float | None = None) -> VfhResult:
     """Relax-and-fix driver: construction, bounding, then one commodity's
     flow block turns binary per pass under the incumbent cutoff, with
     reduced-cost fixing of closed opening variables after each success.
@@ -250,7 +237,7 @@ def vfh(
     if inst.num_commodities == 0:
         return VfhResult(s_best, 0.0, True)
     try:
-        lb_res = lbound(inst, node_limit=node_limit, time_limit=time_limit)
+        lb_res = lbound(inst, time_limit=time_limit)
     except RuntimeError:
         # kernel budget ran out mid-bounding: fall back to the constructive
         # incumbent and the trivial bound
@@ -263,7 +250,7 @@ def vfh(
     plan = IntegralityPlan()
     pending = list(range(inst.num_commodities))
     fixed_edges: list[int] = []
-    cfg = BnbConfig(node_limit=node_limit, time_limit=time_limit)
+    cfg = BnbConfig(time_limit=time_limit)
     while pending and abs(min_cost - bound) >= 1:
         cand = candidate_list(inst, pending, gamma)
         k = cand[int(rng.integers(len(cand)))]
@@ -283,7 +270,7 @@ def vfh(
                 if model.ub[e] == 0.0 or y_now[e] > 1e-6:
                     continue
                 if lp.objective + lp.reduced_costs[e] > min_cost + RCVF_SLACK:
-                    model = fix_variable_zero(model, e)
+                    model.ub[e] = 0.0
                     fixed_edges.append(e)
         if _is_integral(model, res.values):
             sol = close_unused_edges(inst, _solution_from_values(inst, model, res.values))
@@ -298,19 +285,14 @@ def vfh(
 
 
 def local_branching(
-    inst: Instance,
-    sol: Solution,
-    delta: int,
-    *,
-    node_limit: int = 200_000,
-    time_limit: float | None = None,
+    inst: Instance, sol: Solution, delta: int, *, time_limit: float | None = None
 ) -> Solution:
     """Branch-and-bound restricted to designs within Hamming distance
     ``delta`` of the incumbent design, under its cost as cutoff. Returns the
     improvement or the input unchanged."""
     model = build_model(inst, compute_big_m(inst))
     model = add_local_branching_cut(model, sol.y, delta)
-    cfg = BnbConfig(cutoff=sol.cost, node_limit=node_limit, time_limit=time_limit)
+    cfg = BnbConfig(cutoff=sol.cost, time_limit=time_limit)
     res = solve_bnb(model, full_integrality(model), cfg)
     if res.objective < math.inf and _is_integral(model, res.values):
         out = _solution_from_values(inst, model, res.values)
@@ -384,43 +366,24 @@ def inefficiency_metrics(inst: Instance, sol: Solution, rng=None) -> Inefficienc
     return InefficiencyReport(ratios, average, inefficient, chains)
 
 
-def ejection_cycle(
-    inst: Instance,
-    sol: Solution,
-    gamma: float,
-    rng=0,
-    *,
-    rounds: int = 10,
-) -> Solution:
-    """Perturbation: price an inefficient chain out of the design and rebuild
-    the routes of the commodities crossing it; accept ties or improvements,
-    otherwise keep the input."""
+def ejection_cycle(inst: Instance, sol: Solution, gamma: float, rng=0) -> Solution:
+    """Perturbation: price a random inefficient chain out of the design and
+    rebuild the routes of the commodities crossing it; accept ties or
+    improvements, otherwise keep the input."""
     rng = np.random.default_rng(rng)
-    report = inefficiency_metrics(inst, sol, rng=rng)
-    chains = list(report.chains)
-    sentinel = ejection_cost_sentinel(inst)
-    current = sol
-    rebuilt_feasible = False
-    while chains and not rebuilt_feasible:
-        chain = chains.pop(int(rng.integers(len(chains))))
-        x = np.asarray(current.x)
-        k_set = [
-            k
-            for k in range(inst.num_commodities)
-            if any(x[k, 2 * e] + x[k, 2 * e + 1] > 0 for e in chain)
-        ]
-        override = inst.edge_array("f")
-        override[chain] = sentinel
-        rebuilt = partial_decoupling(
-            inst,
-            gamma,
-            rng=rng,
-            rounds=rounds,
-            restricted=k_set,
-            frozen=current,
-            fixed_cost_override=override,
-        )
-        rebuilt_feasible = rebuilt.feasible == Feasibility.FEASIBLE
-        if rebuilt_feasible and rebuilt.cost <= current.cost:
-            current = rebuilt
-    return current
+    chains = inefficiency_metrics(inst, sol, rng=rng).chains
+    if not chains:
+        return sol
+    chain = chains[int(rng.integers(len(chains)))]
+    x = np.asarray(sol.x)
+    k_set = [
+        k
+        for k in range(inst.num_commodities)
+        if any(x[k, 2 * e] + x[k, 2 * e + 1] > 0 for e in chain)
+    ]
+    override = inst.edge_array("f")
+    override[chain] = ejection_cost_sentinel(inst)
+    rebuilt = partial_decoupling(
+        inst, gamma, rng=rng, restricted=k_set, frozen=sol, fixed_cost_override=override
+    )
+    return rebuilt if rebuilt.cost <= sol.cost else sol

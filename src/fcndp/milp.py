@@ -28,6 +28,8 @@ PIVOT_TOL = 1e-9
 OPT_TOL = 1e-7
 FEAS_TOL = 1e-7
 CUTOFF_SLACK = 1e-6
+INTEGRALITY_TOL = 1e-6
+NODE_LIMIT = 200_000
 _REFRESH = 64
 
 
@@ -44,16 +46,9 @@ class LpResult:
 
 @dataclass
 class BnbConfig:
-    integrality_tol: float = 1e-6
-    node_limit: int = 200_000
     time_limit: float | None = None
     cutoff: float | None = None
-    branching: str = "most-fractional"
     bound_log: list | None = None  # debug sink: (parent bound, node bound)
-
-    def __post_init__(self):
-        if self.integrality_tol <= 0:
-            raise ValueError("integrality tolerance must be positive")
 
 
 @dataclass
@@ -343,7 +338,7 @@ def solve_bnb(model: MipModel, plan: IntegralityPlan, cfg: BnbConfig | None = No
     plan.validate(model)
     if not plan.binary:
         return solve_lp(model)
-    cutoff = cfg.cutoff if cfg.cutoff is not None else model.cutoff
+    cutoff = cfg.cutoff
     binary_ids = np.array(sorted(plan.binary), dtype=int)
     std = _standardize(model)
     int_obj = _integral_objective(model, plan.binary)
@@ -360,7 +355,7 @@ def solve_bnb(model: MipModel, plan: IntegralityPlan, cfg: BnbConfig | None = No
         (model.lb.copy(), model.ub.copy(), -math.inf)
     ]
     while stack:
-        if nodes_done >= cfg.node_limit or (
+        if nodes_done >= NODE_LIMIT or (
             cfg.time_limit is not None and time.monotonic() - t0 > cfg.time_limit
         ):
             hit_limit = True
@@ -392,7 +387,7 @@ def solve_bnb(model: MipModel, plan: IntegralityPlan, cfg: BnbConfig | None = No
             continue
         vals = res.values[binary_ids]
         frac = np.abs(vals - np.round(vals))
-        if frac.max(initial=0.0) <= cfg.integrality_tol:
+        if frac.max(initial=0.0) <= INTEGRALITY_TOL:
             z = res.values.copy()
             z[binary_ids] = np.round(z[binary_ids])
             obj = float(model.obj @ z)

@@ -42,8 +42,6 @@ class MipModel:
     num_edges: int
     num_commodities: int
     num_nodes: int
-    cut_row: int | None = None
-    cutoff: float | None = None
     names: list[str] = field(default_factory=list)
 
     def y_var(self, e: int) -> int:
@@ -62,28 +60,12 @@ class MipModel:
         start = self.x_var(k, 0)
         return np.asarray(values)[start : start + 2 * self.num_edges]
 
-    def copy(self) -> "MipModel":
-        return replace(
-            self,
-            obj=self.obj.copy(),
-            lb=self.lb.copy(),
-            ub=self.ub.copy(),
-            kinds=list(self.kinds),
-            integer_ok=self.integer_ok.copy(),
-            rows=list(self.rows),
-            names=list(self.names),
-        )
-
 
 @dataclass(frozen=True)
 class IntegralityPlan:
-    """Split of the y/x variables into relaxed and binary-restricted sets."""
+    """The y/x variables restricted to binary values; the rest stay relaxed."""
 
     binary: frozenset[int] = frozenset()
-
-    def relaxed(self, model: MipModel) -> frozenset[int]:
-        eligible = frozenset(int(v) for v in np.flatnonzero(model.integer_ok))
-        return eligible - self.binary
 
     def validate(self, model: MipModel) -> None:
         for v in self.binary:
@@ -92,10 +74,6 @@ class IntegralityPlan:
 
     def with_binary(self, vars_: "frozenset[int] | set[int] | list[int]") -> "IntegralityPlan":
         return IntegralityPlan(self.binary | frozenset(int(v) for v in vars_))
-
-
-def all_relaxed() -> IntegralityPlan:
-    return IntegralityPlan()
 
 
 def full_integrality(model: MipModel) -> IntegralityPlan:
@@ -194,33 +172,20 @@ def build_model(inst: Instance, big_m: BigM) -> MipModel:
 def add_local_branching_cut(model: MipModel, ybar, delta: int) -> MipModel:
     """Hamming-ball cut around the design ``ybar``: at most ``delta`` flips.
 
-    Only the opening variables enter the row; flow variables stay free. A
-    second call replaces the previous cut.
+    Only the opening variables enter the row; flow variables stay free. The
+    result shares everything but its row list with ``model``, which is left
+    unchanged.
     """
     if delta < 0:
         raise ValueError("delta must be nonnegative")
     ybar = np.round(np.asarray(ybar)).astype(int)
     if ybar.shape != (model.num_edges,):
         raise ValueError("design vector length mismatch")
-    out = model.copy()
-    if out.cut_row is not None:
-        out.rows = out.rows[: out.cut_row] + out.rows[out.cut_row + 1 :]
-        out.cut_row = None
     cols = np.arange(model.num_edges)
     coefs = np.where(ybar == 0, 1.0, -1.0)
     rhs = float(delta - int(ybar.sum()))
-    out.cut_row = len(out.rows)
-    out.rows = out.rows + [Row(cols, coefs, SENSE_LE, rhs, "local_branching")]
-    return out
-
-
-def fix_variable_zero(model: MipModel, var: int) -> MipModel:
-    """Stamp a variable's upper bound to zero (idempotent)."""
-    if not (0 <= var < model.num_vars):
-        raise ValueError(f"unknown variable id {var}")
-    out = model.copy()
-    out.ub[var] = 0.0
-    return out
+    cut = Row(cols, coefs, SENSE_LE, rhs, "local_branching")
+    return replace(model, rows=[*model.rows, cut])
 
 
 def export_text(model: MipModel) -> str:

@@ -16,7 +16,7 @@ from fcndp.bench import (
     write_ttt_csv,
 )
 from fcndp.driver import SolverConfig
-from fcndp.instance import generate_instance
+from fcndp.instance import Commodity, Edge, Instance, generate_instance
 from fcndp.oracle import solve_exact
 
 
@@ -168,6 +168,24 @@ def test_batch_identical_methods_identical_costs():
     assert a.avg_sol == b.avg_sol
     assert a.best_sol == b.best_sol
     assert math.isnan(a.gap) and math.isnan(b.gap)  # no optimum provided
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_batch_records_failed_run(jobs):
+    # two components: the commodity from 0 cannot reach 3, so the run raises
+    split = Instance(
+        4,
+        (Edge(0, 1, 1, 5, 1), Edge(2, 3, 1, 5, 1)),
+        (Commodity(0, 3, 1),),
+        name="split",
+    )
+    good = generate_instance(5, 0.7, 2, 1)
+    _, records = batch([split, good], [("vfhlb", SolverConfig())], 1, jobs=jobs)
+    by_name = {r["instance"]: r for r in records}
+    assert len(records) == 2
+    assert by_name["split"]["ok"] is False
+    assert "unreached" in by_name["split"]["error"]
+    assert by_name[good.name]["ok"] is True
 
 
 def test_batch_validation():

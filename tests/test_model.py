@@ -8,7 +8,6 @@ from fcndp.model import (
     add_local_branching_cut,
     build_model,
     export_text,
-    fix_variable_zero,
     full_integrality,
 )
 from fcndp.oracle import solve_exact
@@ -59,7 +58,7 @@ def test_lb_cut_arithmetic():
     ybar = np.zeros(inst.num_edges, dtype=int)
     ybar[[0, 2]] = 1  # like (1,0,1,...) on the first three edges
     cut_model = add_local_branching_cut(model, ybar, 1)
-    row = cut_model.rows[cut_model.cut_row]
+    row = cut_model.rows[-1]
     assert row.rhs == 1 - 2
     candidate = np.zeros(inst.num_edges)
     candidate[[2]] = 1  # one flip from ybar on edge 0
@@ -80,34 +79,33 @@ def test_lb_cut_rhs_formula_matches_half_edges():
     model = build_model(inst, compute_big_m(inst))
     ybar = np.zeros(13, dtype=int)
     cut_model = add_local_branching_cut(model, ybar, delta)
-    row = cut_model.rows[cut_model.cut_row]
+    row = cut_model.rows[-1]
     assert row.rhs == 7.0
 
 
-def test_lb_cut_replaced_on_second_call(worked):
+def test_lb_cut_leaves_input_model_unchanged(worked):
     model = build_model(worked, compute_big_m(worked))
+    rows = list(model.rows)
+    bounds = (model.lb.copy(), model.ub.copy())
     one = add_local_branching_cut(model, [1, 0, 0], 1)
-    two = add_local_branching_cut(one, [0, 0, 1], 2)
-    assert len(two.rows) == len(model.rows) + 1
+    assert model.rows == rows
+    assert np.array_equal(model.lb, bounds[0]) and np.array_equal(model.ub, bounds[1])
+    assert len(one.rows) == len(model.rows) + 1
+    assert one.rows[:-1] == rows
 
 
-def test_fix_variable_zero(worked):
+def test_fix_opening_variable_zero(worked):
     model = build_model(worked, compute_big_m(worked))
-    fixed = fix_variable_zero(model, model.y_var(2))
-    res = solve_bnb(fixed, full_integrality(fixed))
+    model.ub[model.y_var(2)] = 0.0
+    res = solve_bnb(model, full_integrality(model))
     assert res.status == "optimal"
     assert res.objective == 14.0  # forced onto the two-edge route
     assert round(res.values[2]) == 0
-    again = fix_variable_zero(fixed, model.y_var(2))
-    assert again.ub[2] == 0.0
-    with pytest.raises(ValueError, match="unknown"):
-        fix_variable_zero(model, 99)
 
 
 def test_fix_all_infeasible(worked):
     model = build_model(worked, compute_big_m(worked))
-    for e in range(3):
-        model = fix_variable_zero(model, e)
+    model.ub[:3] = 0.0
     res = solve_bnb(model, full_integrality(model))
     assert res.status == "infeasible"
 
@@ -116,10 +114,7 @@ def test_plan_split_and_validation(worked):
     model = build_model(worked, compute_big_m(worked))
     plan = IntegralityPlan().with_binary([0, 3])
     assert plan.binary == {0, 3}
-    assert 0 not in plan.relaxed(model)
-    assert plan.relaxed(model) | plan.binary == frozenset(
-        int(v) for v in np.flatnonzero(model.integer_ok)
-    )
+    assert plan.with_binary([3, 4]).binary == {0, 3, 4}
     with pytest.raises(ValueError, match="cannot be made binary"):
         IntegralityPlan(frozenset({model.pi_var(0, 0)})).validate(model)
 
