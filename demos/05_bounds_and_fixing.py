@@ -12,7 +12,6 @@ import math
 from fcndp import (
     build_model,
     compute_big_m,
-    full_integrality,
     generate_instance,
     solve_bnb,
     solve_exact,
@@ -40,5 +39,5 @@ res = vfh(inst, 0.85, rng=64)
 print(f"relax-and-fix: cost {res.solution.cost}, bound {res.lower_bound}, "
       f"proven {res.proven}, edges closed by reduced cost: {res.fixed_edges}")
 
-bb = solve_bnb(model, full_integrality(model))
+bb = solve_bnb(model, model.integer_ok)
 print("full branch-and-bound agrees:", bb.objective == exact.cost)

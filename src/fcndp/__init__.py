@@ -18,7 +18,6 @@ from .instance import (
 )
 from .graph import Adjacency, PathResult, dijkstra, extract_path, shortest_path_dag
 from .solution import (
-    Feasibility,
     FeasibilityReport,
     Solution,
     close_unused_edges,
@@ -28,15 +27,8 @@ from .solution import (
     solution_to_json,
     verify_bilevel,
 )
-from .model import (
-    IntegralityPlan,
-    MipModel,
-    add_local_branching_cut,
-    build_model,
-    export_text,
-    full_integrality,
-)
-from .milp import BnbConfig, LpResult, reduced_cost, solve_bnb, solve_lp
+from .model import MipModel, add_local_branching_cut, build_model, export_text
+from .milp import LpResult, solve_bnb, solve_lp
 from .heuristics import (
     InefficiencyReport,
     LboundResult,

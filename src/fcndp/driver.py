@@ -69,6 +69,8 @@ def vfhlb(inst: Instance, cfg: SolverConfig | None = None) -> tuple[Solution, Ru
     Skips the perturbation loop when the initial gap already proves
     optimality on integer data; otherwise runs the configured number of
     perturb + local-branch iterations, tracking the best solution seen.
+    An iteration whose perturbation returns the solution local branching
+    last started from skips that search.
     """
     cfg = cfg or SolverConfig()
     delta = cfg.resolve_delta(inst)
@@ -89,6 +91,7 @@ def vfhlb(inst: Instance, cfg: SolverConfig | None = None) -> tuple[Solution, Ru
     bound = res.lower_bound
     best = current
     trajectory = [(best.cost, time.monotonic() - t0)]
+    searched = current  # the Solution the last local_branching call started from
     current = local_branching(inst, current, delta, time_limit=left())
     best = update_best(best, current)
     trajectory.append((best.cost, time.monotonic() - t0))
@@ -98,7 +101,12 @@ def vfhlb(inst: Instance, cfg: SolverConfig | None = None) -> tuple[Solution, Ru
                 status = "time-limit"
                 break
             current = ejection_cycle(inst, current, cfg.gamma, rng=rng)
-            current = local_branching(inst, current, delta, time_limit=left())
+            # local branching reads only the design, the cost and the budget:
+            # when the perturbation returned the design last searched from,
+            # the same neighbourhood would be searched again for nothing
+            if current is not searched:
+                searched = current
+                current = local_branching(inst, current, delta, time_limit=left())
             best = update_best(best, current)
             trajectory.append((best.cost, time.monotonic() - t0))
     wall = time.monotonic() - t0

@@ -14,16 +14,9 @@ import numpy as np
 
 from .graph import Adjacency, dijkstra, extract_path
 from .instance import Instance, compute_big_m
-from .milp import (
-    STATUS_ITERATION_LIMIT,
-    STATUS_OPTIMAL,
-    BnbConfig,
-    solve_bnb,
-    solve_lp,
-)
-from .model import IntegralityPlan, MipModel, add_local_branching_cut, build_model, full_integrality
+from .milp import STATUS_ITERATION_LIMIT, STATUS_OPTIMAL, solve_bnb, solve_lp
+from .model import MipModel, add_local_branching_cut, build_model
 from .solution import (
-    Feasibility,
     Solution,
     close_unused_edges,
     empty_solution,
@@ -136,7 +129,7 @@ def partial_decoupling(
         for k, com in enumerate(inst.commodities):
             pr = dijkstra(open_adj, com.origin, c)
             x[k, extract_path(pr, com.destination)] = 1
-        sol = close_unused_edges(inst, Solution(y, x, 0.0, Feasibility.FEASIBLE))
+        sol = close_unused_edges(inst, Solution(y, x, 0.0))
         if round_costs is not None:
             round_costs.append(sol.cost)
         if best is None or sol.cost < best.cost:
@@ -164,7 +157,7 @@ def _solution_from_values(inst: Instance, model: MipModel, values: np.ndarray) -
     for k in range(K):
         x[k] = np.round(model.x_values(values, k)).astype(np.int8)
     cost = evaluate_cost(inst, y, x)
-    return Solution(y, x, cost, Feasibility.FEASIBLE)
+    return Solution(y, x, cost)
 
 
 @dataclass
@@ -192,18 +185,17 @@ def lbound(inst: Instance, *, time_limit: float | None = None) -> LboundResult:
         return LboundResult(sol.cost, True, sol, 0)
     E = inst.num_edges
     max_iters = math.ceil(0.2 * E)
-    plan = IntegralityPlan()
+    binary = np.zeros(model.num_vars, dtype=bool)
     remaining = set(range(E))
     nvbin = 0
     iterations = 0
     value = res.objective
-    cfg = BnbConfig(time_limit=time_limit)
     while True:
         promote = [e for e in sorted(remaining) if res.values[e] >= 0.5]
-        plan = plan.with_binary(promote)
+        binary[promote] = True
         remaining -= set(promote)
         nvbin += len(promote)
-        res = solve_bnb(model, plan, cfg)
+        res = solve_bnb(model, binary, time_limit=time_limit)
         iterations += 1
         if res.status != STATUS_OPTIMAL:
             raise RuntimeError(f"bounding solve failed: {res.status}")
@@ -247,19 +239,15 @@ def vfh(inst: Instance, gamma: float, rng=0, *, time_limit: float | None = None)
     min_cost = s_best.cost
     bound = lb_res.value
     model = build_model(inst, compute_big_m(inst))
-    plan = IntegralityPlan()
+    binary = np.zeros(model.num_vars, dtype=bool)
     pending = list(range(inst.num_commodities))
     fixed_edges: list[int] = []
-    cfg = BnbConfig(time_limit=time_limit)
     while pending and abs(min_cost - bound) >= 1:
         cand = candidate_list(inst, pending, gamma)
         k = cand[int(rng.integers(len(cand)))]
         pending.remove(k)
-        plan = plan.with_binary(
-            [model.x_var(k, a) for a in range(2 * inst.num_edges)]
-        )
-        cfg.cutoff = min_cost
-        res = solve_bnb(model, plan, cfg)
+        binary[model.x_var(k, 0) : model.x_var(k, 2 * inst.num_edges)] = True
+        res = solve_bnb(model, binary, cutoff=min_cost, time_limit=time_limit)
         found = res.objective < math.inf
         if not found:
             break  # nothing under the cutoff: incumbent is optimal
@@ -292,8 +280,7 @@ def local_branching(
     improvement or the input unchanged."""
     model = build_model(inst, compute_big_m(inst))
     model = add_local_branching_cut(model, sol.y, delta)
-    cfg = BnbConfig(cutoff=sol.cost, time_limit=time_limit)
-    res = solve_bnb(model, full_integrality(model), cfg)
+    res = solve_bnb(model, model.integer_ok, cutoff=sol.cost, time_limit=time_limit)
     if res.objective < math.inf and _is_integral(model, res.values):
         out = _solution_from_values(inst, model, res.values)
         if out.cost < sol.cost:

@@ -1,5 +1,7 @@
-"""Self-contained LP/MIP kernel: bounded-variable primal simplex plus
-branch-and-bound over the variables an IntegralityPlan marks binary.
+"""Self-contained LP/MIP kernel with two calls: ``solve_lp(model)`` solves
+the relaxation with a bounded-variable primal simplex, and
+``solve_bnb(model, binary, *, cutoff=None, time_limit=None)`` runs
+branch-and-bound over the variables a boolean mask marks binary.
 
 The simplex keeps a dense tableau (desk-scale models make dense cheap),
 prices with Dantzig's rule and falls back to Bland's rule after a run of
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import SENSE_EQ, SENSE_GE, SENSE_LE, IntegralityPlan, MipModel
+from .model import SENSE_EQ, SENSE_GE, SENSE_LE, MipModel
 
 STATUS_OPTIMAL = "optimal"
 STATUS_INFEASIBLE = "infeasible"
@@ -30,6 +32,10 @@ FEAS_TOL = 1e-7
 CUTOFF_SLACK = 1e-6
 INTEGRALITY_TOL = 1e-6
 NODE_LIMIT = 200_000
+# simplex pivot budget per LP solve: max(floor, per_dim * (rows + columns)),
+# with one slack column per row
+PIVOT_LIMIT_FLOOR = 2000
+PIVOT_LIMIT_PER_DIM = 50
 _REFRESH = 64
 
 
@@ -38,17 +44,9 @@ class LpResult:
     status: str
     objective: float
     values: np.ndarray
-    reduced_costs: np.ndarray | None = None
-    basis: list[int] | None = None
+    reduced_costs: np.ndarray | None = None  # LP results only
     iterations: int = 0
     nodes: int = 0
-
-
-@dataclass
-class BnbConfig:
-    time_limit: float | None = None
-    cutoff: float | None = None
-    bound_log: list | None = None  # debug sink: (parent bound, node bound)
 
 
 @dataclass
@@ -91,7 +89,6 @@ class _Simplex:
     def __init__(self, std: _Standard, lb: np.ndarray, ub: np.ndarray, iter_limit: int):
         m = std.a.shape[0]
         self.m = m
-        self.num_vars = std.num_vars
         self.l = np.concatenate([lb, std.slack_lb])
         self.u = np.concatenate([ub, std.slack_ub])
         if np.any(~np.isfinite(self.l) & ~np.isfinite(self.u)):
@@ -107,51 +104,40 @@ class _Simplex:
         z = np.where(self.at_upper, self.u, self.l)
         resid = std.b - std.a @ z
 
-        self.n_art = 0
-        art_cols = []
+        # each row starts with its slack basic when the slack can absorb the
+        # residual, else with an artificial signed to take a nonnegative value
+        art_rows = []
         basis = []
-        art_sign = []
         for i in range(m):
             lo, hi = std.slack_lb[i], std.slack_ub[i]
             need = resid[i]  # value the slack would have to take
             if lo - FEAS_TOL <= need <= hi + FEAS_TOL:
-                z[std.num_vars + i] = min(max(need, lo), hi)
                 basis.append(std.num_vars + i)
-                art_sign.append(0.0)
             else:
                 pin = lo if need < lo else hi
-                z[std.num_vars + i] = pin
-                art_cols.append(i)
-                art_sign.append(1.0 if need - pin > 0 else -1.0)
-                basis.append(n_all + len(art_cols) - 1)
-        self.n_art = len(art_cols)
+                art_rows.append((i, 1.0 if need - pin > 0 else -1.0))
+                basis.append(n_all + len(art_rows) - 1)
+        self.n_art = len(art_rows)
         a_full = std.a
         if self.n_art:
-            # artificial column sign makes the basic value nonnegative
             extra = np.zeros((m, self.n_art))
-            for j, i in enumerate(art_cols):
-                extra[i, j] = art_sign[i]
+            for j, (i, sign) in enumerate(art_rows):
+                extra[i, j] = sign
             a_full = np.hstack([std.a, extra])
             self.l = np.concatenate([self.l, np.zeros(self.n_art)])
             self.u = np.concatenate([self.u, np.full(self.n_art, math.inf)])
             self.c = np.concatenate([self.c, np.zeros(self.n_art)])
             self.at_upper = np.concatenate([self.at_upper, np.zeros(self.n_art, dtype=bool)])
-            z = np.concatenate([z, np.zeros(self.n_art)])
         self.ncols = a_full.shape[1]
-        self.tableau = np.hstack([a_full.copy(), std.b.reshape(-1, 1)])
+        self.tableau = np.hstack([a_full, std.b.reshape(-1, 1)])
         self.basis = np.array(basis, dtype=int)
         self.in_basis = np.zeros(self.ncols, dtype=bool)
         self.in_basis[self.basis] = True
-        self.values = z
-        # make the starting basis the identity in the tableau
-        for r, var in enumerate(self.basis):
-            piv = self.tableau[r, var]
-            if abs(piv - 1.0) > 0:
-                self.tableau[r, :] /= piv
-            col = self.tableau[:, var].copy()
-            col[r] = 0.0
-            if np.any(col):
-                self.tableau -= np.outer(col, self.tableau[r, :])
+        # every starting basic column is +-e_r: dividing the rows of the
+        # -e_r artificials by -1 makes the starting basis the identity
+        for i, sign in art_rows:
+            if sign < 0:
+                self.tableau[i, :] /= sign
         self._refresh_xb()
 
     def _refresh_xb(self):
@@ -272,23 +258,13 @@ class _Simplex:
         return status, self.values, d
 
 
-def solve_lp(model: MipModel, *, iteration_limit: int | None = None) -> LpResult:
+def solve_lp(model: MipModel) -> LpResult:
     """Optimal basic solution of the LP relaxation, with reduced costs."""
-    return _solve_lp_bounds(model, model.lb, model.ub, iteration_limit=iteration_limit)
+    return _solve_lp_bounds(model, model.lb, model.ub, _standardize(model))
 
 
-def _solve_lp_bounds(
-    model: MipModel,
-    lb: np.ndarray,
-    ub: np.ndarray,
-    *,
-    std: _Standard | None = None,
-    iteration_limit: int | None = None,
-) -> LpResult:
-    if std is None:
-        std = _standardize(model)
-    m = std.a.shape[0]
-    limit = iteration_limit or max(2000, 50 * (m + std.a.shape[1]))
+def _solve_lp_bounds(model: MipModel, lb: np.ndarray, ub: np.ndarray, std: _Standard) -> LpResult:
+    limit = max(PIVOT_LIMIT_FLOOR, PIVOT_LIMIT_PER_DIM * (std.a.shape[0] + std.a.shape[1]))
     sx = _Simplex(std, np.asarray(lb, dtype=float), np.asarray(ub, dtype=float), limit)
     status, values, d = sx.solve()
     primal = values[: model.num_vars]
@@ -298,24 +274,16 @@ def _solve_lp_bounds(
         objective=objective,
         values=primal.copy(),
         reduced_costs=d[: model.num_vars].copy(),
-        basis=[int(v) for v in sx.basis],
         iterations=sx.iterations,
     )
 
 
-def reduced_cost(res: LpResult, var: int) -> float:
-    """Simplex reduced cost of a variable; zero for basic variables."""
-    if res.reduced_costs is None:
-        raise ValueError("reduced costs are only available on LP results")
-    return float(res.reduced_costs[var])
-
-
-def _integral_objective(model: MipModel, binary: frozenset[int]) -> bool:
+def _integral_objective(model: MipModel, binary: np.ndarray) -> bool:
     """True when every feasible point with integral marked vars has an
     integer objective, which licenses bound rounding during pruning."""
     for j in np.flatnonzero(model.obj != 0.0):
         cj = float(model.obj[j])
-        if int(j) in binary:
+        if binary[j]:
             if not cj.is_integer():
                 return False
         elif model.lb[j] == model.ub[j]:
@@ -326,22 +294,31 @@ def _integral_objective(model: MipModel, binary: frozenset[int]) -> bool:
     return True
 
 
-def solve_bnb(model: MipModel, plan: IntegralityPlan, cfg: BnbConfig | None = None) -> LpResult:
-    """Branch-and-bound over the plan's binary variables.
+def solve_bnb(
+    model: MipModel,
+    binary: np.ndarray,
+    *,
+    cutoff: float | None = None,
+    time_limit: float | None = None,
+) -> LpResult:
+    """Branch-and-bound over the variables the boolean mask ``binary`` marks.
 
-    Depth-first with the open list re-sorted by bound every 100 nodes;
-    branches on the most fractional marked variable (ties to the lowest id).
-    Nodes whose bound reaches the cutoff are pruned; with no cutoff and no
-    integral point the result is infeasible.
+    Only opening (y) and flow (x) variables may be marked. Depth-first with
+    the open list re-sorted by bound every 100 nodes; branches on the most
+    fractional marked variable (ties to the lowest id). Nodes whose bound
+    reaches the cutoff are pruned; with no cutoff and no integral point the
+    result is infeasible. With nothing marked this is ``solve_lp``.
     """
-    cfg = cfg or BnbConfig()
-    plan.validate(model)
-    if not plan.binary:
+    binary = np.asarray(binary, dtype=bool)
+    bad = np.flatnonzero(binary & ~model.integer_ok)
+    if bad.size:
+        v = int(bad[0])
+        raise ValueError(f"variable {v} ({model.kinds[v]}) cannot be made binary")
+    if not binary.any():
         return solve_lp(model)
-    cutoff = cfg.cutoff
-    binary_ids = np.array(sorted(plan.binary), dtype=int)
+    binary_ids = np.flatnonzero(binary)
     std = _standardize(model)
-    int_obj = _integral_objective(model, plan.binary)
+    int_obj = _integral_objective(model, binary)
     t0 = time.monotonic()
 
     incumbent: np.ndarray | None = None
@@ -356,7 +333,7 @@ def solve_bnb(model: MipModel, plan: IntegralityPlan, cfg: BnbConfig | None = No
     ]
     while stack:
         if nodes_done >= NODE_LIMIT or (
-            cfg.time_limit is not None and time.monotonic() - t0 > cfg.time_limit
+            time_limit is not None and time.monotonic() - t0 > time_limit
         ):
             hit_limit = True
             break
@@ -368,19 +345,17 @@ def solve_bnb(model: MipModel, plan: IntegralityPlan, cfg: BnbConfig | None = No
             if cutoff is not None and parent_bound >= cutoff - CUTOFF_SLACK:
                 pruned_by_cutoff = True
             continue
-        res = _solve_lp_bounds(model, lb, ub, std=std)
+        res = _solve_lp_bounds(model, lb, ub, std)
         nodes_done += 1
         total_pivots += res.iterations
         if res.status == STATUS_INFEASIBLE:
             continue
         if res.status == STATUS_UNBOUNDED:
-            return LpResult(STATUS_UNBOUNDED, -math.inf, res.values, None, None, total_pivots, nodes_done)
+            return LpResult(STATUS_UNBOUNDED, -math.inf, res.values, None, total_pivots, nodes_done)
         if res.status == STATUS_ITERATION_LIMIT:
             hit_limit = True
             continue
         bound = res.objective
-        if cfg.bound_log is not None:
-            cfg.bound_log.append((parent_bound, bound))
         if bound >= limit:
             if cutoff is not None and bound >= cutoff - CUTOFF_SLACK:
                 pruned_by_cutoff = True
@@ -412,12 +387,12 @@ def solve_bnb(model: MipModel, plan: IntegralityPlan, cfg: BnbConfig | None = No
 
     if incumbent is not None:
         status = STATUS_ITERATION_LIMIT if hit_limit else STATUS_OPTIMAL
-        return LpResult(status, incumbent_obj, incumbent, None, None, total_pivots, nodes_done)
+        return LpResult(status, incumbent_obj, incumbent, None, total_pivots, nodes_done)
     if hit_limit:
-        return LpResult(STATUS_ITERATION_LIMIT, math.inf, model.lb.copy(), None, None, total_pivots, nodes_done)
+        return LpResult(STATUS_ITERATION_LIMIT, math.inf, model.lb.copy(), None, total_pivots, nodes_done)
     if pruned_by_cutoff:
-        return LpResult(STATUS_CUTOFF, math.inf, model.lb.copy(), None, None, total_pivots, nodes_done)
-    return LpResult(STATUS_INFEASIBLE, math.inf, model.lb.copy(), None, None, total_pivots, nodes_done)
+        return LpResult(STATUS_CUTOFF, math.inf, model.lb.copy(), None, total_pivots, nodes_done)
+    return LpResult(STATUS_INFEASIBLE, math.inf, model.lb.copy(), None, total_pivots, nodes_done)
 
 
 def _prune_limit(cutoff: float | None, incumbent_obj: float, int_obj: bool) -> float:

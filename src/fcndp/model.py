@@ -61,25 +61,6 @@ class MipModel:
         return np.asarray(values)[start : start + 2 * self.num_edges]
 
 
-@dataclass(frozen=True)
-class IntegralityPlan:
-    """The y/x variables restricted to binary values; the rest stay relaxed."""
-
-    binary: frozenset[int] = frozenset()
-
-    def validate(self, model: MipModel) -> None:
-        for v in self.binary:
-            if not model.integer_ok[v]:
-                raise ValueError(f"variable {v} ({model.kinds[v]}) cannot be made binary")
-
-    def with_binary(self, vars_: "frozenset[int] | set[int] | list[int]") -> "IntegralityPlan":
-        return IntegralityPlan(self.binary | frozenset(int(v) for v in vars_))
-
-
-def full_integrality(model: MipModel) -> IntegralityPlan:
-    return IntegralityPlan(frozenset(int(v) for v in np.flatnonzero(model.integer_ok)))
-
-
 def build_model(inst: Instance, big_m: BigM) -> MipModel:
     E, K, V = inst.num_edges, inst.num_commodities, inst.nodes
     num_vars = E + 2 * E * K + V * K

@@ -16,7 +16,7 @@ import numpy as np
 
 from .graph import Adjacency, dijkstra, extract_path
 from .instance import Instance
-from .solution import Feasibility, Solution, evaluate_cost
+from .solution import Solution, evaluate_cost
 
 
 @dataclass
@@ -118,4 +118,4 @@ def _design_key(mask: int, num_edges: int) -> tuple[int, ...]:
 
 def oracle_solution(inst: Instance, res: OracleResult) -> Solution:
     cost = evaluate_cost(inst, res.y, res.x)
-    return Solution(res.y.copy(), res.x.copy(), cost, Feasibility.FEASIBLE)
+    return Solution(res.y.copy(), res.x.copy(), cost)

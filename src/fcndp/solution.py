@@ -3,12 +3,11 @@
 A solution stores the open-edge indicator vector ``y`` (length E) and one
 directed arc-indicator row per commodity ``x`` (shape K x 2E, arc layout as
 in :mod:`fcndp.graph`). Solutions are value objects: every operation returns
-a fresh one and cloning is cheap.
+a fresh one.
 """
 
 from __future__ import annotations
 
-import enum
 import json
 from dataclasses import dataclass, replace
 
@@ -16,12 +15,6 @@ import numpy as np
 
 from .graph import Adjacency, arc_endpoints, dijkstra, extract_path
 from .instance import Instance
-
-
-class Feasibility(enum.Enum):
-    FEASIBLE = "feasible"
-    INFEASIBLE = "infeasible"
-    RELAXED = "relaxed"
 
 
 BINARY_TOL = 1e-6
@@ -32,10 +25,6 @@ class Solution:
     y: np.ndarray  # (E,) 0/1
     x: np.ndarray  # (K, 2E) 0/1
     cost: float
-    feasible: Feasibility = Feasibility.RELAXED
-
-    def clone(self) -> "Solution":
-        return Solution(self.y.copy(), self.x.copy(), self.cost, self.feasible)
 
     def open_edges(self) -> list[int]:
         return [int(e) for e in np.flatnonzero(self.y)]
@@ -46,7 +35,6 @@ def empty_solution(inst: Instance) -> Solution:
         np.zeros(inst.num_edges, dtype=np.int8),
         np.zeros((inst.num_commodities, 2 * inst.num_edges), dtype=np.int8),
         0.0,
-        Feasibility.FEASIBLE if inst.num_commodities == 0 else Feasibility.INFEASIBLE,
     )
 
 
@@ -216,4 +204,4 @@ def solution_from_dict(inst: Instance, data: dict) -> Solution:
                 raise ValueError(f"path of commodity {k} uses missing edge {pair}")
             x[k, arc_of[pair]] = 1
     cost = float(data["cost"])
-    return Solution(y, x, cost, Feasibility.RELAXED)
+    return Solution(y, x, cost)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from fcndp.instance import Commodity, Edge, Instance
-from fcndp.solution import Feasibility, Solution
+from fcndp.solution import Solution
 
 
 @pytest.fixture
@@ -36,4 +36,4 @@ def make_solution(inst: Instance, open_edges, arcs_by_commodity) -> Solution:
             x[k, arc_of[pair]] = 1
     from fcndp.solution import evaluate_cost
 
-    return Solution(y, x, evaluate_cost(inst, y, x), Feasibility.FEASIBLE)
+    return Solution(y, x, evaluate_cost(inst, y, x))

@@ -31,7 +31,7 @@ from fcndp.heuristics import (
 )
 from fcndp.instance import Commodity, Edge, Instance, compute_big_m, generate_instance
 from fcndp.milp import solve_bnb, solve_lp
-from fcndp.model import build_model, full_integrality
+from fcndp.model import build_model
 from fcndp.oracle import solve_exact
 from fcndp.solution import verify_bilevel
 from conftest import make_solution
@@ -67,7 +67,7 @@ def test_criterion_01_oracle_mip_equivalence(pool):
     for inst in instances:
         exact = oracle_of(inst)
         model = build_model(inst, compute_big_m(inst))
-        res = solve_bnb(model, full_integrality(model))
+        res = solve_bnb(model, model.integer_ok)
         assert res.status == "optimal"
         assert res.objective == exact.cost, inst.name
     elapsed = time.monotonic() - t0

@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from fcndp import driver
 from fcndp.driver import RunRecord, SolverConfig, update_best, vfhlb
 from fcndp.instance import generate_instance
 from fcndp.oracle import solve_exact
-from fcndp.solution import Feasibility, Solution, verify_bilevel
+from fcndp.solution import Solution, verify_bilevel
 
 
 def dummy(cost: float) -> Solution:
@@ -80,11 +81,27 @@ def test_deterministic_given_seed():
 def test_time_limit_returns_feasible_flagged():
     inst = generate_instance(8, 0.7, 4, seed=2)
     sol, rec = vfhlb(inst, SolverConfig(seed=2, time_limit=1e-4))
-    assert sol.feasible == Feasibility.FEASIBLE
     assert verify_bilevel(inst, sol).passed
     # with the budget gone before the loop the run is flagged
     if rec.gap >= 1:
         assert rec.status == "time-limit"
+
+
+def test_local_branching_not_repeated_on_unchanged_incumbent(monkeypatch):
+    """Every ejection cycle on this instance returns its input, so only the
+    first local-branching search runs; each iteration still records a cost."""
+    calls = []
+    real = driver.local_branching
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(driver, "local_branching", counted)
+    inst = generate_instance(8, 0.5, 4, 2)
+    _, rec = vfhlb(inst, SolverConfig(seed=1))
+    assert len(calls) == 1
+    assert len(rec.trajectory) == 2 + SolverConfig().iterations == 12
 
 
 def test_record_round_trip():

@@ -2,14 +2,8 @@ import numpy as np
 import pytest
 
 from fcndp.instance import Commodity, Edge, Instance, compute_big_m, generate_instance
-from fcndp.milp import BnbConfig, solve_bnb, solve_lp
-from fcndp.model import (
-    IntegralityPlan,
-    add_local_branching_cut,
-    build_model,
-    export_text,
-    full_integrality,
-)
+from fcndp.milp import solve_bnb, solve_lp
+from fcndp.model import add_local_branching_cut, build_model, export_text
 from fcndp.oracle import solve_exact
 
 
@@ -38,7 +32,7 @@ def test_empty_commodity_model(worked):
 
 def test_full_bnb_matches_oracle(worked):
     model = build_model(worked, compute_big_m(worked))
-    res = solve_bnb(model, full_integrality(model))
+    res = solve_bnb(model, model.integer_ok)
     assert res.status == "optimal"
     assert res.objective == 10.0
 
@@ -47,7 +41,7 @@ def test_lb_cut_zero_radius_forces_design(worked):
     model = build_model(worked, compute_big_m(worked))
     ybar = np.array([1, 1, 0])
     cut = add_local_branching_cut(model, ybar, 0)
-    res = solve_bnb(cut, full_integrality(cut))
+    res = solve_bnb(cut, cut.integer_ok)
     assert res.status == "optimal"
     assert np.allclose(np.round(res.values[:3]), ybar)
 
@@ -97,7 +91,7 @@ def test_lb_cut_leaves_input_model_unchanged(worked):
 def test_fix_opening_variable_zero(worked):
     model = build_model(worked, compute_big_m(worked))
     model.ub[model.y_var(2)] = 0.0
-    res = solve_bnb(model, full_integrality(model))
+    res = solve_bnb(model, model.integer_ok)
     assert res.status == "optimal"
     assert res.objective == 14.0  # forced onto the two-edge route
     assert round(res.values[2]) == 0
@@ -106,24 +100,25 @@ def test_fix_opening_variable_zero(worked):
 def test_fix_all_infeasible(worked):
     model = build_model(worked, compute_big_m(worked))
     model.ub[:3] = 0.0
-    res = solve_bnb(model, full_integrality(model))
+    res = solve_bnb(model, model.integer_ok)
     assert res.status == "infeasible"
 
 
 def test_plan_split_and_validation(worked):
     model = build_model(worked, compute_big_m(worked))
-    plan = IntegralityPlan().with_binary([0, 3])
-    assert plan.binary == {0, 3}
-    assert plan.with_binary([3, 4]).binary == {0, 3, 4}
+    binary = np.zeros(model.num_vars, dtype=bool)
+    binary[[model.y_var(0), model.x_var(0, 0)]] = True
+    assert solve_bnb(model, binary).status == "optimal"
+    binary[model.pi_var(0, 0)] = True
     with pytest.raises(ValueError, match="cannot be made binary"):
-        IntegralityPlan(frozenset({model.pi_var(0, 0)})).validate(model)
+        solve_bnb(model, binary)
 
 
 def test_model_oracle_equivalence_small_batch():
     for seed in range(10):
         inst = generate_instance(5 + seed % 3, 0.7, 2, seed=seed)
         model = build_model(inst, compute_big_m(inst))
-        res = solve_bnb(model, full_integrality(model))
+        res = solve_bnb(model, model.integer_ok)
         exact = solve_exact(inst)
         assert res.objective == exact.cost, inst.name
 
@@ -131,7 +126,7 @@ def test_model_oracle_equivalence_small_batch():
 def test_lp_relaxation_below_integral(worked):
     model = build_model(worked, compute_big_m(worked))
     lp = solve_lp(model)
-    bb = solve_bnb(model, full_integrality(model))
+    bb = solve_bnb(model, model.integer_ok)
     assert lp.objective <= bb.objective + 1e-9
 
 

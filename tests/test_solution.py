@@ -6,7 +6,6 @@ import pytest
 from conftest import make_solution
 from fcndp.instance import Commodity, Edge, Instance, generate_instance
 from fcndp.solution import (
-    Feasibility,
     Solution,
     close_unused_edges,
     evaluate_cost,
@@ -124,9 +123,8 @@ def test_close_unused_edges_zero_flow(worked):
 def test_close_unused_edges_cost_monotone():
     inst = generate_instance(7, 0.6, 3, seed=5)
     sol = partial_decoupling(inst, 0.85, rng=1)
-    opened = sol.clone()
-    opened.y[:] = 1
-    opened.cost = evaluate_cost(inst, opened.y, opened.x)
+    y = np.ones_like(sol.y)
+    opened = Solution(y, sol.x, evaluate_cost(inst, y, sol.x))
     closed = close_unused_edges(inst, opened)
     assert closed.cost <= opened.cost
 
