@@ -14,7 +14,7 @@ import numpy as np
 
 from .graph import Adjacency, dijkstra, extract_path
 from .instance import Instance, compute_big_m
-from .milp import STATUS_ITERATION_LIMIT, STATUS_OPTIMAL, solve_bnb, solve_lp
+from .milp import STATUS_ITERATION_LIMIT, STATUS_OPTIMAL, LpResult, solve_bnb, solve_lp
 from .model import MipModel, add_local_branching_cut, build_model
 from .solution import (
     Solution,
@@ -166,6 +166,9 @@ class LboundResult:
     opt_found: bool
     solution: Solution | None
     iterations: int
+    model: MipModel  # the model the passes solved, bounds untouched; vfh goes on with it
+    root: LpResult  # solve_lp(model)
+    status: str = STATUS_OPTIMAL  # else the status of the pass that stopped early
 
 
 def lbound(inst: Instance, *, time_limit: float | None = None) -> LboundResult:
@@ -174,38 +177,45 @@ def lbound(inst: Instance, *, time_limit: float | None = None) -> LboundResult:
     Re-solves the relaxation while promoting every opening variable at value
     >= 0.5 to binary, for at most ceil(0.2 E) passes, stopping early on an
     integral solution (then the bound is the proven optimum) or once more
-    than 90% of the opening variables are binary.
+    than 90% of the opening variables are binary. The root relaxation is
+    solved once and seeds every pass.
+
+    A pass that ends without a proven optimum (budget) stops the bounding:
+    the result keeps the last valid bound, the ceil-rounded root or the last
+    completed pass, with that pass's status. Raises only when the root
+    relaxation itself fails.
     """
     model = build_model(inst, compute_big_m(inst))
-    res = solve_lp(model)
-    if res.status != STATUS_OPTIMAL:
-        raise RuntimeError(f"relaxation solve failed: {res.status}")
-    if _is_integral(model, res.values):
-        sol = close_unused_edges(inst, _solution_from_values(inst, model, res.values))
-        return LboundResult(sol.cost, True, sol, 0)
+    root = solve_lp(model)
+    if root.status != STATUS_OPTIMAL:
+        raise RuntimeError(f"relaxation solve failed: {root.status}")
+    if _is_integral(model, root.values):
+        sol = close_unused_edges(inst, _solution_from_values(inst, model, root.values))
+        return LboundResult(sol.cost, True, sol, 0, model, root)
     E = inst.num_edges
     max_iters = math.ceil(0.2 * E)
     binary = np.zeros(model.num_vars, dtype=bool)
     remaining = set(range(E))
     nvbin = 0
     iterations = 0
-    value = res.objective
+    res = root
     while True:
         promote = [e for e in sorted(remaining) if res.values[e] >= 0.5]
         binary[promote] = True
         remaining -= set(promote)
         nvbin += len(promote)
-        res = solve_bnb(model, binary, time_limit=time_limit)
+        last = res
+        res = solve_bnb(model, binary, root=root, time_limit=time_limit)
         iterations += 1
         if res.status != STATUS_OPTIMAL:
-            raise RuntimeError(f"bounding solve failed: {res.status}")
-        value = res.objective
+            value = _strengthen_bound(last.objective, inst)
+            return LboundResult(value, False, None, iterations, model, root, res.status)
         if _is_integral(model, res.values):
             sol = close_unused_edges(inst, _solution_from_values(inst, model, res.values))
-            return LboundResult(sol.cost, True, sol, iterations)
+            return LboundResult(sol.cost, True, sol, iterations, model, root)
         if iterations >= max_iters or nvbin > 0.9 * E:
             break
-    return LboundResult(_strengthen_bound(value, inst), False, None, iterations)
+    return LboundResult(_strengthen_bound(res.objective, inst), False, None, iterations, model, root)
 
 
 @dataclass
@@ -221,8 +231,12 @@ def vfh(inst: Instance, gamma: float, rng=0, *, time_limit: float | None = None)
     flow block turns binary per pass under the incumbent cutoff, with
     reduced-cost fixing of closed opening variables after each success.
 
-    Stops when every block moved, the gap drops below one, or a pass finds
-    nothing under the cutoff (the incumbent is then proven optimal).
+    Works on the model ``lbound`` built and starts every pass from the root
+    relaxation of the current bounds, re-solved only after reduced-cost
+    fixing closed an edge. Stops when every block moved, the gap drops below
+    one, or a pass finds nothing under the cutoff (the incumbent is then
+    proven optimal). When bounding runs out of budget the constructive
+    incumbent is returned with the bound bounding reached.
     """
     rng = np.random.default_rng(rng)
     s_best = partial_decoupling(inst, gamma, rng=rng)
@@ -231,14 +245,16 @@ def vfh(inst: Instance, gamma: float, rng=0, *, time_limit: float | None = None)
     try:
         lb_res = lbound(inst, time_limit=time_limit)
     except RuntimeError:
-        # kernel budget ran out mid-bounding: fall back to the constructive
+        # the root relaxation failed: fall back to the constructive
         # incumbent and the trivial bound
         return VfhResult(s_best, 0.0, False)
     if lb_res.opt_found:
         return VfhResult(lb_res.solution, lb_res.value, True)
     min_cost = s_best.cost
     bound = lb_res.value
-    model = build_model(inst, compute_big_m(inst))
+    if lb_res.status != STATUS_OPTIMAL:
+        return VfhResult(s_best, bound, abs(min_cost - bound) < 1)
+    model, lp = lb_res.model, lb_res.root
     binary = np.zeros(model.num_vars, dtype=bool)
     pending = list(range(inst.num_commodities))
     fixed_edges: list[int] = []
@@ -247,19 +263,25 @@ def vfh(inst: Instance, gamma: float, rng=0, *, time_limit: float | None = None)
         k = cand[int(rng.integers(len(cand)))]
         pending.remove(k)
         binary[model.x_var(k, 0) : model.x_var(k, 2 * inst.num_edges)] = True
-        res = solve_bnb(model, binary, cutoff=min_cost, time_limit=time_limit)
+        if lp is None:
+            lp = solve_lp(model)
+        res = solve_bnb(model, binary, root=lp, cutoff=min_cost, time_limit=time_limit)
         found = res.objective < math.inf
         if not found:
             break  # nothing under the cutoff: incumbent is optimal
-        lp = solve_lp(model)
         if lp.status == STATUS_OPTIMAL:
             y_now = res.values[: inst.num_edges]
-            for e in range(inst.num_edges):
-                if model.ub[e] == 0.0 or y_now[e] > 1e-6:
-                    continue
-                if lp.objective + lp.reduced_costs[e] > min_cost + RCVF_SLACK:
-                    model.ub[e] = 0.0
-                    fixed_edges.append(e)
+            closed = [
+                e
+                for e in range(inst.num_edges)
+                if model.ub[e] != 0.0
+                and y_now[e] <= 1e-6
+                and lp.objective + lp.reduced_costs[e] > min_cost + RCVF_SLACK
+            ]
+            if closed:
+                model.ub[closed] = 0.0
+                fixed_edges += closed
+                lp = None  # the bounds changed: the next pass re-solves the root
         if _is_integral(model, res.values):
             sol = close_unused_edges(inst, _solution_from_values(inst, model, res.values))
             if sol.cost < min_cost:

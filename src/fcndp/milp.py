@@ -1,20 +1,30 @@
 """Self-contained LP/MIP kernel with two calls: ``solve_lp(model)`` solves
 the relaxation with a bounded-variable primal simplex, and
-``solve_bnb(model, binary, *, cutoff=None, time_limit=None)`` runs
-branch-and-bound over the variables a boolean mask marks binary.
+``solve_bnb(model, binary, *, root=None, cutoff=None, time_limit=None)``
+runs branch-and-bound over the variables a boolean mask marks binary.
 
 The simplex keeps a dense tableau (desk-scale models make dense cheap),
 prices with Dantzig's rule and falls back to Bland's rule after a run of
-degenerate pivots. All tie-breaks are by lowest variable id, so solves are
-bit-reproducible. Free variables (no finite bound on either side) are not
-supported; every model built in this package bounds everything.
+degenerate pivots. Only the root relaxation starts cold, with phase 1 and
+artificials; ``root=`` hands ``solve_bnb`` a ``solve_lp`` result so that it
+is solved once however many B&B calls start from it. A B&B child starts
+from its parent's optimal basis: it changes the one branched bound, runs a
+bounded dual simplex back to primal feasibility, then a primal clean-up.
+The parent's tableau is reused in place by the child explored next; the
+other child reaches its parent's basis from whatever tableau is live by a
+basis exchange, so a pending node holds O(rows + columns) state and no
+LU factorization is needed. Ratio-test ties go to the largest pivot, then
+to the lowest variable id, and every other tie to the lowest id, so solves
+are bit-reproducible. Free variables (no finite bound on either side) are
+not supported; every model built in this package bounds everything.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -37,6 +47,25 @@ NODE_LIMIT = 200_000
 PIVOT_LIMIT_FLOOR = 2000
 PIVOT_LIMIT_PER_DIM = 50
 _REFRESH = 64
+# the rank-1 tableau update runs over slices of this many rows, so that its
+# temporary stays small next to the tableau itself
+_CHUNK = 256
+# a B&B tableau that has taken this many pivots since it was copied from the
+# root's is replaced by a fresh copy before its next basis exchange
+_RESTART_AFTER = 2000
+
+
+@dataclass
+class _Start:
+    """What ``solve_bnb(root=)`` needs from a ``solve_lp`` result: the model
+    and bounds it solved, and its final solver state, tableau included
+    (None unless optimal). A B&B works on a copy, so one result can seed
+    many calls."""
+
+    model: MipModel
+    lb: np.ndarray
+    ub: np.ndarray
+    sx: _Simplex | None
 
 
 @dataclass
@@ -47,6 +76,7 @@ class LpResult:
     reduced_costs: np.ndarray | None = None  # LP results only
     iterations: int = 0
     nodes: int = 0
+    start: _Start | None = field(default=None, repr=False, compare=False)  # LP results only
 
 
 @dataclass
@@ -84,7 +114,10 @@ def _standardize(model: MipModel) -> _Standard:
 
 
 class _Simplex:
-    """One solver state per call; two phases share the pivoting loop."""
+    """One solver state. A cold start (the constructor) runs phase 1 with
+    artificials, then phase 2. A warm start puts new bounds on a solved
+    state, after a ``rebase`` to another basis if need be, and runs the dual
+    simplex, then a primal clean-up."""
 
     def __init__(self, std: _Standard, lb: np.ndarray, ub: np.ndarray, iter_limit: int):
         m = std.a.shape[0]
@@ -118,18 +151,17 @@ class _Simplex:
                 art_rows.append((i, 1.0 if need - pin > 0 else -1.0))
                 basis.append(n_all + len(art_rows) - 1)
         self.n_art = len(art_rows)
-        a_full = std.a
         if self.n_art:
-            extra = np.zeros((m, self.n_art))
-            for j, (i, sign) in enumerate(art_rows):
-                extra[i, j] = sign
-            a_full = np.hstack([std.a, extra])
             self.l = np.concatenate([self.l, np.zeros(self.n_art)])
             self.u = np.concatenate([self.u, np.full(self.n_art, math.inf)])
             self.c = np.concatenate([self.c, np.zeros(self.n_art)])
             self.at_upper = np.concatenate([self.at_upper, np.zeros(self.n_art, dtype=bool)])
-        self.ncols = a_full.shape[1]
-        self.tableau = np.hstack([a_full, std.b.reshape(-1, 1)])
+        self.ncols = n_all + self.n_art
+        self.tableau = np.zeros((m, self.ncols + 1))
+        self.tableau[:, :n_all] = std.a
+        for j, (i, sign) in enumerate(art_rows):
+            self.tableau[i, n_all + j] = sign
+        self.tableau[:, -1] = std.b
         self.basis = np.array(basis, dtype=int)
         self.in_basis = np.zeros(self.ncols, dtype=bool)
         self.in_basis[self.basis] = True
@@ -139,6 +171,48 @@ class _Simplex:
             if sign < 0:
                 self.tableau[i, :] /= sign
         self._refresh_xb()
+
+    def rebase(self, basis: np.ndarray, at_upper: np.ndarray) -> None:
+        """Moves to ``basis`` by exchange: each wanted column not yet basic
+        pivots in at the row, among those whose basic column is not wanted,
+        where its entry is largest. One pivot, counted as an iteration, per
+        column that differs. Then takes the nonbasic flags ``at_upper`` and
+        re-derives ``xb`` under the current bounds."""
+        wanted = np.zeros(self.ncols, dtype=bool)
+        wanted[basis] = True
+        d = np.zeros(self.ncols)  # reduced costs are recomputed by the next solve
+        for q in basis:
+            if self.in_basis[q]:
+                continue
+            rows = np.flatnonzero(~wanted[self.basis])
+            col = self.tableau[:, q].copy()
+            r = int(rows[np.argmax(np.abs(col[rows]))])
+            self._pivot(r, q, col, 0.0, False, d)
+            self.iterations += 1
+        self.at_upper[:] = at_upper
+        self._refresh_xb()
+
+    def copy(self) -> _Simplex:
+        other = copy.copy(self)
+        for name in ("l", "u", "at_upper", "tableau", "basis", "in_basis", "xb", "values"):
+            setattr(other, name, getattr(self, name).copy())
+        return other
+
+    def set_bounds(self, lb: np.ndarray, ub: np.ndarray) -> None:
+        """New structural bounds. ``xb`` is left as it is, which is right when
+        only basic variables change bounds (a branch on the current basis);
+        ``rebase`` re-derives it otherwise."""
+        n = lb.size
+        self.l[:n] = lb
+        self.u[:n] = ub
+
+    def reoptimize(self) -> str:
+        """Dual simplex back to primal feasibility, then a primal clean-up
+        of any reduced cost left on the wrong side of the tolerance."""
+        status = self.dual(self.c)
+        if status == STATUS_OPTIMAL:
+            status = self.optimize(self.c)
+        return status
 
     def _refresh_xb(self):
         nonbasic = ~self.in_basis
@@ -223,23 +297,76 @@ class _Simplex:
             else:
                 degenerate_run = 0
             self.xb += delta * t
-            leaving = int(self.basis[r])
-            self.at_upper[leaving] = delta[r] > 0
-            self.in_basis[leaving] = False
             entering_val = (self.u[q] if self.at_upper[q] else self.l[q]) + sigma * t
-            piv = col[r]
-            row = self.tableau[r, :] / piv
-            self.tableau -= np.outer(col, row)
-            self.tableau[r, :] = row
-            d = d - d[q] * row[:-1]
-            d[q] = 0.0
-            self.basis[r] = q
-            self.in_basis[q] = True
-            self.xb[r] = entering_val
+            d = self._pivot(r, q, col, entering_val, bool(delta[r] > 0), d)
             if since_refresh >= _REFRESH:
                 since_refresh = 0
                 self._refresh_xb()
                 d = self._reduced_costs(cost)
+
+    def dual(self, cost: np.ndarray) -> str:
+        """Bounded dual simplex from a dual feasible basis: the most
+        infeasible basic variable leaves at the bound it violates until the
+        point is primal feasible."""
+        d = self._reduced_costs(cost)
+        fixed = self.l == self.u
+        since_refresh = 0
+        while True:
+            lbb = self.l[self.basis]
+            ubb = self.u[self.basis]
+            below = lbb - self.xb
+            above = self.xb - ubb
+            r = int(np.argmax(np.maximum(below, above)))
+            if max(below[r], above[r]) <= FEAS_TOL:
+                return STATUS_OPTIMAL
+            if self.iterations >= self.iter_limit:
+                return STATUS_ITERATION_LIMIT
+            to_upper = bool(above[r] > below[r])
+            row = self.tableau[r, :-1]
+            # a nonbasic column moves up from its lower bound, down from its
+            # upper one; moving x_j by t moves the leaving variable by
+            # -row[j] * t, which must head back toward the violated bound
+            move = np.where(self.at_upper, -1.0, 1.0)
+            push = row * move if to_upper else -row * move
+            cand = np.flatnonzero(~self.in_basis & ~fixed & (push > PIVOT_TOL))
+            if cand.size == 0:
+                return STATUS_INFEASIBLE
+            # dual ratio test; near ties go to the largest pivot, then to the
+            # lowest variable id
+            ratio = np.maximum(move[cand] * d[cand], 0.0) / push[cand]
+            near = cand[ratio <= ratio.min() + 1e-9]
+            q = int(near[np.lexsort((near, -push[near]))[0]])
+            self.iterations += 1
+            since_refresh += 1
+            col = self.tableau[:, q].copy()
+            step = (self.xb[r] - (ubb[r] if to_upper else lbb[r])) / col[r]
+            self.xb -= col * step
+            entering_val = (self.u[q] if self.at_upper[q] else self.l[q]) + step
+            d = self._pivot(r, q, col, entering_val, to_upper, d)
+            if since_refresh >= _REFRESH:
+                since_refresh = 0
+                self._refresh_xb()
+                d = self._reduced_costs(cost)
+
+    def _pivot(
+        self, r: int, q: int, col: np.ndarray, entering_val: float, leaves_at_upper: bool, d: np.ndarray
+    ) -> np.ndarray:
+        """Column ``q`` enters the basis in row ``r``; returns the updated
+        reduced costs."""
+        leaving = int(self.basis[r])
+        self.at_upper[leaving] = leaves_at_upper
+        self.in_basis[leaving] = False
+        piv = col[r]
+        row = self.tableau[r, :] / piv
+        for i in range(0, self.m, _CHUNK):
+            self.tableau[i : i + _CHUNK] -= np.outer(col[i : i + _CHUNK], row)
+        self.tableau[r, :] = row
+        d = d - d[q] * row[:-1]
+        d[q] = 0.0
+        self.basis[r] = q
+        self.in_basis[q] = True
+        self.xb[r] = entering_val
+        return d
 
     def solve(self) -> tuple[str, np.ndarray, np.ndarray]:
         if self.n_art:
@@ -259,22 +386,30 @@ class _Simplex:
 
 
 def solve_lp(model: MipModel) -> LpResult:
-    """Optimal basic solution of the LP relaxation, with reduced costs."""
-    return _solve_lp_bounds(model, model.lb, model.ub, _standardize(model))
+    """Optimal basic solution of the LP relaxation, with reduced costs. The
+    result can seed ``solve_bnb(model, ..., root=)`` while the model's
+    bounds stay as they are."""
+    return _solve_lp(model)
 
 
-def _solve_lp_bounds(model: MipModel, lb: np.ndarray, ub: np.ndarray, std: _Standard) -> LpResult:
+def _solve_lp(model: MipModel) -> LpResult:
+    """The body of ``solve_lp``; ``solve_bnb`` calls it for a root it solves
+    itself, so that calls of the public name are the callers' own."""
+    std = _standardize(model)
+    lb = np.asarray(model.lb, dtype=float).copy()
+    ub = np.asarray(model.ub, dtype=float).copy()
     limit = max(PIVOT_LIMIT_FLOOR, PIVOT_LIMIT_PER_DIM * (std.a.shape[0] + std.a.shape[1]))
-    sx = _Simplex(std, np.asarray(lb, dtype=float), np.asarray(ub, dtype=float), limit)
+    sx = _Simplex(std, lb, ub, limit)
+    del std  # the tableau holds the dense matrix now; free the copy before pivoting
     status, values, d = sx.solve()
     primal = values[: model.num_vars]
-    objective = float(model.obj @ primal)
     return LpResult(
         status=status,
-        objective=objective,
+        objective=float(model.obj @ primal),
         values=primal.copy(),
         reduced_costs=d[: model.num_vars].copy(),
         iterations=sx.iterations,
+        start=_Start(model, lb, ub, sx if status == STATUS_OPTIMAL else None),
     )
 
 
@@ -298,6 +433,7 @@ def solve_bnb(
     model: MipModel,
     binary: np.ndarray,
     *,
+    root: LpResult | None = None,
     cutoff: float | None = None,
     time_limit: float | None = None,
 ) -> LpResult:
@@ -308,16 +444,26 @@ def solve_bnb(
     fractional marked variable (ties to the lowest id). Nodes whose bound
     reaches the cutoff are pruned; with no cutoff and no integral point the
     result is infeasible. With nothing marked this is ``solve_lp``.
+
+    ``root``, a ``solve_lp(model)`` result for the model's current bounds,
+    stands in for the root relaxation, which is then not solved again; the
+    result is the same as without it. Every other node starts from its
+    parent's optimal basis and re-solves with the dual simplex.
     """
     binary = np.asarray(binary, dtype=bool)
     bad = np.flatnonzero(binary & ~model.integer_ok)
     if bad.size:
         v = int(bad[0])
         raise ValueError(f"variable {v} ({model.kinds[v]}) cannot be made binary")
+    if root is not None:
+        rec = root.start
+        if rec is None or rec.model is not model:
+            raise ValueError("root is not a solve_lp result of this model")
+        if not (np.array_equal(rec.lb, model.lb) and np.array_equal(rec.ub, model.ub)):
+            raise ValueError("root was solved under other bounds")
     if not binary.any():
-        return solve_lp(model)
+        return root if root is not None else solve_lp(model)
     binary_ids = np.flatnonzero(binary)
-    std = _standardize(model)
     int_obj = _integral_objective(model, binary)
     t0 = time.monotonic()
 
@@ -328,9 +474,14 @@ def solve_bnb(
     nodes_done = 0
     hit_limit = False
 
-    stack: list[tuple[np.ndarray, np.ndarray, float]] = [
-        (model.lb.copy(), model.ub.copy(), -math.inf)
+    # a pending node: its bounds, its parent's bound and id, and the
+    # parent's optimal basis and nonbasic flags; the root has no parent
+    stack: list[tuple[np.ndarray, np.ndarray, float, int, np.ndarray | None, np.ndarray | None]] = [
+        (model.lb.copy(), model.ub.copy(), -math.inf, -1, None, None)
     ]
+    sx: _Simplex | None = None
+    live = -1  # id of the node whose tableau sx holds
+    age = 0  # pivots sx has taken since it was copied from the root's
     while stack:
         if nodes_done >= NODE_LIMIT or (
             time_limit is not None and time.monotonic() - t0 > time_limit
@@ -339,31 +490,49 @@ def solve_bnb(
             break
         if nodes_done and nodes_done % 100 == 0:
             stack.sort(key=lambda nd: nd[2], reverse=True)
-        lb, ub, parent_bound = stack.pop()
+        lb, ub, parent_bound, parent, basis, at_upper = stack.pop()
         limit = _prune_limit(cutoff, incumbent_obj, int_obj)
         if parent_bound >= limit:
             if cutoff is not None and parent_bound >= cutoff - CUTOFF_SLACK:
                 pruned_by_cutoff = True
             continue
-        res = _solve_lp_bounds(model, lb, ub, std)
+        node = nodes_done
         nodes_done += 1
-        total_pivots += res.iterations
-        if res.status == STATUS_INFEASIBLE:
+        if basis is None:  # the root
+            if root is None:
+                root = _solve_lp(model)
+                total_pivots += root.iterations
+            status, values = root.status, root.values
+        else:
+            if live != parent and age > _RESTART_AFTER:
+                # rounding builds up over pivots: start over from the root's
+                # tableau once this one has taken many
+                sx, age = root.start.sx.copy(), 0
+            sx.iterations = 0
+            sx.set_bounds(lb, ub)
+            if live != parent:
+                sx.rebase(basis, at_upper)
+            live = node
+            status = sx.reoptimize()
+            total_pivots += sx.iterations
+            age += sx.iterations
+            values = sx.values[: model.num_vars]
+        if status == STATUS_INFEASIBLE:
             continue
-        if res.status == STATUS_UNBOUNDED:
-            return LpResult(STATUS_UNBOUNDED, -math.inf, res.values, None, total_pivots, nodes_done)
-        if res.status == STATUS_ITERATION_LIMIT:
+        if status == STATUS_UNBOUNDED:
+            return LpResult(STATUS_UNBOUNDED, -math.inf, values.copy(), None, total_pivots, nodes_done)
+        if status == STATUS_ITERATION_LIMIT:
             hit_limit = True
             continue
-        bound = res.objective
+        bound = float(model.obj @ values)
         if bound >= limit:
             if cutoff is not None and bound >= cutoff - CUTOFF_SLACK:
                 pruned_by_cutoff = True
             continue
-        vals = res.values[binary_ids]
+        vals = values[binary_ids]
         frac = np.abs(vals - np.round(vals))
         if frac.max(initial=0.0) <= INTEGRALITY_TOL:
-            z = res.values.copy()
+            z = values.copy()
             z[binary_ids] = np.round(z[binary_ids])
             obj = float(model.obj @ z)
             if obj < incumbent_obj and (cutoff is None or obj < cutoff - CUTOFF_SLACK):
@@ -371,13 +540,18 @@ def solve_bnb(
                 incumbent_obj = obj
             continue
         j = int(binary_ids[int(np.argmax(frac))])
-        v = res.values[j]
-        lo_lb, lo_ub = lb.copy(), ub.copy()
+        v = values[j]
+        if basis is None:
+            # the root's children work on a copy of its final tableau, so
+            # the solve_lp result can seed other calls
+            sx, age, live = root.start.sx.copy(), 0, node
+        basis, at_upper = sx.basis.copy(), sx.at_upper.copy()
+        lo_ub = ub.copy()
         lo_ub[j] = 0.0
-        hi_lb, hi_ub = lb.copy(), ub.copy()
+        hi_lb = lb.copy()
         hi_lb[j] = 1.0
-        down = (lo_lb, lo_ub, bound)
-        up = (hi_lb, hi_ub, bound)
+        down = (lb, lo_ub, bound, node, basis, at_upper)
+        up = (hi_lb, ub, bound, node, basis, at_upper)
         if v >= 0.5:
             stack.append(down)
             stack.append(up)

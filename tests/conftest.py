@@ -1,8 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from fcndp.instance import Commodity, Edge, Instance
 from fcndp.solution import Solution
+
+# property tests run a fixed, small example set: the same examples on every
+# run (no example database, no wall-clock deadline), inside the tier-1 budget
+settings.register_profile("fcndp", derandomize=True, database=None, deadline=None, max_examples=12)
+settings.load_profile("fcndp")
 
 
 @pytest.fixture

@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from fcndp import driver
+from fcndp import driver, heuristics, milp
 from fcndp.driver import RunRecord, SolverConfig, update_best, vfhlb
-from fcndp.instance import generate_instance
+from fcndp.instance import compute_big_m, generate_instance
+from fcndp.model import build_model
 from fcndp.oracle import solve_exact
 from fcndp.solution import Solution, verify_bilevel
 
@@ -102,6 +103,53 @@ def test_local_branching_not_repeated_on_unchanged_incumbent(monkeypatch):
     _, rec = vfhlb(inst, SolverConfig(seed=1))
     assert len(calls) == 1
     assert len(rec.trajectory) == 2 + SolverConfig().iterations == 12
+
+
+def test_cold_starts_counted(monkeypatch):
+    """On 8-0.5-4-2 (seed 1) only a root LP starts cold: B&B children start
+    from their parent's basis, a B&B seeded with root= starts nothing cold,
+    the unfixed root LP is solved once, and vfh never re-solves an LP it
+    already has."""
+    inst = generate_instance(8, 0.5, 4, 2)
+    fresh = build_model(inst, compute_big_m(inst))
+    cold: list[bool] = []  # one entry per phase-1 start: is it the unfixed root LP?
+    init = milp._Simplex.__init__
+
+    def counted_init(self, std, lb, ub, iter_limit):
+        cold.append(
+            std.a.shape[0] == len(fresh.rows)
+            and np.array_equal(lb, fresh.lb)
+            and np.array_equal(ub, fresh.ub)
+        )
+        init(self, std, lb, ub, iter_limit)
+
+    bnb_starts: list[tuple[bool, int]] = []  # (seeded with root=, cold starts inside)
+    bnb = heuristics.solve_bnb
+
+    def counted_bnb(model, binary, **kwargs):
+        before = len(cold)
+        res = bnb(model, binary, **kwargs)
+        bnb_starts.append((kwargs.get("root") is not None, len(cold) - before))
+        return res
+
+    lp_inputs: list[tuple[int, bytes, bytes]] = []
+    lp = heuristics.solve_lp
+
+    def counted_lp(model):
+        lp_inputs.append((len(model.rows), model.lb.tobytes(), model.ub.tobytes()))
+        return lp(model)
+
+    monkeypatch.setattr(milp._Simplex, "__init__", counted_init)
+    monkeypatch.setattr(heuristics, "solve_bnb", counted_bnb)
+    monkeypatch.setattr(heuristics, "solve_lp", counted_lp)
+    vfhlb(inst, SolverConfig(seed=1))
+    # three lbound and three vfh passes seeded with their root LP, then the
+    # one local_branching B&B, which solves its own root
+    assert bnb_starts == [(True, 0)] * 6 + [(False, 1)]
+    # the unfixed root, two re-solves after reduced-cost fixing, the
+    # local-branching root
+    assert cold == [True, False, False, False]
+    assert len(lp_inputs) == 3 and len(set(lp_inputs)) == 3
 
 
 def test_record_round_trip():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import make_solution
+from fcndp import heuristics, milp
 from fcndp.instance import Commodity, Edge, Instance, generate_instance
 from fcndp.heuristics import (
     LeaderCostBlend,
@@ -134,6 +135,21 @@ def test_lbound_iteration_cap():
     assert inst.num_edges == 13
     res = lbound(inst)
     assert res.iterations <= math.ceil(0.2 * 13) == 3
+
+
+def test_bound_kept_when_bounding_runs_out(monkeypatch):
+    """A bounding pass that runs out of budget keeps the bound already proved:
+    the root LP of 8-0.5-4-2 is 497.5, so 498 on integer data, not 0."""
+    inst = generate_instance(8, 0.5, 4, 2)
+
+    def out_of_budget(model, binary, **kwargs):
+        return milp.LpResult(milp.STATUS_ITERATION_LIMIT, math.inf, model.lb.copy())
+
+    monkeypatch.setattr(heuristics, "solve_bnb", out_of_budget)
+    res = lbound(inst)
+    assert abs(res.root.objective - 497.5) < 1e-6
+    assert (res.value, res.status, res.iterations, res.opt_found) == (498.0, "iteration-limit", 1, False)
+    assert vfh(inst, 0.85, rng=1).lower_bound == 498.0
 
 
 def test_vfh_worked_proves_optimum(worked):

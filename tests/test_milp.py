@@ -2,6 +2,9 @@ import math
 from dataclasses import replace
 
 import numpy as np
+import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from fcndp import milp
 from fcndp.instance import compute_big_m, generate_instance
@@ -263,3 +266,144 @@ def test_iteration_limit_status(worked, monkeypatch):
     model = build_model(worked, compute_big_m(worked))
     res = solve_lp(model)
     assert res.status == "iteration-limit"
+
+
+@st.composite
+def oracle_models(draw):
+    """LP relaxations of oracle-size instances (5-7 nodes, 1-3 commodities)."""
+    n = draw(st.integers(5, 7))
+    density = draw(st.sampled_from([0.5, 0.6, 0.7, 0.8]))
+    k = draw(st.integers(1, 3))
+    inst = generate_instance(n, density, k, seed=draw(st.integers(0, 10_000)))
+    return build_model(inst, compute_big_m(inst))
+
+
+def warm_children(root, child: MipModel, sibling: MipModel):
+    """The child re-solved both ways solve_bnb does: in place on a copy of
+    the root's final tableau, and by a basis exchange back to the root's
+    basis after its sibling was solved on such a copy."""
+    in_place = root.start.sx.copy()
+    in_place.set_bounds(child.lb, child.ub)
+    exchanged = root.start.sx.copy()
+    basis, at_upper = exchanged.basis.copy(), exchanged.at_upper.copy()
+    exchanged.set_bounds(sibling.lb, sibling.ub)
+    exchanged.reoptimize()
+    exchanged.set_bounds(child.lb, child.ub)
+    exchanged.rebase(basis, at_upper)
+    return in_place, exchanged
+
+
+def fixed(model: MipModel, j: int, value: float) -> MipModel:
+    child = replace(model, lb=model.lb.copy(), ub=model.ub.copy())
+    child.lb[j] = child.ub[j] = value
+    return child
+
+
+def check_warm_child(model: MipModel, root, j: int, value: float, other: float) -> str:
+    """Asserts that both warm re-solves of ``model`` with variable ``j`` fixed
+    to ``value`` (its sibling fixes it to ``other``) agree with a cold solve,
+    with the rows and bounds of the child and with HiGHS; returns the status."""
+    child = fixed(model, j, value)
+    cold = solve_lp(child)
+    ref = scipy_solve(child)
+    for sx in warm_children(root, child, fixed(model, j, other)):
+        status = sx.dual(sx.c)
+        if status == "optimal":
+            # the dual ratio test kept the basis dual feasible: the primal
+            # clean-up finds nothing to do
+            dual_pivots = sx.iterations
+            status = sx.optimize(sx.c)
+            assert sx.iterations == dual_pivots
+        assert status == cold.status
+        if status == "infeasible":
+            assert ref.status == 2
+            continue
+        values = sx.values[: model.num_vars]
+        objective = float(model.obj @ values)
+        assert abs(objective - cold.objective) <= 1e-6 * (1 + abs(cold.objective))
+        assert abs(objective - ref.fun) <= 1e-6 * (1 + abs(ref.fun))
+        assert residuals_ok(child, values)
+    return cold.status
+
+
+@given(model=oracle_models(), pick=st.integers(0, 10_000), value=st.sampled_from([0.0, 1.0]))
+def test_warm_child_matches_cold_solve(model, pick, value):
+    """Fixing one fractional y/x variable of the root to 0 or 1 and re-solving
+    warm matches a cold solve of the child."""
+    root = solve_lp(model)
+    assert root.status == "optimal"
+    marked = np.flatnonzero(model.integer_ok)
+    frac = marked[np.abs(root.values[marked] - np.round(root.values[marked])) > 1e-6]
+    assume(frac.size)
+    check_warm_child(model, root, int(frac[pick % frac.size]), value, 1.0 - value)
+
+
+def test_warm_child_matches_cold_solve_on_random_models():
+    """The same check on random small LPs with mixed row senses, fixing any
+    variable strictly inside its bounds to either bound; many of these
+    children are infeasible, which single fixings of the network models never
+    are."""
+    rng = np.random.default_rng(11)
+    statuses = []
+    for _ in range(40):
+        model = random_lp(rng)
+        root = solve_lp(model)
+        if root.status != "optimal":
+            continue
+        inside = np.flatnonzero((root.values > model.lb + 1e-6) & (root.values < model.ub - 1e-6))
+        for j in inside:
+            lo, hi = model.lb[j], model.ub[j]
+            statuses.append(check_warm_child(model, root, j, lo, hi))
+            statuses.append(check_warm_child(model, root, j, hi, lo))
+    assert statuses.count("optimal") >= 20 and statuses.count("infeasible") >= 5
+
+
+def test_restart_from_root_tableau_same_result(monkeypatch):
+    """A B&B that restarts every basis exchange from a fresh copy of the
+    root's tableau finds what the default one finds."""
+    copies = []
+    copy = milp._Simplex.copy
+
+    def counted(self):
+        copies.append(1)
+        return copy(self)
+
+    for case in ((6, 0.8, 3, 3), (8, 0.5, 4, 2)):
+        inst = generate_instance(*case)
+        model = build_model(inst, compute_big_m(inst))
+        default = solve_bnb(model, model.integer_ok)
+        with monkeypatch.context() as patch:
+            patch.setattr(milp, "_RESTART_AFTER", -1)
+            patch.setattr(milp._Simplex, "copy", counted)
+            restarted = solve_bnb(model, model.integer_ok)
+        assert restarted.status == default.status == "optimal"
+        assert abs(restarted.objective - default.objective) <= 1e-9
+    assert len(copies) > 2
+
+
+def test_root_seed_gives_same_result():
+    """A solve_lp result passed as root= replaces the root solve and changes
+    nothing else; one from other bounds or another model is refused."""
+    for case in ((6, 0.8, 3, 3), (8, 0.5, 4, 2)):
+        inst = generate_instance(*case)
+        model = build_model(inst, compute_big_m(inst))
+        y_only = model.integer_ok & (np.arange(model.num_vars) < model.num_edges)
+        optimum = solve_bnb(model, model.integer_ok).objective
+        for binary, cutoff in ((model.integer_ok, None), (y_only, None), (model.integer_ok, optimum)):
+            cold = solve_bnb(model, binary, cutoff=cutoff)
+            seeded = solve_bnb(model, binary, root=solve_lp(model), cutoff=cutoff)
+            assert cold.nodes > 1
+            assert seeded.status == cold.status
+            assert seeded.objective == cold.objective
+            assert seeded.values.tobytes() == cold.values.tobytes()
+            assert seeded.nodes == cold.nodes
+    inst = generate_instance(6, 0.8, 3, 3)
+    model = build_model(inst, compute_big_m(inst))
+    lp = solve_lp(model)
+    with pytest.raises(ValueError, match="this model"):
+        solve_bnb(build_model(inst, compute_big_m(inst)), model.integer_ok, root=lp)
+    with pytest.raises(ValueError, match="this model"):
+        solve_bnb(model, model.integer_ok, root=solve_bnb(model, model.integer_ok))
+    model.ub[0] = 0.0
+    with pytest.raises(ValueError, match="other bounds"):
+        solve_bnb(model, model.integer_ok, root=lp)
