@@ -19,7 +19,7 @@ from fcndp import (
 )
 from fcndp.heuristics import lbound, partial_decoupling, vfh
 
-inst = generate_instance(6, 0.7, 3, seed=64)
+inst = generate_instance(6, 0.7, 3, seed=69)
 exact = solve_exact(inst)
 print(inst.name, "optimum", exact.cost)
 
@@ -32,10 +32,10 @@ lb = lbound(inst)
 print(f"progressive bound {lb.value} after {lb.iterations} passes, "
       f"proven optimal: {lb.opt_found}")
 
-construction = partial_decoupling(inst, 0.85, rng=64)
+construction = partial_decoupling(inst, 0.85, rng=69)
 print("construction cost:", construction.cost)
 
-res = vfh(inst, 0.85, rng=64)
+res = vfh(inst, 0.85, rng=69)
 print(f"relax-and-fix: cost {res.solution.cost}, bound {res.lower_bound}, "
       f"proven {res.proven}, edges closed by reduced cost: {res.fixed_edges}")
 

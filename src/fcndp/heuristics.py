@@ -177,8 +177,8 @@ def lbound(inst: Instance, *, time_limit: float | None = None) -> LboundResult:
     Re-solves the relaxation while promoting every opening variable at value
     >= 0.5 to binary, for at most ceil(0.2 E) passes, stopping early on an
     integral solution (then the bound is the proven optimum) or once more
-    than 90% of the opening variables are binary. The root relaxation is
-    solved once and seeds every pass.
+    than 90% of the opening variables are binary, or when a pass promotes
+    nothing new. The root relaxation is solved once and seeds every pass.
 
     A pass that ends without a proven optimum (budget) stops the bounding:
     the result keeps the last valid bound, the ceil-rounded root or the last
@@ -201,6 +201,8 @@ def lbound(inst: Instance, *, time_limit: float | None = None) -> LboundResult:
     res = root
     while True:
         promote = [e for e in sorted(remaining) if res.values[e] >= 0.5]
+        if not promote:
+            break  # the same model, mask and root would give the same result
         binary[promote] = True
         remaining -= set(promote)
         nvbin += len(promote)

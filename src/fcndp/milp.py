@@ -5,11 +5,18 @@ runs branch-and-bound over the variables a boolean mask marks binary.
 
 The simplex keeps a dense tableau (desk-scale models make dense cheap),
 prices with Dantzig's rule and falls back to Bland's rule after a run of
-degenerate pivots. Only the root relaxation starts cold, with phase 1 and
-artificials; ``root=`` hands ``solve_bnb`` a ``solve_lp`` result so that it
-is solved once however many B&B calls start from it. A B&B child starts
-from its parent's optimal basis: it changes the one branched bound, runs a
-bounded dual simplex back to primal feasibility, then a primal clean-up.
+degenerate pivots. A pivot does not rewrite the tableau: it is held back as
+one column and one row of a pending block, and the reads the simplex makes,
+one column or one row, subtract the block's product on the fly. The block
+is applied as one matrix product when the whole tableau is read (every
+``_REFRESH`` pivots, when ``xb`` and the reduced costs are re-derived, and
+on a copy) or when it holds ``_REFRESH`` pivots.
+
+Only the root relaxation starts cold, with phase 1 and artificials;
+``root=`` hands ``solve_bnb`` a ``solve_lp`` result so that it is solved
+once however many B&B calls start from it. A B&B child starts from its
+parent's optimal basis: it changes the one branched bound, runs a bounded
+dual simplex back to primal feasibility, then a primal clean-up.
 The parent's tableau is reused in place by the child explored next; the
 other child reaches its parent's basis from whatever tableau is live by a
 basis exchange, so a pending node holds O(rows + columns) state and no
@@ -46,9 +53,11 @@ NODE_LIMIT = 200_000
 # with one slack column per row
 PIVOT_LIMIT_FLOOR = 2000
 PIVOT_LIMIT_PER_DIM = 50
+# pivots between re-derivations of xb and the reduced costs from the
+# tableau; also the most pivots the tableau holds back before a flush
 _REFRESH = 64
-# the rank-1 tableau update runs over slices of this many rows, so that its
-# temporary stays small next to the tableau itself
+# a flush applies the held-back pivots as one matrix product per slice of
+# this many rows, so that its temporary stays small next to the tableau
 _CHUNK = 256
 # a B&B tableau that has taken this many pivots since it was copied from the
 # root's is replaced by a fresh copy before its next basis exchange
@@ -162,6 +171,11 @@ class _Simplex:
         for j, (i, sign) in enumerate(art_rows):
             self.tableau[i, n_all + j] = sign
         self.tableau[:, -1] = std.b
+        # pivots held back from the tableau: the live tableau is
+        # tableau - pend_c[:, :pend_k] @ pend_r[:pend_k]
+        self.pend_c = np.empty((m, _REFRESH))
+        self.pend_r = np.empty((_REFRESH, self.ncols + 1))
+        self.pend_k = 0
         self.basis = np.array(basis, dtype=int)
         self.in_basis = np.zeros(self.ncols, dtype=bool)
         self.in_basis[self.basis] = True
@@ -185,7 +199,7 @@ class _Simplex:
             if self.in_basis[q]:
                 continue
             rows = np.flatnonzero(~wanted[self.basis])
-            col = self.tableau[:, q].copy()
+            col = self._col(q)
             r = int(rows[np.argmax(np.abs(col[rows]))])
             self._pivot(r, q, col, 0.0, False, d)
             self.iterations += 1
@@ -193,8 +207,10 @@ class _Simplex:
         self._refresh_xb()
 
     def copy(self) -> _Simplex:
+        self._flush()
         other = copy.copy(self)
-        for name in ("l", "u", "at_upper", "tableau", "basis", "in_basis", "xb", "values"):
+        names = ("l", "u", "at_upper", "tableau", "pend_c", "pend_r", "basis", "in_basis", "xb", "values")
+        for name in names:
             setattr(other, name, getattr(self, name).copy())
         return other
 
@@ -214,7 +230,26 @@ class _Simplex:
             status = self.optimize(self.c)
         return status
 
+    def _col(self, q: int) -> np.ndarray:
+        """Column ``q`` of the live tableau."""
+        k = self.pend_k
+        return self.tableau[:, q] - self.pend_c[:, :k] @ self.pend_r[:k, q]
+
+    def _row(self, r: int) -> np.ndarray:
+        """Row ``r`` of the live tableau."""
+        k = self.pend_k
+        return self.tableau[r] - self.pend_c[r, :k] @ self.pend_r[:k]
+
+    def _flush(self) -> None:
+        """Applies the held-back pivots to the tableau."""
+        k = self.pend_k
+        if k:
+            for i in range(0, self.m, _CHUNK):
+                self.tableau[i : i + _CHUNK] -= self.pend_c[i : i + _CHUNK, :k] @ self.pend_r[:k]
+            self.pend_k = 0
+
     def _refresh_xb(self):
+        self._flush()
         nonbasic = ~self.in_basis
         z_n = np.where(self.at_upper, self.u, self.l)
         z_n = np.where(np.isfinite(z_n), z_n, 0.0)
@@ -227,6 +262,7 @@ class _Simplex:
         self.values[self.basis] = xb
 
     def _reduced_costs(self, cost: np.ndarray) -> np.ndarray:
+        self._flush()
         d = cost - cost[self.basis] @ self.tableau[:, :-1]
         d[self.basis] = 0.0
         return d
@@ -253,7 +289,7 @@ class _Simplex:
             else:
                 q = int(np.argmax(score))
             sigma = -1.0 if self.at_upper[q] else 1.0
-            col = self.tableau[:, q].copy()
+            col = self._col(q)
             delta = -sigma * col
             lbb = self.l[self.basis]
             ubb = self.u[self.basis]
@@ -322,7 +358,7 @@ class _Simplex:
             if self.iterations >= self.iter_limit:
                 return STATUS_ITERATION_LIMIT
             to_upper = bool(above[r] > below[r])
-            row = self.tableau[r, :-1]
+            row = self._row(r)[:-1]
             # a nonbasic column moves up from its lower bound, down from its
             # upper one; moving x_j by t moves the leaving variable by
             # -row[j] * t, which must head back toward the violated bound
@@ -338,7 +374,7 @@ class _Simplex:
             q = int(near[np.lexsort((near, -push[near]))[0]])
             self.iterations += 1
             since_refresh += 1
-            col = self.tableau[:, q].copy()
+            col = self._col(q)
             step = (self.xb[r] - (ubb[r] if to_upper else lbb[r])) / col[r]
             self.xb -= col * step
             entering_val = (self.u[q] if self.at_upper[q] else self.l[q]) + step
@@ -351,16 +387,22 @@ class _Simplex:
     def _pivot(
         self, r: int, q: int, col: np.ndarray, entering_val: float, leaves_at_upper: bool, d: np.ndarray
     ) -> np.ndarray:
-        """Column ``q`` enters the basis in row ``r``; returns the updated
-        reduced costs."""
+        """Column ``q``, whose live tableau column is ``col``, enters the
+        basis in row ``r``; returns the updated reduced costs. The tableau
+        update ``T -= (col - e_r) (T[r] / col[r])`` is held back in the
+        pending block and applied when the block is full or at the next
+        read of the whole tableau."""
         leaving = int(self.basis[r])
         self.at_upper[leaving] = leaves_at_upper
         self.in_basis[leaving] = False
-        piv = col[r]
-        row = self.tableau[r, :] / piv
-        for i in range(0, self.m, _CHUNK):
-            self.tableau[i : i + _CHUNK] -= np.outer(col[i : i + _CHUNK], row)
-        self.tableau[r, :] = row
+        row = self._row(r) / col[r]
+        k = self.pend_k
+        self.pend_c[:, k] = col
+        self.pend_c[r, k] -= 1.0
+        self.pend_r[k] = row
+        self.pend_k = k + 1
+        if self.pend_k == _REFRESH:
+            self._flush()
         d = d - d[q] * row[:-1]
         d[q] = 0.0
         self.basis[r] = q

@@ -88,30 +88,54 @@ def test_time_limit_returns_feasible_flagged():
         assert rec.status == "time-limit"
 
 
+# instances whose run keeps a gap open, tried in order; each test below runs
+# on the first one where its premise holds and fails if none does, so that a
+# kernel change that moves the premise off every candidate cannot make the
+# test pass vacuously
+CANDIDATES = [(8, 0.5, 4, 2), (9, 0.4, 4, 4), (8, 0.6, 4, 1), (7, 0.65, 3, 5), (7, 0.8, 2, 8)]
+
+
 def test_local_branching_not_repeated_on_unchanged_incumbent(monkeypatch):
-    """Every ejection cycle on this instance returns its input, so only the
-    first local-branching search runs; each iteration still records a cost."""
+    """When every ejection cycle returns its input, only the first
+    local-branching search runs; each iteration still records a cost."""
     calls = []
-    real = driver.local_branching
+    unchanged = []  # per ejection cycle: did it return its input?
+    real_search, real_cycle = driver.local_branching, driver.ejection_cycle
 
     def counted(*args, **kwargs):
         calls.append(1)
-        return real(*args, **kwargs)
+        return real_search(*args, **kwargs)
+
+    def watched(inst, sol, *args, **kwargs):
+        out = real_cycle(inst, sol, *args, **kwargs)
+        unchanged.append(out is sol)
+        return out
 
     monkeypatch.setattr(driver, "local_branching", counted)
-    inst = generate_instance(8, 0.5, 4, 2)
-    _, rec = vfhlb(inst, SolverConfig(seed=1))
+    monkeypatch.setattr(driver, "ejection_cycle", watched)
+    for case in CANDIDATES:
+        calls.clear()
+        unchanged.clear()
+        _, rec = vfhlb(generate_instance(*case), SolverConfig(seed=1))
+        # premise: the gap stays open, so the loop runs, and no ejection
+        # cycle changes the incumbent
+        if rec.gap >= 1 and unchanged and all(unchanged):
+            break
+    else:
+        pytest.fail("no candidate keeps its gap open with every ejection cycle returning its input")
     assert len(calls) == 1
     assert len(rec.trajectory) == 2 + SolverConfig().iterations == 12
+    assert len(unchanged) == SolverConfig().iterations
 
 
 def test_cold_starts_counted(monkeypatch):
-    """On 8-0.5-4-2 (seed 1) only a root LP starts cold: B&B children start
-    from their parent's basis, a B&B seeded with root= starts nothing cold,
-    the unfixed root LP is solved once, and vfh never re-solves an LP it
-    already has."""
-    inst = generate_instance(8, 0.5, 4, 2)
-    fresh = build_model(inst, compute_big_m(inst))
+    """Only a root LP starts cold: B&B children start from their parent's
+    basis, a B&B seeded with root= starts nothing cold, the unfixed root LP
+    is solved once, and vfh never re-solves an LP it already has. Runs on
+    the first candidate with every kind of start: lbound passes that do not
+    prove optimality, reduced-cost fixing that makes vfh re-solve its root,
+    and local branching."""
+    fresh = None
     cold: list[bool] = []  # one entry per phase-1 start: is it the unfixed root LP?
     init = milp._Simplex.__init__
 
@@ -123,13 +147,14 @@ def test_cold_starts_counted(monkeypatch):
         )
         init(self, std, lb, ub, iter_limit)
 
-    bnb_starts: list[tuple[bool, int]] = []  # (seeded with root=, cold starts inside)
+    # (seeded with root=, given a cutoff, cold starts inside)
+    bnb_starts: list[tuple[bool, bool, int]] = []
     bnb = heuristics.solve_bnb
 
     def counted_bnb(model, binary, **kwargs):
         before = len(cold)
         res = bnb(model, binary, **kwargs)
-        bnb_starts.append((kwargs.get("root") is not None, len(cold) - before))
+        bnb_starts.append((kwargs.get("root") is not None, kwargs.get("cutoff") is not None, len(cold) - before))
         return res
 
     lp_inputs: list[tuple[int, bytes, bytes]] = []
@@ -139,17 +164,47 @@ def test_cold_starts_counted(monkeypatch):
         lp_inputs.append((len(model.rows), model.lb.tobytes(), model.ub.tobytes()))
         return lp(model)
 
+    bounding = []
+    lbound = heuristics.lbound
+
+    def kept_lbound(*args, **kwargs):
+        bounding.append(lbound(*args, **kwargs))
+        return bounding[-1]
+
+    searches = []
+    search = driver.local_branching
+
+    def counted_search(*args, **kwargs):
+        searches.append(1)
+        return search(*args, **kwargs)
+
     monkeypatch.setattr(milp._Simplex, "__init__", counted_init)
     monkeypatch.setattr(heuristics, "solve_bnb", counted_bnb)
     monkeypatch.setattr(heuristics, "solve_lp", counted_lp)
-    vfhlb(inst, SolverConfig(seed=1))
-    # three lbound and three vfh passes seeded with their root LP, then the
-    # one local_branching B&B, which solves its own root
-    assert bnb_starts == [(True, 0)] * 6 + [(False, 1)]
-    # the unfixed root, two re-solves after reduced-cost fixing, the
-    # local-branching root
-    assert cold == [True, False, False, False]
-    assert len(lp_inputs) == 3 and len(set(lp_inputs)) == 3
+    monkeypatch.setattr(heuristics, "lbound", kept_lbound)
+    monkeypatch.setattr(driver, "local_branching", counted_search)
+    for case in CANDIDATES:
+        for seen in (cold, bnb_starts, lp_inputs, bounding, searches):
+            seen.clear()
+        inst = generate_instance(*case)
+        fresh = build_model(inst, compute_big_m(inst))
+        vfhlb(inst, SolverConfig(seed=1))
+        passes = bounding[0].iterations
+        if passes and not bounding[0].opt_found and len(lp_inputs) >= 2 and searches:
+            break
+    else:
+        pytest.fail("no candidate has lbound passes, a vfh re-solve and local branching")
+    # the lbound passes and the vfh passes, all seeded with their root LP,
+    # then the local-branching B&B calls, each solving its own root
+    vfh_passes = len(bnb_starts) - passes - len(searches)
+    assert vfh_passes >= len(lp_inputs) - 1
+    assert bnb_starts == (
+        [(True, False, 0)] * passes + [(True, True, 0)] * vfh_passes + [(False, True, 1)] * len(searches)
+    )
+    # the unfixed root once, then each re-solve after reduced-cost fixing
+    # and each local-branching root
+    assert cold == [True] + [False] * (len(lp_inputs) - 1 + len(searches))
+    assert len(set(lp_inputs)) == len(lp_inputs)
 
 
 def test_record_round_trip():

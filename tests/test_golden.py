@@ -11,6 +11,9 @@ behaviour change is intended) with::
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -19,12 +22,14 @@ from fcndp.driver import SolverConfig, vfhlb
 from fcndp.instance import generate_instance
 from fcndp.solution import solution_to_dict
 
-GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
+TESTS_DIR = Path(__file__).resolve().parent
+GOLDEN_DIR = TESTS_DIR / "golden"
 SEED = 1
-# (nodes, density, commodities, instance seed): 8-0.5-4-1 is proven optimal
-# by vfh; the other two run lbound passes, reduced-cost fixing and all ILS
-# iterations with local branching under a cutoff
-CASES = [(8, 0.5, 4, 1), (8, 0.5, 4, 2), (9, 0.4, 4, 4)]
+# (nodes, density, commodities, instance seed): vfh proves 8-0.5-4-1
+# optimal, lbound proves 8-0.5-4-2 and 9-0.4-4-4; 8-0.6-4-1 keeps its gap
+# open, so every ILS iteration runs with local branching under a cutoff
+CASES = [(8, 0.5, 4, 1), (8, 0.5, 4, 2), (9, 0.4, 4, 4), (8, 0.6, 4, 1)]
+GAP_OPEN = (8, 0.6, 4, 1)
 
 
 def case_name(case) -> str:
@@ -51,6 +56,23 @@ def golden_text(case) -> str:
 def test_matches_golden(case):
     path = GOLDEN_DIR / f"{case_name(case)}.json"
     assert golden_text(case) == path.read_text(encoding="utf-8")
+
+
+def test_same_output_with_one_or_two_blas_threads():
+    """The simplex applies its tableau updates with a matrix product, whose
+    BLAS may split work by thread count; a full run on a gap-open case
+    prints the same bytes with one BLAS thread as with two."""
+    script = f"import sys; from test_golden import golden_text; sys.stdout.write(golden_text({GAP_OPEN!r}))"
+    path = os.pathsep.join([str(TESTS_DIR.parent / "src"), str(TESTS_DIR)])
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=path)
+        for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+            env[name] = threads
+        run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
+        outputs.append(run.stdout)
+    assert json.loads(outputs[0])["record"]["gap"] >= 1
+    assert outputs[0] == outputs[1] == (GOLDEN_DIR / f"{case_name(GAP_OPEN)}.json").read_text(encoding="utf-8")
 
 
 if __name__ == "__main__":

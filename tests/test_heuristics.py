@@ -137,6 +137,29 @@ def test_lbound_iteration_cap():
     assert res.iterations <= math.ceil(0.2 * 13) == 3
 
 
+@pytest.mark.parametrize(
+    "case, optimum",
+    [((8, 0.5, 4, 2), 524.0), ((8, 0.6, 4, 1), 801.0), ((9, 0.4, 4, 4), 495.0)],
+    ids=["8-0.5-4-2", "8-0.6-4-1", "9-0.4-4-4"],
+)
+def test_lbound_never_repeats_a_pass(monkeypatch, case, optimum):
+    """A pass that promotes nothing would hand solve_bnb the model, mask and
+    root of the pass before it, so lbound stops instead of solving the same
+    MIP again."""
+    masks = []
+    real = heuristics.solve_bnb
+
+    def recorded(model, binary, **kwargs):
+        masks.append(binary.copy())
+        return real(model, binary, **kwargs)
+
+    monkeypatch.setattr(heuristics, "solve_bnb", recorded)
+    res = lbound(generate_instance(*case))
+    assert len(masks) == res.iterations >= 1
+    assert all(not np.array_equal(a, b) for a, b in zip(masks, masks[1:]))
+    assert res.value <= optimum
+
+
 def test_bound_kept_when_bounding_runs_out(monkeypatch):
     """A bounding pass that runs out of budget keeps the bound already proved:
     the root LP of 8-0.5-4-2 is 497.5, so 498 on integer data, not 0."""
@@ -178,12 +201,19 @@ def test_vfh_sandwich_and_rcvf_safety_smoke():
 
 
 def test_vfh_rcvf_fires_and_stays_safe():
-    # frozen case where the reduced-cost test actually closes an edge
-    inst = generate_instance(6, 0.7, 3, seed=64)
-    res = vfh(inst, 0.85, rng=64)
-    assert res.fixed_edges == [9]
+    """On the first 6-0.7-3 instance, tried from seed 64 on, where the
+    reduced-cost test closes an edge, every edge it closes is closed in the
+    optimum and vfh still finds the optimum."""
+    for seed in range(64, 76):
+        inst = generate_instance(6, 0.7, 3, seed=seed)
+        res = vfh(inst, 0.85, rng=seed)
+        if res.fixed_edges:
+            break
+    else:
+        pytest.fail("reduced-cost fixing closes no edge on any candidate")
+    assert (seed, res.fixed_edges) == (69, [0, 2])
     exact = solve_exact(inst)
-    assert exact.y[9] == 0
+    assert all(exact.y[e] == 0 for e in res.fixed_edges)
     assert res.solution.cost == exact.cost
 
 

@@ -1,3 +1,5 @@
+import copy
+import itertools
 import math
 from dataclasses import replace
 
@@ -407,3 +409,157 @@ def test_root_seed_gives_same_result():
     model.ub[0] = 0.0
     with pytest.raises(ValueError, match="other bounds"):
         solve_bnb(model, model.integer_ok, root=lp)
+
+
+# The simplex holds up to _REFRESH pivots back from its tableau and applies
+# them as one matrix product; these tests pin that bookkeeping to the
+# algebra it stands for.
+
+
+@st.composite
+def random_lps(draw):
+    """Random LPs with mixed row senses and up to 16 variables and 12 rows,
+    larger than ``random_lp``'s default."""
+    rng = np.random.default_rng(draw(st.integers(0, 10_000)))
+    return random_lp(rng, n=draw(st.integers(8, 16)), m=draw(st.integers(5, 12)))
+
+
+def exchange(sx, picks: list[int]) -> None:
+    """One basis exchange per entry of ``picks``, which picks the nonbasic
+    column that enters; it enters at the row of its largest entry."""
+    d = np.zeros(sx.ncols)
+    for pick in picks:
+        nonbasic = np.flatnonzero(~sx.in_basis)
+        q = int(nonbasic[pick % nonbasic.size])
+        col = sx._col(q)
+        r = int(np.argmax(np.abs(col)))
+        if abs(col[r]) > 1e-6:
+            d = sx._pivot(r, q, col, 0.0, False, d)
+
+
+def exchanged(model: MipModel, picks: list[int]):
+    """A cold start after ``exchange(picks)``, with the exchanges the block
+    still holds back, and its starting tableau."""
+    std = milp._standardize(model)
+    sx = milp._Simplex(std, model.lb.astype(float), model.ub.astype(float), 0)
+    start = sx.tableau.copy()
+    # up to row signs the starting tableau is [A | I | art | b]
+    assert np.array_equal(np.abs(start[:, : std.a.shape[1]]), np.abs(std.a))
+    exchange(sx, picks)
+    return sx, start
+
+
+def assert_basis_inverse_times_start(sx, start: np.ndarray) -> None:
+    """The flushed tableau is B^-1 [A | I | art | b], with B the basic
+    columns of the starting tableau (row signs cancel in B^-1 times it)."""
+    sx._flush()
+    expected = np.linalg.solve(start[:, sx.basis], start)
+    np.testing.assert_allclose(sx.tableau, expected, rtol=0, atol=1e-7 * (1 + np.abs(expected).max()))
+
+
+exchanges = st.lists(st.integers(0, 10_000), min_size=1, max_size=150)
+
+
+@given(model=st.one_of(oracle_models(), random_lps()), picks=exchanges)
+def test_held_back_reads_match_a_flush(model, picks):
+    """Mid-block, every column and row read through the held-back pivots
+    equals that of a flushed copy."""
+    sx, _ = exchanged(model, picks)
+    assume(sx.pend_k)
+    flushed = copy.deepcopy(sx)
+    flushed._flush()
+    assert flushed.pend_k == 0
+    for q in range(sx.ncols + 1):
+        np.testing.assert_allclose(sx._col(q), flushed.tableau[:, q], rtol=0, atol=1e-9)
+    for r in range(sx.m):
+        np.testing.assert_allclose(sx._row(r), flushed.tableau[r], rtol=0, atol=1e-9)
+
+
+@given(model=st.one_of(oracle_models(), random_lps()), picks=exchanges)
+def test_flushed_tableau_is_basis_inverse_times_start(model, picks):
+    """After a flush the tableau is B^-1 [A | I | art | b]."""
+    sx, start = exchanged(model, picks)
+    assert_basis_inverse_times_start(sx, start)
+
+
+few = st.lists(st.integers(0, 10_000), min_size=1, max_size=8)
+
+
+@given(model=st.one_of(oracle_models(), random_lps()), picks=exchanges, mine=few, theirs=few)
+def test_copy_is_independent_of_its_original(model, picks, mine, theirs):
+    """A copy taken mid-block and its original, taking different exchanges
+    in turn, each end on the tableau of their own basis."""
+    sx, start = exchanged(model, picks)
+    twin = sx.copy()
+    for a, b in itertools.zip_longest(mine, theirs):
+        if a is not None:
+            exchange(sx, [a])
+        if b is not None:
+            exchange(twin, [b])
+    assert_basis_inverse_times_start(sx, start)
+    assert_basis_inverse_times_start(twin, start)
+
+
+@given(model=st.one_of(oracle_models(), random_lps()))
+def test_block_of_one_solves_the_same(model):
+    """Applying each pivot as it is taken (a block of one) and holding back
+    up to _REFRESH of them give the same status and objective, and HiGHS
+    agrees."""
+    default = solve_lp(model)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(milp, "_REFRESH", 1)
+        single = solve_lp(model)
+    assert single.status == default.status
+    if default.status == "optimal":
+        assert abs(single.objective - default.objective) <= 1e-6 * (1 + abs(default.objective))
+    ref = scipy_solve(model)
+    if ref.status == 2:
+        assert default.status == "infeasible"
+        return
+    assert ref.status == 0 and default.status == "optimal"
+    for res in (default, single):
+        assert abs(res.objective - ref.fun) <= 1e-6 * (1 + abs(ref.fun))
+        assert residuals_ok(model, res.values)
+
+
+def test_rebase_past_a_full_block(monkeypatch):
+    """A basis exchange from a cold start to the optimal basis changes more
+    columns than one block holds, so the block fills and is flushed midway;
+    it ends on the optimal tableau and point."""
+    inst = generate_instance(12, 0.3, 6, 1)
+    model = build_model(inst, compute_big_m(inst))
+    root = solve_lp(model)
+    target = root.start.sx
+    sx, _ = exchanged(model, [])
+    full = []
+    flush = milp._Simplex._flush
+
+    def counted(self):
+        full.append(self.pend_k == milp._REFRESH)
+        flush(self)
+
+    monkeypatch.setattr(milp._Simplex, "_flush", counted)
+    sx.rebase(target.basis, target.at_upper)
+    assert sx.iterations > milp._REFRESH and any(full)
+    assert sorted(sx.basis) == sorted(target.basis)
+    # each basic variable's row, wherever the exchange put it
+    mine, theirs = np.argsort(sx.basis), np.argsort(target.basis)
+    scale = 1 + np.abs(target.tableau).max()
+    np.testing.assert_allclose(sx.tableau[mine], target.tableau[theirs], rtol=0, atol=1e-7 * scale)
+    np.testing.assert_allclose(sx.values[: model.num_vars], root.values, rtol=0, atol=1e-7)
+
+
+@pytest.mark.parametrize(
+    "case, optimum", [((12, 0.3, 6, 1), 3397 / 3), ((15, 0.25, 8, 1), 1181.5)], ids=["12-0.3-6-1", "15-0.25-8-1"]
+)
+def test_root_lp_at_size(case, optimum):
+    """Cold root LPs of the sizes the benchmark solves, checked against HiGHS
+    and against every row and bound of the model."""
+    inst = generate_instance(*case)
+    model = build_model(inst, compute_big_m(inst))
+    res = solve_lp(model)
+    ref = scipy_solve(model)
+    assert res.status == "optimal" and ref.status == 0
+    assert abs(res.objective - optimum) <= 1e-6 * optimum
+    assert abs(ref.fun - optimum) <= 1e-6 * optimum
+    assert residuals_ok(model, res.values)
