@@ -22,8 +22,12 @@ other child reaches its parent's basis from whatever tableau is live by a
 basis exchange, so a pending node holds O(rows + columns) state and no
 LU factorization is needed. Ratio-test ties go to the largest pivot, then
 to the lowest variable id, and every other tie to the lowest id, so solves
-are bit-reproducible. Free variables (no finite bound on either side) are
-not supported; every model built in this package bounds everything.
+are bit-reproducible under one BLAS build and thread count. The matrix
+products round as the BLAS kernel does, so on degenerate LPs another
+kernel (or OpenBLAS's SkylakeX kernel with another thread count) can break
+an exact tie the other way and end on another optimal vertex. Free
+variables (no finite bound on either side) are not supported; every model
+built in this package bounds everything.
 """
 
 from __future__ import annotations
@@ -358,7 +362,8 @@ class _Simplex:
             if self.iterations >= self.iter_limit:
                 return STATUS_ITERATION_LIMIT
             to_upper = bool(above[r] > below[r])
-            row = self._row(r)[:-1]
+            full_row = self._row(r)
+            row = full_row[:-1]
             # a nonbasic column moves up from its lower bound, down from its
             # upper one; moving x_j by t moves the leaving variable by
             # -row[j] * t, which must head back toward the violated bound
@@ -378,24 +383,32 @@ class _Simplex:
             step = (self.xb[r] - (ubb[r] if to_upper else lbb[r])) / col[r]
             self.xb -= col * step
             entering_val = (self.u[q] if self.at_upper[q] else self.l[q]) + step
-            d = self._pivot(r, q, col, entering_val, to_upper, d)
+            d = self._pivot(r, q, col, entering_val, to_upper, d, full_row)
             if since_refresh >= _REFRESH:
                 since_refresh = 0
                 self._refresh_xb()
                 d = self._reduced_costs(cost)
 
     def _pivot(
-        self, r: int, q: int, col: np.ndarray, entering_val: float, leaves_at_upper: bool, d: np.ndarray
+        self,
+        r: int,
+        q: int,
+        col: np.ndarray,
+        entering_val: float,
+        leaves_at_upper: bool,
+        d: np.ndarray,
+        row: np.ndarray | None = None,
     ) -> np.ndarray:
         """Column ``q``, whose live tableau column is ``col``, enters the
-        basis in row ``r``; returns the updated reduced costs. The tableau
+        basis in row ``r``; returns the updated reduced costs. ``row`` is
+        the live row ``r`` when the caller has already read it. The tableau
         update ``T -= (col - e_r) (T[r] / col[r])`` is held back in the
         pending block and applied when the block is full or at the next
         read of the whole tableau."""
         leaving = int(self.basis[r])
         self.at_upper[leaving] = leaves_at_upper
         self.in_basis[leaving] = False
-        row = self._row(r) / col[r]
+        row = (self._row(r) if row is None else row) / col[r]
         k = self.pend_k
         self.pend_c[:, k] = col
         self.pend_c[r, k] -= 1.0

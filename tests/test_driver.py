@@ -91,8 +91,12 @@ def test_time_limit_returns_feasible_flagged():
 # instances whose run keeps a gap open, tried in order; each test below runs
 # on the first one where its premise holds and fails if none does, so that a
 # kernel change that moves the premise off every candidate cannot make the
-# test pass vacuously
-CANDIDATES = [(8, 0.5, 4, 2), (9, 0.4, 4, 4), (8, 0.6, 4, 1), (7, 0.65, 3, 5), (7, 0.8, 2, 8)]
+# test pass vacuously. Every candidate gives the same call counts, cost and
+# bound with one or two BLAS threads and under OpenBLAS's SkylakeX, Haswell,
+# Sandybridge and Prescott kernels; 7-0.65-3-5 is left out because it does
+# not (its bound is 701, 690 or 726 depending on how the simplex's matrix
+# products round)
+CANDIDATES = [(8, 0.5, 4, 2), (9, 0.4, 4, 4), (8, 0.6, 4, 1), (7, 0.8, 2, 8)]
 
 
 def test_local_branching_not_repeated_on_unchanged_incumbent(monkeypatch):
@@ -194,17 +198,17 @@ def test_cold_starts_counted(monkeypatch):
             break
     else:
         pytest.fail("no candidate has lbound passes, a vfh re-solve and local branching")
-    # the lbound passes and the vfh passes, all seeded with their root LP,
-    # then the local-branching B&B calls, each solving its own root
-    vfh_passes = len(bnb_starts) - passes - len(searches)
-    assert vfh_passes >= len(lp_inputs) - 1
-    assert bnb_starts == (
-        [(True, False, 0)] * passes + [(True, True, 0)] * vfh_passes + [(False, True, 1)] * len(searches)
-    )
-    # the unfixed root once, then each re-solve after reduced-cost fixing
-    # and each local-branching root
-    assert cold == [True] + [False] * (len(lp_inputs) - 1 + len(searches))
-    assert len(set(lp_inputs)) == len(lp_inputs)
+    # the counts below are the ones this instance takes; a kernel change
+    # that picks another candidate must re-derive them, not loosen them
+    assert case == (7, 0.8, 2, 8)
+    assert (passes, len(searches)) == (1, 1)
+    # one lbound pass and two vfh passes, all seeded with their root LP,
+    # then the one local-branching B&B, which solves its own root
+    assert bnb_starts == [(True, False, 0)] + [(True, True, 0)] * 2 + [(False, True, 1)]
+    # the unfixed root once, then one re-solve after reduced-cost fixing
+    # and the local-branching root
+    assert cold == [True, False, False]
+    assert len(lp_inputs) == 2 and len(set(lp_inputs)) == 2
 
 
 def test_record_round_trip():

@@ -58,21 +58,27 @@ def test_matches_golden(case):
     assert golden_text(case) == path.read_text(encoding="utf-8")
 
 
-def test_same_output_with_one_or_two_blas_threads():
+def test_same_output_across_blas_threads_and_kernels():
     """The simplex applies its tableau updates with a matrix product, whose
-    BLAS may split work by thread count; a full run on a gap-open case
-    prints the same bytes with one BLAS thread as with two."""
+    BLAS may split work by thread count and pick its kernel by CPU; a full
+    run on a gap-open case prints the golden bytes with one BLAS thread,
+    with two, and with OpenBLAS forced onto its generic SSE kernel
+    (``OPENBLAS_CORETYPE=Prescott``, which other BLAS builds ignore)."""
     script = f"import sys; from test_golden import golden_text; sys.stdout.write(golden_text({GAP_OPEN!r}))"
     path = os.pathsep.join([str(TESTS_DIR.parent / "src"), str(TESTS_DIR)])
     outputs = []
-    for threads in ("1", "2"):
+    for threads, core in (("1", None), ("2", None), ("1", "Prescott")):
         env = dict(os.environ, PYTHONPATH=path)
         for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
             env[name] = threads
+        env.pop("OPENBLAS_CORETYPE", None)
+        if core:
+            env["OPENBLAS_CORETYPE"] = core
         run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
         outputs.append(run.stdout)
     assert json.loads(outputs[0])["record"]["gap"] >= 1
-    assert outputs[0] == outputs[1] == (GOLDEN_DIR / f"{case_name(GAP_OPEN)}.json").read_text(encoding="utf-8")
+    golden = (GOLDEN_DIR / f"{case_name(GAP_OPEN)}.json").read_text(encoding="utf-8")
+    assert outputs == [golden] * 3
 
 
 if __name__ == "__main__":

