@@ -7,7 +7,7 @@ import csv
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, fields, replace
 from itertools import combinations
 
 import numpy as np
@@ -235,33 +235,8 @@ def batch(
 def write_compare_csv(rows: list[ComparisonRow], path) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(
-            [
-                "instance",
-                "method",
-                "avg_sol",
-                "avg_time",
-                "dev_time",
-                "best_sol",
-                "best_time",
-                "avg_gap",
-                "gap",
-            ]
-        )
-        for r in rows:
-            writer.writerow(
-                [
-                    r.instance,
-                    r.method,
-                    r.avg_sol,
-                    r.avg_time,
-                    r.dev_time,
-                    r.best_sol,
-                    r.best_time,
-                    r.avg_gap,
-                    r.gap,
-                ]
-            )
+        writer.writerow([f.name for f in fields(ComparisonRow)])
+        writer.writerows(astuple(r) for r in rows)
 
 
 def write_records_ndjson(records: list[dict], path) -> None:

@@ -20,13 +20,9 @@ from pathlib import Path
 
 from .bench import batch, run_ttt, write_compare_csv, write_records_ndjson, write_ttt_csv
 from .driver import SolverConfig, vfhlb
-from .instance import InstanceError, generate_instance, load_instance, save_instance
+from .instance import generate_instance, load_instance, save_instance
 from .oracle import oracle_solution, solve_exact
 from .solution import evaluate_cost, solution_from_dict, solution_to_dict, verify_bilevel
-
-
-def _default_seed() -> int:
-    return int(os.environ.get("FCNDP_SEED", "0"))
 
 
 def _parse_delta(text: str) -> int | None:
@@ -40,11 +36,14 @@ def _parse_delta(text: str) -> int | None:
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="fcndp", description=__doc__)
+    # a string default goes through type=int, so a malformed FCNDP_SEED is
+    # a usage error
+    seed = os.environ.get("FCNDP_SEED", "0")
     sub = parser.add_subparsers(dest="command", required=True)
 
     solve = sub.add_parser("solve", help="run the full heuristic solver")
     solve.add_argument("--instance", required=True)
-    solve.add_argument("--seed", type=int, default=None)
+    solve.add_argument("--seed", type=int, default=seed)
     solve.add_argument("--gamma", type=float, default=0.85)
     solve.add_argument("--delta", type=_parse_delta, default=None,
                        help="design flip budget, integer or 'auto' (= ceil(E/2))")
@@ -66,7 +65,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--nodes", type=int, required=True)
     gen.add_argument("--density", type=float, required=True)
     gen.add_argument("--commodities", type=int, required=True)
-    gen.add_argument("--seed", type=int, default=None)
+    gen.add_argument("--seed", type=int, default=seed)
     gen.add_argument("--output", default=".", help="directory (or full path) for the file")
 
     bench = sub.add_parser("bench", help="time-to-target series or comparison table")
@@ -74,7 +73,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--ttt", action="store_true", help="time-to-target mode")
     bench.add_argument("--target-ratio", type=float, default=1.22)
     bench.add_argument("--reps", type=int, default=5)
-    bench.add_argument("--seed", type=int, default=None)
+    bench.add_argument("--seed", type=int, default=seed)
     bench.add_argument("--gamma", type=float, default=0.85)
     bench.add_argument("--delta", type=_parse_delta, default=None)
     bench.add_argument("--iters", type=int, default=10)
@@ -90,7 +89,7 @@ def cmd_solve(args) -> int:
         gamma=args.gamma,
         delta=args.delta,
         iterations=args.iters,
-        seed=args.seed if args.seed is not None else _default_seed(),
+        seed=args.seed,
         time_limit=args.time_limit,
     )
     t0 = time.monotonic()
@@ -152,8 +151,7 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_generate(args) -> int:
-    seed = args.seed if args.seed is not None else _default_seed()
-    inst = generate_instance(args.nodes, args.density, args.commodities, seed)
+    inst = generate_instance(args.nodes, args.density, args.commodities, args.seed)
     out = Path(args.output)
     path = out / f"{inst.name}.txt" if out.is_dir() else out
     save_instance(inst, path)
@@ -167,12 +165,11 @@ def cmd_bench(args) -> int:
         return 1
     out_dir = Path(args.output)
     out_dir.mkdir(parents=True, exist_ok=True)
-    seed = args.seed if args.seed is not None else _default_seed()
     cfg = SolverConfig(
         gamma=args.gamma,
         delta=args.delta,
         iterations=args.iters,
-        seed=seed,
+        seed=args.seed,
         time_limit=args.time_limit,
     )
     if args.ttt:
@@ -213,10 +210,7 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (OSError, InstanceError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .heuristics import ejection_cycle, local_branching, vfh
+from .heuristics import ejection_cycle, local_branching, proves_optimal, vfh
 from .instance import Instance
 from .solution import Solution
 
@@ -66,10 +66,10 @@ def update_best(best: Solution | None, candidate: Solution) -> Solution:
 def vfhlb(inst: Instance, cfg: SolverConfig | None = None) -> tuple[Solution, RunRecord]:
     """Full solver run; deterministic given (instance, config).
 
-    Skips the perturbation loop when the initial gap already proves
-    optimality on integer data; otherwise runs the configured number of
-    perturb + local-branch iterations, tracking the best solution seen.
-    An iteration whose perturbation returns the solution local branching
+    Skips the perturbation loop when the bound already proves the
+    incumbent optimal (``proves_optimal``); otherwise runs the configured
+    number of perturb + local-branch iterations, tracking the best solution
+    seen. An iteration whose perturbation returns the solution local branching
     last started from skips that search.
     """
     cfg = cfg or SolverConfig()
@@ -95,7 +95,7 @@ def vfhlb(inst: Instance, cfg: SolverConfig | None = None) -> tuple[Solution, Ru
     current = local_branching(inst, current, delta, time_limit=left())
     best = update_best(best, current)
     trajectory.append((best.cost, time.monotonic() - t0))
-    if abs(best.cost - bound) >= 1:
+    if not proves_optimal(inst, best.cost, bound):
         for _ in range(cfg.iterations):
             if out_of_time():
                 status = "time-limit"

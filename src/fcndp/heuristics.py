@@ -145,6 +145,15 @@ def _strengthen_bound(value: float, inst: Instance) -> float:
     return value
 
 
+def proves_optimal(inst: Instance, cost: float, bound: float) -> bool:
+    """True when ``bound`` proves ``cost`` optimal. On integer data every
+    design cost is an integer, so a gap below one is closed; on other data
+    the gap must close up to a relative 1e-6."""
+    if inst.is_integer_data():
+        return abs(cost - bound) < 1
+    return cost - bound <= 1e-6 * (1 + abs(cost))
+
+
 def _is_integral(model: MipModel, values: np.ndarray, tol: float = 1e-6) -> bool:
     marked = values[model.integer_ok]
     return bool(np.all(np.abs(marked - np.round(marked)) <= tol))
@@ -235,10 +244,11 @@ def vfh(inst: Instance, gamma: float, rng=0, *, time_limit: float | None = None)
 
     Works on the model ``lbound`` built and starts every pass from the root
     relaxation of the current bounds, re-solved only after reduced-cost
-    fixing closed an edge. Stops when every block moved, the gap drops below
-    one, or a pass finds nothing under the cutoff (the incumbent is then
-    proven optimal). When bounding runs out of budget the constructive
-    incumbent is returned with the bound bounding reached.
+    fixing closed an edge. Stops when every block moved, the bound proves
+    the incumbent optimal (``proves_optimal``), or a pass finds nothing
+    under the cutoff (the incumbent is then proven optimal). When bounding
+    runs out of budget the constructive incumbent is returned with the
+    bound bounding reached.
     """
     rng = np.random.default_rng(rng)
     s_best = partial_decoupling(inst, gamma, rng=rng)
@@ -255,12 +265,12 @@ def vfh(inst: Instance, gamma: float, rng=0, *, time_limit: float | None = None)
     min_cost = s_best.cost
     bound = lb_res.value
     if lb_res.status != STATUS_OPTIMAL:
-        return VfhResult(s_best, bound, abs(min_cost - bound) < 1)
+        return VfhResult(s_best, bound, proves_optimal(inst, min_cost, bound))
     model, lp = lb_res.model, lb_res.root
     binary = np.zeros(model.num_vars, dtype=bool)
     pending = list(range(inst.num_commodities))
     fixed_edges: list[int] = []
-    while pending and abs(min_cost - bound) >= 1:
+    while pending and not proves_optimal(inst, min_cost, bound):
         cand = candidate_list(inst, pending, gamma)
         k = cand[int(rng.integers(len(cand)))]
         pending.remove(k)
@@ -293,7 +303,7 @@ def vfh(inst: Instance, gamma: float, rng=0, *, time_limit: float | None = None)
             bound = _strengthen_bound(res.objective, inst)
         if res.status == STATUS_ITERATION_LIMIT:
             break
-    return VfhResult(s_best, bound, abs(min_cost - bound) < 1, fixed_edges)
+    return VfhResult(s_best, bound, proves_optimal(inst, min_cost, bound), fixed_edges)
 
 
 def local_branching(

@@ -4,13 +4,15 @@ the relaxation with a bounded-variable primal simplex, and
 runs branch-and-bound over the variables a boolean mask marks binary.
 
 The simplex keeps a dense tableau (desk-scale models make dense cheap),
-prices with Dantzig's rule and falls back to Bland's rule after a run of
-degenerate pivots. A pivot does not rewrite the tableau: it is held back as
-one column and one row of a pending block, and the reads the simplex makes,
-one column or one row, subtract the block's product on the fly. The block
-is applied as one matrix product when the whole tableau is read (every
-``_REFRESH`` pivots, when ``xb`` and the reduced costs are re-derived, and
-on a copy) or when it holds ``_REFRESH`` pivots.
+filled at a cold start straight from ``MipModel.rows`` with one slack
+column per row, so it is the only dense copy of the model; numpy is all it
+needs. It prices with Dantzig's rule and falls back to Bland's rule after
+a run of degenerate pivots. A pivot does not rewrite the tableau: it is
+held back as one column and one row of a pending block, and the reads the
+simplex makes, one column or one row, subtract the block's product on the
+fly. The block is applied as one matrix product when the whole tableau is
+read (every ``_REFRESH`` pivots, when ``xb`` and the reduced costs are
+re-derived, and on a copy) or when it holds ``_REFRESH`` pivots.
 
 Only the root relaxation starts cold, with phase 1 and artificials;
 ``root=`` hands ``solve_bnb`` a ``solve_lp`` result so that it is solved
@@ -92,73 +94,49 @@ class LpResult:
     start: _Start | None = field(default=None, repr=False, compare=False)  # LP results only
 
 
-@dataclass
-class _Standard:
-    """Equality-form data: structural columns then one slack per row."""
-
-    a: np.ndarray
-    b: np.ndarray
-    c: np.ndarray
-    slack_lb: np.ndarray
-    slack_ub: np.ndarray
-    num_vars: int
-
-
-def _standardize(model: MipModel) -> _Standard:
-    m, n = len(model.rows), model.num_vars
-    a = np.zeros((m, n + m))
-    b = np.zeros(m)
-    slack_lb = np.zeros(m)
-    slack_ub = np.zeros(m)
-    for i, row in enumerate(model.rows):
-        a[i, row.cols] = row.coefs
-        a[i, n + i] = 1.0
-        b[i] = row.rhs
-        if row.sense == SENSE_LE:
-            slack_lb[i], slack_ub[i] = 0.0, math.inf
-        elif row.sense == SENSE_GE:
-            slack_lb[i], slack_ub[i] = -math.inf, 0.0
-        elif row.sense == SENSE_EQ:
-            slack_lb[i], slack_ub[i] = 0.0, 0.0
-        else:
-            raise ValueError(f"unknown row sense {row.sense!r}")
-    c = np.concatenate([model.obj, np.zeros(m)])
-    return _Standard(a, b, c, slack_lb, slack_ub, n)
-
-
 class _Simplex:
     """One solver state. A cold start (the constructor) runs phase 1 with
     artificials, then phase 2. A warm start puts new bounds on a solved
     state, after a ``rebase`` to another basis if need be, and runs the dual
     simplex, then a primal clean-up."""
 
-    def __init__(self, std: _Standard, lb: np.ndarray, ub: np.ndarray, iter_limit: int):
-        m = std.a.shape[0]
+    def __init__(self, model: MipModel, lb: np.ndarray, ub: np.ndarray, iter_limit: int):
+        rows = model.rows
+        m, n = len(rows), model.num_vars
         self.m = m
-        self.l = np.concatenate([lb, std.slack_lb])
-        self.u = np.concatenate([ub, std.slack_ub])
+        # one slack per row, x_row + s_i = rhs, bounded by the row's sense
+        self.l = np.concatenate([lb, np.zeros(m)])
+        self.u = np.concatenate([ub, np.zeros(m)])
+        for i, row in enumerate(rows):
+            if row.sense == SENSE_LE:
+                self.u[n + i] = math.inf
+            elif row.sense == SENSE_GE:
+                self.l[n + i] = -math.inf
+            elif row.sense != SENSE_EQ:
+                raise ValueError(f"unknown row sense {row.sense!r}")
         if np.any(~np.isfinite(self.l) & ~np.isfinite(self.u)):
             raise ValueError("free variables are not supported")
-        self.c = std.c
-        self.b = std.b
+        self.c = np.concatenate([model.obj, np.zeros(m)])
+        self.b = np.array([row.rhs for row in rows], dtype=float)
         self.iter_limit = iter_limit
         self.iterations = 0
 
-        n_all = std.a.shape[1]
-        # nonbasic start: every variable at its finite bound (lower preferred)
+        n_all = n + m
+        # nonbasic start: every variable at its finite bound (lower preferred);
+        # a slack's finite bound is 0, so only structurals enter the residual
         self.at_upper = ~np.isfinite(self.l)
         z = np.where(self.at_upper, self.u, self.l)
-        resid = std.b - std.a @ z
+        resid = self.b - np.array([row.coefs @ z[row.cols] for row in rows], dtype=float)
 
         # each row starts with its slack basic when the slack can absorb the
         # residual, else with an artificial signed to take a nonnegative value
         art_rows = []
         basis = []
         for i in range(m):
-            lo, hi = std.slack_lb[i], std.slack_ub[i]
+            lo, hi = self.l[n + i], self.u[n + i]
             need = resid[i]  # value the slack would have to take
             if lo - FEAS_TOL <= need <= hi + FEAS_TOL:
-                basis.append(std.num_vars + i)
+                basis.append(n + i)
             else:
                 pin = lo if need < lo else hi
                 art_rows.append((i, 1.0 if need - pin > 0 else -1.0))
@@ -170,11 +148,14 @@ class _Simplex:
             self.c = np.concatenate([self.c, np.zeros(self.n_art)])
             self.at_upper = np.concatenate([self.at_upper, np.zeros(self.n_art, dtype=bool)])
         self.ncols = n_all + self.n_art
+        # the starting tableau [A | I | art | b], filled row by row
         self.tableau = np.zeros((m, self.ncols + 1))
-        self.tableau[:, :n_all] = std.a
+        for i, row in enumerate(rows):
+            self.tableau[i, row.cols] = row.coefs
+            self.tableau[i, n + i] = 1.0
         for j, (i, sign) in enumerate(art_rows):
             self.tableau[i, n_all + j] = sign
-        self.tableau[:, -1] = std.b
+        self.tableau[:, -1] = self.b
         # pivots held back from the tableau: the live tableau is
         # tableau - pend_c[:, :pend_k] @ pend_r[:pend_k]
         self.pend_c = np.empty((m, _REFRESH))
@@ -450,12 +431,10 @@ def solve_lp(model: MipModel) -> LpResult:
 def _solve_lp(model: MipModel) -> LpResult:
     """The body of ``solve_lp``; ``solve_bnb`` calls it for a root it solves
     itself, so that calls of the public name are the callers' own."""
-    std = _standardize(model)
     lb = np.asarray(model.lb, dtype=float).copy()
     ub = np.asarray(model.ub, dtype=float).copy()
-    limit = max(PIVOT_LIMIT_FLOOR, PIVOT_LIMIT_PER_DIM * (std.a.shape[0] + std.a.shape[1]))
-    sx = _Simplex(std, lb, ub, limit)
-    del std  # the tableau holds the dense matrix now; free the copy before pivoting
+    limit = max(PIVOT_LIMIT_FLOOR, PIVOT_LIMIT_PER_DIM * (model.num_vars + 2 * len(model.rows)))
+    sx = _Simplex(model, lb, ub, limit)
     status, values, d = sx.solve()
     primal = values[: model.num_vars]
     return LpResult(

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -46,6 +47,26 @@ def test_worked_run_proves_optimum_and_skips_loop(worked):
     # gap guard: only the construction and one local-branching entry
     assert len(rec.trajectory) == 2
     assert rec.status == "ok"
+
+
+def test_gap_below_one_proves_nothing_on_fractional_data():
+    """With f and beta of 8-0.6-4-1 divided by 100 a gap below one is no
+    proof: vfh does not call its incumbent proven, vfhlb runs every
+    perturbation iteration, as it does on the integer instance, and ends
+    on the optimum."""
+    inst = generate_instance(8, 0.6, 4, 1)
+    edges = tuple(replace(e, f=e.f / 100, beta=e.beta / 100) for e in inst.edges)
+    scaled = replace(inst, edges=edges)
+    assert not scaled.is_integer_data()
+    opt = solve_exact(scaled).cost
+    res = heuristics.vfh(scaled, SolverConfig().gamma, rng=1)
+    assert not res.proven
+    assert res.solution.cost - res.lower_bound < 1
+    sol, rec = vfhlb(scaled, SolverConfig(seed=1))
+    assert len(rec.trajectory) == 2 + SolverConfig().iterations == 12
+    assert abs(sol.cost - opt) <= 1e-9
+    assert rec.lower_bound <= opt
+    assert verify_bilevel(scaled, sol).passed
 
 
 def test_runs_match_oracle_smoke():
@@ -143,13 +164,13 @@ def test_cold_starts_counted(monkeypatch):
     cold: list[bool] = []  # one entry per phase-1 start: is it the unfixed root LP?
     init = milp._Simplex.__init__
 
-    def counted_init(self, std, lb, ub, iter_limit):
+    def counted_init(self, model, lb, ub, iter_limit):
         cold.append(
-            std.a.shape[0] == len(fresh.rows)
+            len(model.rows) == len(fresh.rows)
             and np.array_equal(lb, fresh.lb)
             and np.array_equal(ub, fresh.ub)
         )
-        init(self, std, lb, ub, iter_limit)
+        init(self, model, lb, ub, iter_limit)
 
     # (seeded with root=, given a cutoff, cold starts inside)
     bnb_starts: list[tuple[bool, bool, int]] = []

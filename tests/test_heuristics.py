@@ -15,6 +15,7 @@ from fcndp.heuristics import (
     lbound,
     local_branching,
     partial_decoupling,
+    proves_optimal,
     vfh,
 )
 from fcndp.oracle import solve_exact
@@ -173,6 +174,20 @@ def test_bound_kept_when_bounding_runs_out(monkeypatch):
     assert abs(res.root.objective - 497.5) < 1e-6
     assert (res.value, res.status, res.iterations, res.opt_found) == (498.0, "iteration-limit", 1, False)
     assert vfh(inst, 0.85, rng=1).lower_bound == 498.0
+
+
+def test_proves_optimal_rule():
+    """A gap below one proves optimality on integer data only; other data
+    must close the gap up to a relative 1e-6."""
+    whole = quantities_instance([1])
+    assert whole.is_integer_data()
+    assert proves_optimal(whole, 10.0, 9.01)
+    assert not proves_optimal(whole, 10.0, 9.0)
+    half = quantities_instance([0.5])
+    assert not half.is_integer_data()
+    assert not proves_optimal(half, 8.01, 7.765)
+    assert proves_optimal(half, 8.01, 8.01 - 1e-6)
+    assert not proves_optimal(half, 8.01, 8.01 - 1e-4)
 
 
 def test_vfh_worked_proves_optimum(worked):

@@ -1,7 +1,12 @@
 import copy
 import itertools
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -68,6 +73,12 @@ def test_unbounded():
     model = tiny_model([-1.0], [0.0], [math.inf])
     res = solve_lp(model)
     assert res.status == "unbounded"
+
+
+def test_unknown_row_sense_refused():
+    model = tiny_model([1.0], [0.0], [1.0], rows=[([0], [1.0], "<", 1.0)])
+    with pytest.raises(ValueError, match="unknown row sense"):
+        solve_lp(model)
 
 
 def test_lp_relaxation_is_weak_bound(worked):
@@ -440,11 +451,16 @@ def exchange(sx, picks: list[int]) -> None:
 def exchanged(model: MipModel, picks: list[int]):
     """A cold start after ``exchange(picks)``, with the exchanges the block
     still holds back, and its starting tableau."""
-    std = milp._standardize(model)
-    sx = milp._Simplex(std, model.lb.astype(float), model.ub.astype(float), 0)
+    sx = milp._Simplex(model, model.lb.astype(float), model.ub.astype(float), 0)
     start = sx.tableau.copy()
     # up to row signs the starting tableau is [A | I | art | b]
-    assert np.array_equal(np.abs(start[:, : std.a.shape[1]]), np.abs(std.a))
+    m, n = len(model.rows), model.num_vars
+    a_i = np.zeros((m, n + m))
+    for i, row in enumerate(model.rows):
+        a_i[i, row.cols] = row.coefs
+        a_i[i, n + i] = 1.0
+    assert np.array_equal(np.abs(start[:, : n + m]), np.abs(a_i))
+    assert np.array_equal(np.abs(start[:, -1]), np.abs([row.rhs for row in model.rows]))
     exchange(sx, picks)
     return sx, start
 
@@ -558,3 +574,35 @@ def test_root_lp_at_size(case, optimum):
     assert abs(res.objective - optimum) <= 1e-6 * optimum
     assert abs(ref.fun - optimum) <= 1e-6 * optimum
     assert residuals_ok(model, res.values)
+
+
+def test_cold_start_holds_one_dense_copy():
+    """A cold solve keeps one dense m x (n + m) array, the tableau: its peak
+    allocation stays below 1.75 tableaux (a second dense copy of the model
+    would take it past 2)."""
+    inst = generate_instance(15, 0.25, 8, 1)
+    model = build_model(inst, compute_big_m(inst))
+    tracemalloc.start()
+    try:
+        res = solve_lp(model)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert res.status == "optimal"
+    assert peak < 1.75 * res.start.sx.tableau.nbytes
+
+
+def test_runtime_needs_numpy_only():
+    """With scipy unimportable, the package imports and a full run works:
+    the kernel is numpy's alone, as pyproject.toml promises."""
+    script = (
+        "import sys; sys.modules['scipy'] = None\n"
+        "from fcndp import SolverConfig, generate_instance, vfhlb\n"
+        "sol, rec = vfhlb(generate_instance(6, 0.7, 2, seed=1), SolverConfig(seed=1))\n"
+        "print(rec.cost, rec.lower_bound)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    cost, bound = map(float, run.stdout.split())
+    assert bound <= cost < math.inf
