@@ -169,7 +169,20 @@ class _Simplex:
         for i, sign in art_rows:
             if sign < 0:
                 self.tableau[i, :] /= sign
+        self._sync()
         self._refresh_xb()
+
+    def _sync(self) -> None:
+        """Derives the pricing state that pivots keep up to date from the
+        bounds, the basis and the nonbasic flags: the bounds of the basic
+        variables by row (``lbb``, ``ubb``), the direction each nonbasic
+        variable moves in (``move``: +1 up from its lower bound, -1 down from
+        its upper one) and which nonbasic variables may move at all
+        (``movable``: not basic, not fixed)."""
+        self.lbb = self.l[self.basis]
+        self.ubb = self.u[self.basis]
+        self.move = np.where(self.at_upper, -1.0, 1.0)
+        self.movable = ~self.in_basis & (self.l != self.u)
 
     def rebase(self, basis: np.ndarray, at_upper: np.ndarray) -> None:
         """Moves to ``basis`` by exchange: each wanted column not yet basic
@@ -189,12 +202,14 @@ class _Simplex:
             self._pivot(r, q, col, 0.0, False, d)
             self.iterations += 1
         self.at_upper[:] = at_upper
+        self._sync()
         self._refresh_xb()
 
     def copy(self) -> _Simplex:
         self._flush()
         other = copy.copy(self)
         names = ("l", "u", "at_upper", "tableau", "pend_c", "pend_r", "basis", "in_basis", "xb", "values")
+        names += ("lbb", "ubb", "move", "movable")
         for name in names:
             setattr(other, name, getattr(self, name).copy())
         return other
@@ -206,6 +221,7 @@ class _Simplex:
         n = lb.size
         self.l[:n] = lb
         self.u[:n] = ub
+        self._sync()
 
     def reoptimize(self) -> str:
         """Dual simplex back to primal feasibility, then a primal clean-up
@@ -254,18 +270,23 @@ class _Simplex:
 
     def optimize(self, cost: np.ndarray) -> str:
         d = self._reduced_costs(cost)
-        fixed = self.l == self.u
         bland = False
         degenerate_run = 0
         bland_after = 2 * (self.m + self.ncols)
         since_refresh = 0
+        # work arrays, rewritten in place at every pivot
+        score = np.empty(self.ncols)
+        delta = np.empty(self.m)
+        gap = np.empty(self.m)
+        t_rows = np.empty(self.m)
         while True:
             if self.iterations >= self.iter_limit:
                 return STATUS_ITERATION_LIMIT
-            eligible = ~self.in_basis & ~fixed
-            score = np.where(
-                eligible & ~self.at_upper, -d, np.where(eligible & self.at_upper, d, 0.0)
-            )
+            # how much moving each nonbasic column off its bound lowers the
+            # cost; zero for the columns that cannot move
+            np.multiply(d, self.move, out=score)
+            np.negative(score, out=score)
+            score *= self.movable
             if score.max(initial=0.0) <= OPT_TOL:
                 self._refresh_xb()
                 return STATUS_OPTIMAL
@@ -275,21 +296,19 @@ class _Simplex:
                 q = int(np.argmax(score))
             sigma = -1.0 if self.at_upper[q] else 1.0
             col = self._col(q)
-            delta = -sigma * col
-            lbb = self.l[self.basis]
-            ubb = self.u[self.basis]
-            with np.errstate(divide="ignore", invalid="ignore"):
-                t_low = np.where(
-                    delta < -PIVOT_TOL,
-                    np.maximum(self.xb - lbb, 0.0) / np.where(delta < -PIVOT_TOL, -delta, 1.0),
-                    math.inf,
-                )
-                t_high = np.where(
-                    delta > PIVOT_TOL,
-                    np.maximum(ubb - self.xb, 0.0) / np.where(delta > PIVOT_TOL, delta, 1.0),
-                    math.inf,
-                )
-            t_rows = np.minimum(t_low, t_high)
+            np.multiply(col, -sigma, out=delta)
+            # primal ratio test: the step at which each basic variable
+            # reaches the bound it heads for
+            t_rows.fill(math.inf)
+            down = delta < -PIVOT_TOL
+            np.subtract(self.xb, self.lbb, out=gap)
+            np.maximum(gap, 0.0, out=gap)
+            np.divide(gap, delta, out=t_rows, where=down)
+            np.negative(t_rows, out=t_rows, where=down)
+            up = delta > PIVOT_TOL
+            np.subtract(self.ubb, self.xb, out=gap)
+            np.maximum(gap, 0.0, out=gap)
+            np.divide(gap, delta, out=t_rows, where=up)
             t_min_rows = t_rows.min(initial=math.inf)
             span = self.u[q] - self.l[q]
             t_own = span if math.isfinite(span) else math.inf
@@ -300,8 +319,10 @@ class _Simplex:
             since_refresh += 1
             if t_own <= t_min_rows + 1e-9:
                 # bound flip: no basis change
-                self.xb += delta * t_own
+                np.multiply(delta, t_own, out=gap)
+                self.xb += gap
                 self.at_upper[q] = ~self.at_upper[q]
+                self.move[q] = -self.move[q]
                 degenerate_run = 0
                 continue
             cand = np.flatnonzero(t_rows <= t_star + 1e-9)
@@ -317,9 +338,10 @@ class _Simplex:
                     bland = True
             else:
                 degenerate_run = 0
-            self.xb += delta * t
+            np.multiply(delta, t, out=gap)
+            self.xb += gap
             entering_val = (self.u[q] if self.at_upper[q] else self.l[q]) + sigma * t
-            d = self._pivot(r, q, col, entering_val, bool(delta[r] > 0), d)
+            self._pivot(r, q, col, entering_val, bool(delta[r] > 0), d)
             if since_refresh >= _REFRESH:
                 since_refresh = 0
                 self._refresh_xb()
@@ -330,14 +352,17 @@ class _Simplex:
         infeasible basic variable leaves at the bound it violates until the
         point is primal feasible."""
         d = self._reduced_costs(cost)
-        fixed = self.l == self.u
         since_refresh = 0
+        # work arrays, rewritten in place at every pivot
+        below = np.empty(self.m)
+        above = np.empty(self.m)
+        worst = np.empty(self.m)
+        push = np.empty(self.ncols)
+        pushes = np.empty(self.ncols, dtype=bool)
         while True:
-            lbb = self.l[self.basis]
-            ubb = self.u[self.basis]
-            below = lbb - self.xb
-            above = self.xb - ubb
-            r = int(np.argmax(np.maximum(below, above)))
+            np.subtract(self.lbb, self.xb, out=below)
+            np.subtract(self.xb, self.ubb, out=above)
+            r = int(np.argmax(np.maximum(below, above, out=worst)))
             if max(below[r], above[r]) <= FEAS_TOL:
                 return STATUS_OPTIMAL
             if self.iterations >= self.iter_limit:
@@ -348,23 +373,27 @@ class _Simplex:
             # a nonbasic column moves up from its lower bound, down from its
             # upper one; moving x_j by t moves the leaving variable by
             # -row[j] * t, which must head back toward the violated bound
-            move = np.where(self.at_upper, -1.0, 1.0)
-            push = row * move if to_upper else -row * move
-            cand = np.flatnonzero(~self.in_basis & ~fixed & (push > PIVOT_TOL))
+            np.multiply(row, self.move, out=push)
+            if not to_upper:
+                np.negative(push, out=push)
+            np.greater(push, PIVOT_TOL, out=pushes)
+            pushes &= self.movable
+            cand = np.flatnonzero(pushes)
             if cand.size == 0:
                 return STATUS_INFEASIBLE
             # dual ratio test; near ties go to the largest pivot, then to the
             # lowest variable id
-            ratio = np.maximum(move[cand] * d[cand], 0.0) / push[cand]
+            ratio = np.maximum(self.move[cand] * d[cand], 0.0) / push[cand]
             near = cand[ratio <= ratio.min() + 1e-9]
             q = int(near[np.lexsort((near, -push[near]))[0]])
             self.iterations += 1
             since_refresh += 1
             col = self._col(q)
-            step = (self.xb[r] - (ubb[r] if to_upper else lbb[r])) / col[r]
-            self.xb -= col * step
+            step = (self.xb[r] - (self.ubb[r] if to_upper else self.lbb[r])) / col[r]
+            np.multiply(col, step, out=worst)
+            self.xb -= worst
             entering_val = (self.u[q] if self.at_upper[q] else self.l[q]) + step
-            d = self._pivot(r, q, col, entering_val, to_upper, d, full_row)
+            self._pivot(r, q, col, entering_val, to_upper, d, full_row)
             if since_refresh >= _REFRESH:
                 since_refresh = 0
                 self._refresh_xb()
@@ -381,28 +410,34 @@ class _Simplex:
         row: np.ndarray | None = None,
     ) -> np.ndarray:
         """Column ``q``, whose live tableau column is ``col``, enters the
-        basis in row ``r``; returns the updated reduced costs. ``row`` is
-        the live row ``r`` when the caller has already read it. The tableau
-        update ``T -= (col - e_r) (T[r] / col[r])`` is held back in the
-        pending block and applied when the block is full or at the next
-        read of the whole tableau."""
+        basis in row ``r``; updates the reduced costs ``d`` in place and
+        returns the pivot row divided by the pivot. ``row`` is the live row
+        ``r`` when the caller has already read it. The tableau update
+        ``T -= (col - e_r) (T[r] / col[r])`` is held back in the pending
+        block and applied when the block is full or at the next read of the
+        whole tableau."""
         leaving = int(self.basis[r])
         self.at_upper[leaving] = leaves_at_upper
         self.in_basis[leaving] = False
-        row = (self._row(r) if row is None else row) / col[r]
+        self.move[leaving] = -1.0 if leaves_at_upper else 1.0
+        self.movable[leaving] = self.l[leaving] != self.u[leaving]
         k = self.pend_k
+        row = np.divide(self._row(r) if row is None else row, col[r], out=self.pend_r[k])
         self.pend_c[:, k] = col
         self.pend_c[r, k] -= 1.0
-        self.pend_r[k] = row
         self.pend_k = k + 1
         if self.pend_k == _REFRESH:
             self._flush()
-        d = d - d[q] * row[:-1]
+        dq = d[q]
+        d -= dq * row[:-1]
         d[q] = 0.0
         self.basis[r] = q
         self.in_basis[q] = True
+        self.movable[q] = False
+        self.lbb[r] = self.l[q]
+        self.ubb[r] = self.u[q]
         self.xb[r] = entering_val
-        return d
+        return row
 
     def solve(self) -> tuple[str, np.ndarray, np.ndarray]:
         if self.n_art:
@@ -416,6 +451,7 @@ class _Simplex:
             first_art = self.ncols - self.n_art
             self.l[first_art:] = 0.0
             self.u[first_art:] = 0.0
+            self._sync()
         status = self.optimize(self.c)
         d = self._reduced_costs(self.c)
         return status, self.values, d

@@ -445,7 +445,7 @@ def exchange(sx, picks: list[int]) -> None:
         col = sx._col(q)
         r = int(np.argmax(np.abs(col)))
         if abs(col[r]) > 1e-6:
-            d = sx._pivot(r, q, col, 0.0, False, d)
+            sx._pivot(r, q, col, 0.0, False, d)
 
 
 def exchanged(model: MipModel, picks: list[int]):
