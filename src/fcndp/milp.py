@@ -6,8 +6,17 @@ runs branch-and-bound over the variables a boolean mask marks binary.
 The simplex keeps a dense tableau (desk-scale models make dense cheap),
 filled at a cold start straight from ``MipModel.rows`` with one slack
 column per row, so it is the only dense copy of the model; numpy is all it
-needs. It prices with Dantzig's rule and falls back to Bland's rule after
-a run of degenerate pivots. A pivot does not rewrite the tableau: it is
+needs. The primal simplex prices with Devex reference weights (Harris,
+*Pivot selection methods of the Devex LP code*, Math. Prog. 5, 1973):
+among the columns whose reduced cost prices in by more than ``OPT_TOL``,
+the one with the largest d_j^2 / w_j enters, with every weight 1 at the
+start of each solve and updated from the pivot row. It falls back to
+Bland's rule after a run of degenerate pivots. The dual simplex takes
+Harris's two-pass ratio test: the longest step that keeps every reduced
+cost within ``OPT_TOL`` of its sign, then the largest pivot inside it. The
+pricing state (the bounds of the basic variables, the direction each
+nonbasic variable moves in, which may move at all) is kept up to date pivot
+by pivot rather than rebuilt. A pivot does not rewrite the tableau: it is
 held back as one column and one row of a pending block, and the reads the
 simplex makes, one column or one row, subtract the block's product on the
 fly. The block is applied as one matrix product when the whole tableau is
@@ -22,12 +31,20 @@ dual simplex back to primal feasibility, then a primal clean-up.
 The parent's tableau is reused in place by the child explored next; the
 other child reaches its parent's basis from whatever tableau is live by a
 basis exchange, so a pending node holds O(rows + columns) state and no
-LU factorization is needed. Ratio-test ties go to the largest pivot, then
-to the lowest variable id, and every other tie to the lowest id, so solves
-are bit-reproducible under one BLAS build and thread count. The matrix
-products round as the BLAS kernel does, so on degenerate LPs another
-kernel (or OpenBLAS's SkylakeX kernel with another thread count) can break
-an exact tie the other way and end on another optimal vertex. Free
+LU factorization is needed. Rounding builds up over long runs of pivots:
+a dual run stops with ``STATUS_ITERATION_LIMIT`` when its point is no
+longer finite or its pivot, read through the pending pivots, is at most
+``PIVOT_TOL``, and a basis exchange that finds no pivot above it is retried
+from the root's tableau, the node dropped if that fails too.
+
+Every pricing and ratio-test choice counts values within a relative 1e-9
+of the best as tied: ratio-test ties go to the largest pivot, then to the
+lowest variable id, and every other tie to the lowest id. The matrix
+products round as the BLAS kernel does (OpenBLAS's SkylakeX kernel also by
+thread count), and the tolerance keeps those last bits from picking the
+pivots. The values still differ in their last bits, and the B&B's
+branching and its callers' rounding can turn on them, so solves are
+bit-reproducible only under one BLAS build and thread count. Free
 variables (no finite bound on either side) are not supported; every model
 built in this package bounds everything.
 """
@@ -68,6 +85,19 @@ _CHUNK = 256
 # a B&B tableau that has taken this many pivots since it was copied from the
 # root's is replaced by a fresh copy before its next basis exchange
 _RESTART_AFTER = 2000
+
+
+def _near_max(values: np.ndarray, ids: np.ndarray | None = None) -> int:
+    """Position of the entry of ``values`` with the lowest id among those
+    within a relative 1e-9 of the largest, which must be positive (a NaN
+    wins outright); ``ids`` defaults to the positions. Entries that only
+    rounding tells apart tie, so the choice does not turn on how a BLAS
+    kernel rounds."""
+    top = values.max()
+    if math.isnan(top):
+        return int(np.argmax(values))
+    near = np.flatnonzero(values >= top * (1.0 - 1e-9))
+    return int(near[0] if ids is None else near[np.argmin(ids[near])])
 
 
 @dataclass
@@ -164,6 +194,8 @@ class _Simplex:
         self.basis = np.array(basis, dtype=int)
         self.in_basis = np.zeros(self.ncols, dtype=bool)
         self.in_basis[self.basis] = True
+        # Devex reference weights of the primal pricing, one per column
+        self.weights = np.ones(self.ncols)
         # every starting basic column is +-e_r: dividing the rows of the
         # -e_r artificials by -1 makes the starting basis the identity
         for i, sign in art_rows:
@@ -184,12 +216,14 @@ class _Simplex:
         self.move = np.where(self.at_upper, -1.0, 1.0)
         self.movable = ~self.in_basis & (self.l != self.u)
 
-    def rebase(self, basis: np.ndarray, at_upper: np.ndarray) -> None:
+    def rebase(self, basis: np.ndarray, at_upper: np.ndarray) -> bool:
         """Moves to ``basis`` by exchange: each wanted column not yet basic
         pivots in at the row, among those whose basic column is not wanted,
         where its entry is largest. One pivot, counted as an iteration, per
         column that differs. Then takes the nonbasic flags ``at_upper`` and
-        re-derives ``xb`` under the current bounds."""
+        re-derives ``xb`` under the current bounds. Returns False, on a
+        tableau that is still valid but not on ``basis``, when a wanted
+        column has no entry above ``PIVOT_TOL`` to pivot on."""
         wanted = np.zeros(self.ncols, dtype=bool)
         wanted[basis] = True
         d = np.zeros(self.ncols)  # reduced costs are recomputed by the next solve
@@ -198,18 +232,21 @@ class _Simplex:
                 continue
             rows = np.flatnonzero(~wanted[self.basis])
             col = self._col(q)
-            r = int(rows[np.argmax(np.abs(col[rows]))])
+            r = int(rows[_near_max(np.abs(col[rows]), rows)])
+            if not abs(col[r]) > PIVOT_TOL:
+                return False
             self._pivot(r, q, col, 0.0, False, d)
             self.iterations += 1
         self.at_upper[:] = at_upper
         self._sync()
         self._refresh_xb()
+        return True
 
     def copy(self) -> _Simplex:
         self._flush()
         other = copy.copy(self)
         names = ("l", "u", "at_upper", "tableau", "pend_c", "pend_r", "basis", "in_basis", "xb", "values")
-        names += ("lbb", "ubb", "move", "movable")
+        names += ("lbb", "ubb", "move", "movable", "weights")
         for name in names:
             setattr(other, name, getattr(self, name).copy())
         return other
@@ -274,8 +311,11 @@ class _Simplex:
         degenerate_run = 0
         bland_after = 2 * (self.m + self.ncols)
         since_refresh = 0
+        # a fresh Devex reference framework at each call
+        self.weights.fill(1.0)
         # work arrays, rewritten in place at every pivot
         score = np.empty(self.ncols)
+        price = np.empty(self.ncols)
         delta = np.empty(self.m)
         gap = np.empty(self.m)
         t_rows = np.empty(self.m)
@@ -290,10 +330,15 @@ class _Simplex:
             if score.max(initial=0.0) <= OPT_TOL:
                 self._refresh_xb()
                 return STATUS_OPTIMAL
+            eligible = score > OPT_TOL
             if bland:
-                q = int(np.flatnonzero(score > OPT_TOL)[0])
+                q = int(np.flatnonzero(eligible)[0])
             else:
-                q = int(np.argmax(score))
+                # Devex: the eligible column with the largest score^2 / weight
+                np.square(score, out=price)
+                price /= self.weights
+                price *= eligible
+                q = _near_max(price)
             sigma = -1.0 if self.at_upper[q] else 1.0
             col = self._col(q)
             np.multiply(col, -sigma, out=delta)
@@ -329,8 +374,7 @@ class _Simplex:
             if bland:
                 r = int(cand[np.argmin(self.basis[cand])])
             else:
-                order = np.lexsort((self.basis[cand], -np.abs(col[cand])))
-                r = int(cand[order[0]])
+                r = int(cand[_near_max(np.abs(col[cand]), self.basis[cand])])
             t = max(float(t_rows[r]), 0.0)
             if t <= 1e-12:
                 degenerate_run += 1
@@ -341,7 +385,16 @@ class _Simplex:
             np.multiply(delta, t, out=gap)
             self.xb += gap
             entering_val = (self.u[q] if self.at_upper[q] else self.l[q]) + sigma * t
-            self._pivot(r, q, col, entering_val, bool(delta[r] > 0), d)
+            leaving = int(self.basis[r])
+            row = self._pivot(r, q, col, entering_val, bool(delta[r] > 0), d)
+            # Devex update from the pivot row divided by the pivot:
+            # w_j = max(w_j, row_j^2 w_q), and the leaving column's weight
+            # is max(w_q / pivot^2, 1)
+            w_q = self.weights[q]
+            np.square(row[:-1], out=price)
+            price *= w_q
+            np.maximum(self.weights, price, out=self.weights)
+            self.weights[leaving] = max(w_q / (col[r] * col[r]), 1.0)
             if since_refresh >= _REFRESH:
                 since_refresh = 0
                 self._refresh_xb()
@@ -350,7 +403,11 @@ class _Simplex:
     def dual(self, cost: np.ndarray) -> str:
         """Bounded dual simplex from a dual feasible basis: the most
         infeasible basic variable leaves at the bound it violates until the
-        point is primal feasible."""
+        point is primal feasible. Harris's two-pass ratio test picks the
+        entering column. Ends with ``STATUS_ITERATION_LIMIT`` at the pivot
+        budget, and also when rounding has spoilt the tableau: the point is
+        no longer finite, or the entering column's entry in the pivot row,
+        read through the pending block, is noise (at most ``PIVOT_TOL``)."""
         d = self._reduced_costs(cost)
         since_refresh = 0
         # work arrays, rewritten in place at every pivot
@@ -362,11 +419,15 @@ class _Simplex:
         while True:
             np.subtract(self.lbb, self.xb, out=below)
             np.subtract(self.xb, self.ubb, out=above)
-            r = int(np.argmax(np.maximum(below, above, out=worst)))
-            if max(below[r], above[r]) <= FEAS_TOL:
+            np.maximum(below, above, out=worst)
+            top = worst.max()
+            if not math.isfinite(top):
+                return STATUS_ITERATION_LIMIT
+            if top <= FEAS_TOL:
                 return STATUS_OPTIMAL
             if self.iterations >= self.iter_limit:
                 return STATUS_ITERATION_LIMIT
+            r = _near_max(worst)
             to_upper = bool(above[r] > below[r])
             full_row = self._row(r)
             row = full_row[:-1]
@@ -381,14 +442,22 @@ class _Simplex:
             cand = np.flatnonzero(pushes)
             if cand.size == 0:
                 return STATUS_INFEASIBLE
-            # dual ratio test; near ties go to the largest pivot, then to the
-            # lowest variable id
-            ratio = np.maximum(self.move[cand] * d[cand], 0.0) / push[cand]
-            near = cand[ratio <= ratio.min() + 1e-9]
-            q = int(near[np.lexsort((near, -push[near]))[0]])
+            # Harris's ratio test. Pass 1: the longest step that keeps every
+            # reduced cost within OPT_TOL of its sign (move * d >= -OPT_TOL).
+            # Pass 2: among the columns whose own ratio fits in that step,
+            # the largest pivot, ties to the lowest variable id.
+            slack = self.move[cand] * d[cand]
+            pivots = push[cand]
+            t_max = max(float(((slack + OPT_TOL) / pivots).min()), 0.0)
+            if not math.isfinite(t_max):
+                return STATUS_ITERATION_LIMIT
+            near = cand[np.maximum(slack, 0.0) / pivots <= t_max]
+            q = int(near[_near_max(push[near])])
+            col = self._col(q)
+            if not abs(col[r]) > PIVOT_TOL:
+                return STATUS_ITERATION_LIMIT
             self.iterations += 1
             since_refresh += 1
-            col = self._col(q)
             step = (self.xb[r] - (self.ubb[r] if to_upper else self.lbb[r])) / col[r]
             np.multiply(col, step, out=worst)
             self.xb -= worst
@@ -580,8 +649,18 @@ def solve_bnb(
                 sx, age = root.start.sx.copy(), 0
             sx.iterations = 0
             sx.set_bounds(lb, ub)
-            if live != parent:
-                sx.rebase(basis, at_upper)
+            if live != parent and not sx.rebase(basis, at_upper):
+                # the exchange met only noise pivots: try again from the
+                # root's tableau, and drop the node if that fails too
+                spent = sx.iterations
+                sx, age = root.start.sx.copy(), 0
+                sx.iterations = spent
+                sx.set_bounds(lb, ub)
+                if not sx.rebase(basis, at_upper):
+                    total_pivots += sx.iterations
+                    live = -1
+                    hit_limit = True
+                    continue
             live = node
             status = sx.reoptimize()
             total_pivots += sx.iterations

@@ -216,18 +216,19 @@ def test_vfh_sandwich_and_rcvf_safety_smoke():
 
 
 def test_vfh_rcvf_fires_and_stays_safe():
-    """On the first 6-0.7-3 instance, tried from seed 65 on, where the
+    """On the first 6-0.7-3 instance, tried from seed 50 on, where the
     reduced-cost test closes an edge, every edge it closes is closed in the
-    optimum and vfh still finds the optimum. (Seed 64 is skipped: whether
-    its reduced-cost test fires depends on how the BLAS kernel rounds.)"""
-    for seed in range(65, 76):
+    optimum and vfh still finds the optimum. Seeds 50-56 give the same
+    answer under every BLAS kernel and thread count tried; whether the test
+    fires on seeds 64, 67, 69 or 74 depends on how the kernel rounds."""
+    for seed in range(50, 76):
         inst = generate_instance(6, 0.7, 3, seed=seed)
         res = vfh(inst, 0.85, rng=seed)
         if res.fixed_edges:
             break
     else:
         pytest.fail("reduced-cost fixing closes no edge on any candidate")
-    assert (seed, res.fixed_edges) == (69, [0, 2])
+    assert (seed, res.fixed_edges) == (56, [9])
     exact = solve_exact(inst)
     assert all(exact.y[e] == 0 for e in res.fixed_edges)
     assert res.solution.cost == exact.cost

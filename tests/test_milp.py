@@ -561,11 +561,14 @@ def test_rebase_past_a_full_block(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "case, optimum", [((12, 0.3, 6, 1), 3397 / 3), ((15, 0.25, 8, 1), 1181.5)], ids=["12-0.3-6-1", "15-0.25-8-1"]
+    "case, optimum",
+    [((12, 0.3, 6, 1), 3397 / 3), ((15, 0.25, 8, 1), 1181.5), ((20, 0.2, 10, 1), 2010.2)],
+    ids=["12-0.3-6-1", "15-0.25-8-1", "20-0.2-10-1"],
 )
 def test_root_lp_at_size(case, optimum):
-    """Cold root LPs of the sizes the benchmark solves, checked against HiGHS
-    and against every row and bound of the model."""
+    """Cold root LPs of the sizes the benchmark solves, and of the size a
+    full solve aims at, checked against HiGHS and against every row and
+    bound of the model."""
     inst = generate_instance(*case)
     model = build_model(inst, compute_big_m(inst))
     res = solve_lp(model)
@@ -574,6 +577,162 @@ def test_root_lp_at_size(case, optimum):
     assert abs(res.objective - optimum) <= 1e-6 * optimum
     assert abs(ref.fun - optimum) <= 1e-6 * optimum
     assert residuals_ok(model, res.values)
+
+
+def test_root_lp_pivot_count():
+    """Devex pricing solves the cold root LP of 15-0.25-8-1 in at most 1,000
+    pivots; Dantzig's rule took 1,601."""
+    inst = generate_instance(15, 0.25, 8, 1)
+    res = solve_lp(build_model(inst, compute_big_m(inst)))
+    assert res.status == "optimal" and res.iterations <= 1000
+
+
+# The simplex keeps its pricing state up to date pivot by pivot, and guards
+# the dual and the basis exchange against pivots on rounding noise.
+
+
+def check_kept_state(sx) -> None:
+    """Each array the simplex keeps from pivot to pivot equals its
+    from-scratch definition, and every Devex weight is finite and at least 1."""
+    assert np.array_equal(sx.lbb, sx.l[sx.basis])
+    assert np.array_equal(sx.ubb, sx.u[sx.basis])
+    assert np.array_equal(sx.move, np.where(sx.at_upper, -1.0, 1.0))
+    assert np.array_equal(sx.movable, ~sx.in_basis & (sx.l != sx.u))
+    assert sx.weights.shape == (sx.ncols,)
+    assert np.all(np.isfinite(sx.weights)) and np.all(sx.weights >= 1.0)
+
+
+@given(model=oracle_models(), pick=st.integers(0, 10_000), value=st.sampled_from([0.0, 1.0]))
+def test_kept_state_matches_its_definition(model, pick, value):
+    """After every pivot of a cold solve, of a warm child re-solved in place
+    and of one reached by basis exchange, and at the end of every primal
+    solve, the kept pricing state is what it stands for."""
+    checks = []
+    pivot, optimize = milp._Simplex._pivot, milp._Simplex.optimize
+
+    def checked_pivot(self, *args):
+        row = pivot(self, *args)
+        check_kept_state(self)
+        checks.append(1)
+        return row
+
+    def checked_optimize(self, cost):
+        status = optimize(self, cost)
+        check_kept_state(self)
+        return status
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(milp._Simplex, "_pivot", checked_pivot)
+        patch.setattr(milp._Simplex, "optimize", checked_optimize)
+        root = solve_lp(model)
+        assert root.status == "optimal" and checks
+        marked = np.flatnonzero(model.integer_ok)
+        frac = marked[np.abs(root.values[marked] - np.round(root.values[marked])) > 1e-6]
+        assume(frac.size)
+        j = int(frac[pick % frac.size])
+        for sx in warm_children(root, fixed(model, j, value), fixed(model, j, 1.0 - value)):
+            check_kept_state(sx)
+            sx.reoptimize()
+
+
+def child_of_root():
+    """A copy of 6-0.8-3-3's optimal root tableau with its most fractional
+    y/x variable fixed to 0: the dual needs pivots to re-solve it."""
+    inst = generate_instance(6, 0.8, 3, 3)
+    model = build_model(inst, compute_big_m(inst))
+    root = solve_lp(model)
+    marked = np.flatnonzero(model.integer_ok)
+    j = int(marked[np.argmax(np.abs(root.values[marked] - np.round(root.values[marked])))])
+    sx = root.start.sx.copy()
+    child = fixed(model, j, 0.0)
+    sx.set_bounds(child.lb, child.ub)
+    sx.iterations = 0
+    return sx
+
+
+def leaving_row(sx) -> int:
+    """The row the dual simplex picks to leave: the most infeasible one."""
+    return int(np.argmax(np.maximum(sx.lbb - sx.xb, sx.xb - sx.ubb)))
+
+
+def test_dual_stops_on_a_noise_pivot(monkeypatch):
+    """When the entering column's entry in the leaving row, read through the
+    pending block, is at most PIVOT_TOL (though the row read passed the
+    test), the dual stops at the pivot budget's status instead of dividing
+    by it."""
+    clean = child_of_root()
+    assert clean.dual(clean.c) == "optimal" and clean.iterations > 0
+    col = milp._Simplex._col
+
+    def noisy(self, q):
+        c = col(self, q)
+        c[leaving_row(self)] = 7.6e-11
+        return c
+
+    sx = child_of_root()
+    monkeypatch.setattr(milp._Simplex, "_col", noisy)
+    assert sx.dual(sx.c) == "iteration-limit"
+    assert sx.iterations == 0
+
+
+def test_dual_stops_on_a_point_that_is_not_finite(monkeypatch):
+    """A column spoilt by NaN away from the pivot makes the point NaN after
+    one pivot; the dual stops there instead of pivoting on."""
+    col = milp._Simplex._col
+
+    def spoilt(self, q):
+        c = col(self, q)
+        r = leaving_row(self)
+        c[np.arange(c.size) != r] = math.nan
+        return c
+
+    sx = child_of_root()
+    monkeypatch.setattr(milp._Simplex, "_col", spoilt)
+    assert sx.dual(sx.c) == "iteration-limit"
+    assert sx.iterations == 1
+
+
+@pytest.mark.parametrize("fail", ["first-try", "always"])
+def test_failed_exchange_retried_from_root(monkeypatch, fail):
+    """A basis exchange that meets only entries at or below PIVOT_TOL is
+    retried from a copy of the root's tableau. When only the first try fails,
+    the B&B finds what it finds without the noise; when the retry fails too,
+    the node is dropped and the B&B ends at the budget's status, with no
+    error and nothing better than the optimum."""
+    inst = generate_instance(6, 0.8, 3, 3)
+    model = build_model(inst, compute_big_m(inst))
+    default = solve_bnb(model, model.integer_ok)
+    col, rebase = milp._Simplex._col, milp._Simplex.rebase
+    noise = [False]
+    tries: list[bool] = []
+
+    def noisy_col(self, q):
+        c = col(self, q)
+        return np.zeros_like(c) if noise[0] else c
+
+    def noisy_rebase(self, basis, at_upper):
+        retry = bool(tries) and not tries[-1]
+        noise[0] = fail == "always" or not retry
+        try:
+            tries.append(rebase(self, basis, at_upper))
+        finally:
+            noise[0] = False
+        return tries[-1]
+
+    monkeypatch.setattr(milp._Simplex, "_col", noisy_col)
+    monkeypatch.setattr(milp._Simplex, "rebase", noisy_rebase)
+    res = solve_bnb(model, model.integer_ok)
+    assert default.status == "optimal" and len(tries) >= 2
+    if fail == "first-try":
+        # every failed exchange is followed by a retry that works
+        assert tries[::2] == [False] * len(tries[::2]) and all(tries[1::2])
+        assert res.status == "optimal" and res.objective == default.objective
+    else:
+        # the first exchange and its retry both fail (an exchange that needs
+        # no pivot cannot fail)
+        assert tries[:2] == [False, False]
+        assert res.status == "iteration-limit"
+        assert res.objective >= default.objective
 
 
 def test_cold_start_holds_one_dense_copy():
