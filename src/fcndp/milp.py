@@ -318,6 +318,7 @@ class _Simplex:
         price = np.empty(self.ncols)
         delta = np.empty(self.m)
         gap = np.empty(self.m)
+        shift = np.empty(self.m)
         t_rows = np.empty(self.m)
         while True:
             if self.iterations >= self.iter_limit:
@@ -364,8 +365,8 @@ class _Simplex:
             since_refresh += 1
             if t_own <= t_min_rows + 1e-9:
                 # bound flip: no basis change
-                np.multiply(delta, t_own, out=gap)
-                self.xb += gap
+                np.multiply(delta, t_own, out=shift)
+                self.xb += shift
                 self.at_upper[q] = ~self.at_upper[q]
                 self.move[q] = -self.move[q]
                 degenerate_run = 0
@@ -382,8 +383,8 @@ class _Simplex:
                     bland = True
             else:
                 degenerate_run = 0
-            np.multiply(delta, t, out=gap)
-            self.xb += gap
+            np.multiply(delta, t, out=shift)
+            self.xb += shift
             entering_val = (self.u[q] if self.at_upper[q] else self.l[q]) + sigma * t
             leaving = int(self.basis[r])
             row = self._pivot(r, q, col, entering_val, bool(delta[r] > 0), d)
@@ -414,6 +415,7 @@ class _Simplex:
         below = np.empty(self.m)
         above = np.empty(self.m)
         worst = np.empty(self.m)
+        shift = np.empty(self.m)
         push = np.empty(self.ncols)
         pushes = np.empty(self.ncols, dtype=bool)
         while True:
@@ -459,8 +461,8 @@ class _Simplex:
             self.iterations += 1
             since_refresh += 1
             step = (self.xb[r] - (self.ubb[r] if to_upper else self.lbb[r])) / col[r]
-            np.multiply(col, step, out=worst)
-            self.xb -= worst
+            np.multiply(col, step, out=shift)
+            self.xb -= shift
             entering_val = (self.u[q] if self.at_upper[q] else self.l[q]) + step
             self._pivot(r, q, col, entering_val, to_upper, d, full_row)
             if since_refresh >= _REFRESH:
@@ -497,8 +499,7 @@ class _Simplex:
         self.pend_k = k + 1
         if self.pend_k == _REFRESH:
             self._flush()
-        dq = d[q]
-        d -= dq * row[:-1]
+        d -= d[q] * row[:-1]
         d[q] = 0.0
         self.basis[r] = q
         self.in_basis[q] = True

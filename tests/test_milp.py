@@ -499,7 +499,8 @@ few = st.lists(st.integers(0, 10_000), min_size=1, max_size=8)
 @given(model=st.one_of(oracle_models(), random_lps()), picks=exchanges, mine=few, theirs=few)
 def test_copy_is_independent_of_its_original(model, picks, mine, theirs):
     """A copy taken mid-block and its original, taking different exchanges
-    in turn, each end on the tableau of their own basis."""
+    in turn, each end on the tableau of their own basis, with pricing state
+    of their own."""
     sx, start = exchanged(model, picks)
     twin = sx.copy()
     for a, b in itertools.zip_longest(mine, theirs):
@@ -509,6 +510,8 @@ def test_copy_is_independent_of_its_original(model, picks, mine, theirs):
             exchange(twin, [b])
     assert_basis_inverse_times_start(sx, start)
     assert_basis_inverse_times_start(twin, start)
+    check_kept_state(sx)
+    check_kept_state(twin)
 
 
 @given(model=st.one_of(oracle_models(), random_lps()))
@@ -561,14 +564,15 @@ def test_rebase_past_a_full_block(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "case, optimum",
-    [((12, 0.3, 6, 1), 3397 / 3), ((15, 0.25, 8, 1), 1181.5), ((20, 0.2, 10, 1), 2010.2)],
+    "case, optimum, most_pivots",
+    [((12, 0.3, 6, 1), 3397 / 3, None), ((15, 0.25, 8, 1), 1181.5, 1000), ((20, 0.2, 10, 1), 2010.2, None)],
     ids=["12-0.3-6-1", "15-0.25-8-1", "20-0.2-10-1"],
 )
-def test_root_lp_at_size(case, optimum):
+def test_root_lp_at_size(case, optimum, most_pivots):
     """Cold root LPs of the sizes the benchmark solves, and of the size a
     full solve aims at, checked against HiGHS and against every row and
-    bound of the model."""
+    bound of the model. Devex pricing solves 15-0.25-8-1 in at most 1,000
+    pivots; Dantzig's rule took 1,601."""
     inst = generate_instance(*case)
     model = build_model(inst, compute_big_m(inst))
     res = solve_lp(model)
@@ -577,14 +581,8 @@ def test_root_lp_at_size(case, optimum):
     assert abs(res.objective - optimum) <= 1e-6 * optimum
     assert abs(ref.fun - optimum) <= 1e-6 * optimum
     assert residuals_ok(model, res.values)
-
-
-def test_root_lp_pivot_count():
-    """Devex pricing solves the cold root LP of 15-0.25-8-1 in at most 1,000
-    pivots; Dantzig's rule took 1,601."""
-    inst = generate_instance(15, 0.25, 8, 1)
-    res = solve_lp(build_model(inst, compute_big_m(inst)))
-    assert res.status == "optimal" and res.iterations <= 1000
+    if most_pivots is not None:
+        assert res.iterations <= most_pivots
 
 
 # The simplex keeps its pricing state up to date pivot by pivot, and guards
@@ -626,6 +624,11 @@ def test_kept_state_matches_its_definition(model, pick, value):
         patch.setattr(milp._Simplex, "optimize", checked_optimize)
         root = solve_lp(model)
         assert root.status == "optimal" and checks
+        # each primal solve starts a fresh Devex reference framework: one
+        # that finds nothing to do leaves every weight at 1
+        again = root.start.sx.copy()
+        assert again.optimize(again.c) == "optimal" and again.iterations == root.iterations
+        assert np.all(again.weights == 1.0)
         marked = np.flatnonzero(model.integer_ok)
         frac = marked[np.abs(root.values[marked] - np.round(root.values[marked])) > 1e-6]
         assume(frac.size)
