@@ -243,10 +243,10 @@ def vfh(inst: Instance, gamma: float, rng=0, *, time_limit: float | None = None)
     reduced-cost fixing of closed opening variables after each success.
 
     Works on the model ``lbound`` built and starts every pass from the root
-    relaxation of the current bounds, re-solved only after reduced-cost
-    fixing closed an edge. Stops when every block moved, the bound proves
-    the incumbent optimal (``proves_optimal``), or a pass finds nothing
-    under the cutoff (the incumbent is then proven optimal). When bounding
+    relaxation of the current bounds, re-solved from its last basis only
+    after reduced-cost fixing closed an edge. Stops when every block moved,
+    the bound proves the incumbent optimal (``proves_optimal``), or a pass
+    finds nothing under the cutoff (the incumbent is then proven optimal). When bounding
     runs out of budget the constructive incumbent is returned with the
     bound bounding reached.
     """
@@ -270,13 +270,15 @@ def vfh(inst: Instance, gamma: float, rng=0, *, time_limit: float | None = None)
     binary = np.zeros(model.num_vars, dtype=bool)
     pending = list(range(inst.num_commodities))
     fixed_edges: list[int] = []
+    stale = False  # lp was solved under bounds since tightened
     while pending and not proves_optimal(inst, min_cost, bound):
         cand = candidate_list(inst, pending, gamma)
         k = cand[int(rng.integers(len(cand)))]
         pending.remove(k)
         binary[model.x_var(k, 0) : model.x_var(k, 2 * inst.num_edges)] = True
-        if lp is None:
-            lp = solve_lp(model)
+        if stale:
+            lp = solve_lp(model, start=lp)
+            stale = False
         res = solve_bnb(model, binary, root=lp, cutoff=min_cost, time_limit=time_limit)
         found = res.objective < math.inf
         if not found:
@@ -293,7 +295,9 @@ def vfh(inst: Instance, gamma: float, rng=0, *, time_limit: float | None = None)
             if closed:
                 model.ub[closed] = 0.0
                 fixed_edges += closed
-                lp = None  # the bounds changed: the next pass re-solves the root
+                # the bounds changed: the next pass re-solves the root from
+                # its last basis, where every closed edge is nonbasic at 0
+                stale = True
         if _is_integral(model, res.values):
             sol = close_unused_edges(inst, _solution_from_values(inst, model, res.values))
             if sol.cost < min_cost:

@@ -1,5 +1,6 @@
-"""Self-contained LP/MIP kernel with two calls: ``solve_lp(model)`` solves
-the relaxation with a bounded-variable primal simplex, and
+"""Self-contained LP/MIP kernel with two calls:
+``solve_lp(model, start=None)`` solves the relaxation with a
+bounded-variable primal simplex, and
 ``solve_bnb(model, binary, *, root=None, cutoff=None, time_limit=None)``
 runs branch-and-bound over the variables a boolean mask marks binary.
 
@@ -11,12 +12,16 @@ needs. The primal simplex prices with Devex reference weights (Harris,
 among the columns whose reduced cost prices in by more than ``OPT_TOL``,
 the one with the largest d_j^2 / w_j enters, with every weight 1 at the
 start of each solve and updated from the pivot row. It falls back to
-Bland's rule after a run of degenerate pivots. The dual simplex takes
-Harris's two-pass ratio test: the longest step that keeps every reduced
-cost within ``OPT_TOL`` of its sign, then the largest pivot inside it. The
-pricing state (the bounds of the basic variables, the direction each
-nonbasic variable moves in, which may move at all) is kept up to date pivot
-by pivot rather than rebuilt. A pivot does not rewrite the tableau: it is
+Bland's rule after a run of degenerate pivots. The dual simplex prices by
+dual Devex: among the rows whose basic variable is out of its bounds by
+more than ``FEAS_TOL``, the one with the largest infeasibility^2 / w_i
+leaves, with every row weight 1 at the start of each solve and updated
+from the pivot column. It takes Harris's two-pass ratio test: the longest
+step that keeps every reduced cost within ``OPT_TOL`` of its sign, then the
+largest pivot inside it. The pricing state (the bounds of the basic
+variables, the direction each nonbasic variable moves in, which may move
+at all, the Devex weights) is kept up to date pivot by pivot rather than
+rebuilt. A pivot does not rewrite the tableau: it is
 held back as one column and one row of a pending block, and the reads the
 simplex makes, one column or one row, subtract the block's product on the
 fly. The block is applied as one matrix product when the whole tableau is
@@ -25,9 +30,11 @@ re-derived, and on a copy) or when it holds ``_REFRESH`` pivots.
 
 Only the root relaxation starts cold, with phase 1 and artificials;
 ``root=`` hands ``solve_bnb`` a ``solve_lp`` result so that it is solved
-once however many B&B calls start from it. A B&B child starts from its
-parent's optimal basis: it changes the one branched bound, runs a bounded
-dual simplex back to primal feasibility, then a primal clean-up.
+once however many B&B calls start from it, and ``start=`` hands
+``solve_lp`` one to re-solve by the dual simplex after the model's bounds
+changed. A B&B child starts from its parent's optimal basis: it changes
+the one branched bound, runs a bounded dual simplex back to primal
+feasibility, then a primal clean-up.
 The parent's tableau is reused in place by the child explored next; the
 other child reaches its parent's basis from whatever tableau is live by a
 basis exchange, so a pending node holds O(rows + columns) state and no
@@ -194,8 +201,10 @@ class _Simplex:
         self.basis = np.array(basis, dtype=int)
         self.in_basis = np.zeros(self.ncols, dtype=bool)
         self.in_basis[self.basis] = True
-        # Devex reference weights of the primal pricing, one per column
+        # Devex reference weights of the primal pricing, one per column,
+        # and of the dual's, one per row
         self.weights = np.ones(self.ncols)
+        self.row_weights = np.ones(m)
         # every starting basic column is +-e_r: dividing the rows of the
         # -e_r artificials by -1 makes the starting basis the identity
         for i, sign in art_rows:
@@ -246,7 +255,7 @@ class _Simplex:
         self._flush()
         other = copy.copy(self)
         names = ("l", "u", "at_upper", "tableau", "pend_c", "pend_r", "basis", "in_basis", "xb", "values")
-        names += ("lbb", "ubb", "move", "movable", "weights")
+        names += ("lbb", "ubb", "move", "movable", "weights", "row_weights")
         for name in names:
             setattr(other, name, getattr(self, name).copy())
         return other
@@ -259,6 +268,18 @@ class _Simplex:
         self.l[:n] = lb
         self.u[:n] = ub
         self._sync()
+
+    def resolve(self, lb: np.ndarray, ub: np.ndarray) -> str:
+        """Re-solves a solved state under new structural bounds: each
+        nonbasic variable stays at the side it sat at, ``xb`` is re-derived,
+        and ``reoptimize`` runs. Returns ``STATUS_ITERATION_LIMIT`` without
+        pivoting when a nonbasic variable's side has no finite bound."""
+        self.set_bounds(lb, ub)
+        side = np.where(self.at_upper, self.u, self.l)
+        if not np.all(np.isfinite(side[~self.in_basis])):
+            return STATUS_ITERATION_LIMIT
+        self._refresh_xb()
+        return self.reoptimize()
 
     def reoptimize(self) -> str:
         """Dual simplex back to primal feasibility, then a primal clean-up
@@ -402,10 +423,12 @@ class _Simplex:
                 d = self._reduced_costs(cost)
 
     def dual(self, cost: np.ndarray) -> str:
-        """Bounded dual simplex from a dual feasible basis: the most
+        """Bounded dual simplex from a dual feasible basis: a primal
         infeasible basic variable leaves at the bound it violates until the
-        point is primal feasible. Harris's two-pass ratio test picks the
-        entering column. Ends with ``STATUS_ITERATION_LIMIT`` at the pivot
+        point is primal feasible. Dual Devex pricing picks the leaving row
+        (the largest infeasibility^2 / w_i, with every row weight 1 at the
+        start of each call) and Harris's two-pass ratio test the entering
+        column. Ends with ``STATUS_ITERATION_LIMIT`` at the pivot
         budget, and also when rounding has spoilt the tableau: the point is
         no longer finite, or the entering column's entry in the pivot row,
         read through the pending block, is noise (at most ``PIVOT_TOL``)."""
@@ -418,6 +441,10 @@ class _Simplex:
         shift = np.empty(self.m)
         push = np.empty(self.ncols)
         pushes = np.empty(self.ncols, dtype=bool)
+        price = np.empty(self.m)
+        infeasible = np.empty(self.m, dtype=bool)
+        # a fresh Devex reference framework at each call
+        self.row_weights.fill(1.0)
         while True:
             np.subtract(self.lbb, self.xb, out=below)
             np.subtract(self.xb, self.ubb, out=above)
@@ -429,7 +456,13 @@ class _Simplex:
                 return STATUS_OPTIMAL
             if self.iterations >= self.iter_limit:
                 return STATUS_ITERATION_LIMIT
-            r = _near_max(worst)
+            # dual Devex: the infeasible row with the largest
+            # infeasibility^2 / weight leaves
+            np.square(worst, out=price)
+            price /= self.row_weights
+            np.greater(worst, FEAS_TOL, out=infeasible)
+            price *= infeasible
+            r = _near_max(price)
             to_upper = bool(above[r] > below[r])
             full_row = self._row(r)
             row = full_row[:-1]
@@ -465,6 +498,15 @@ class _Simplex:
             self.xb -= shift
             entering_val = (self.u[q] if self.at_upper[q] else self.l[q]) + step
             self._pivot(r, q, col, entering_val, to_upper, d, full_row)
+            # Devex update from the pivot column divided by the pivot:
+            # w_i = max(w_i, (col_i / pivot)^2 w_r), and the entering
+            # column's row gets max(w_r / pivot^2, 1)
+            w_r = self.row_weights[r]
+            np.divide(col, col[r], out=price)
+            np.square(price, out=price)
+            price *= w_r
+            np.maximum(self.row_weights, price, out=self.row_weights)
+            self.row_weights[r] = max(w_r / (col[r] * col[r]), 1.0)
             if since_refresh >= _REFRESH:
                 since_refresh = 0
                 self._refresh_xb()
@@ -509,40 +551,54 @@ class _Simplex:
         self.xb[r] = entering_val
         return row
 
-    def solve(self) -> tuple[str, np.ndarray, np.ndarray]:
+    def solve(self) -> str:
         if self.n_art:
             phase1 = np.zeros(self.ncols)
             phase1[self.ncols - self.n_art :] = 1.0
             status = self.optimize(phase1)
             if status != STATUS_OPTIMAL:
-                return status, self.values, self._reduced_costs(self.c)
+                return status
             if float(phase1 @ self.values) > FEAS_TOL * (1.0 + float(np.abs(self.b).sum())):
-                return STATUS_INFEASIBLE, self.values, self._reduced_costs(self.c)
+                return STATUS_INFEASIBLE
             first_art = self.ncols - self.n_art
             self.l[first_art:] = 0.0
             self.u[first_art:] = 0.0
             self._sync()
-        status = self.optimize(self.c)
-        d = self._reduced_costs(self.c)
-        return status, self.values, d
+        return self.optimize(self.c)
 
 
-def solve_lp(model: MipModel) -> LpResult:
+def solve_lp(model: MipModel, start: LpResult | None = None) -> LpResult:
     """Optimal basic solution of the LP relaxation, with reduced costs. The
     result can seed ``solve_bnb(model, ..., root=)`` while the model's
-    bounds stay as they are."""
-    return _solve_lp(model)
+    bounds stay as they are. ``start``, an optimal ``solve_lp`` result of
+    this model under bounds that have changed since, is re-solved from its
+    final basis by the dual simplex instead of from scratch; the cold solve
+    runs when that fails."""
+    return _solve_lp(model, start)
 
 
-def _solve_lp(model: MipModel) -> LpResult:
+def _solve_lp(model: MipModel, start: LpResult | None = None) -> LpResult:
     """The body of ``solve_lp``; ``solve_bnb`` calls it for a root it solves
     itself, so that calls of the public name are the callers' own."""
     lb = np.asarray(model.lb, dtype=float).copy()
     ub = np.asarray(model.ub, dtype=float).copy()
-    limit = max(PIVOT_LIMIT_FLOOR, PIVOT_LIMIT_PER_DIM * (model.num_vars + 2 * len(model.rows)))
-    sx = _Simplex(model, lb, ub, limit)
-    status, values, d = sx.solve()
-    primal = values[: model.num_vars]
+    status, spent = None, 0  # spent: pivots of a warm start that failed
+    if start is not None:
+        rec = start.start
+        if rec is None or rec.model is not model:
+            raise ValueError("start is not a solve_lp result of this model")
+        if rec.sx is not None:
+            sx = rec.sx.copy()
+            sx.iterations = 0
+            status = sx.resolve(lb, ub)
+            spent = sx.iterations
+    if status != STATUS_OPTIMAL:
+        limit = max(PIVOT_LIMIT_FLOOR, PIVOT_LIMIT_PER_DIM * (model.num_vars + 2 * len(model.rows)))
+        sx = _Simplex(model, lb, ub, limit)
+        status = sx.solve()
+        sx.iterations += spent
+    d = sx._reduced_costs(sx.c)
+    primal = sx.values[: model.num_vars]
     return LpResult(
         status=status,
         objective=float(model.obj @ primal),

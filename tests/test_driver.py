@@ -156,10 +156,11 @@ def test_local_branching_not_repeated_on_unchanged_incumbent(monkeypatch):
 def test_cold_starts_counted(monkeypatch):
     """Only a root LP starts cold: B&B children start from their parent's
     basis, a B&B seeded with root= starts nothing cold, the unfixed root LP
-    is solved once, and vfh never re-solves an LP it already has. Runs on
-    the first candidate with every kind of start: lbound passes that do not
-    prove optimality, reduced-cost fixing that makes vfh re-solve its root,
-    and local branching."""
+    is solved once, vfh re-solves its root after reduced-cost fixing from
+    the root's last basis, and it never re-solves an LP it already has.
+    Runs on the first candidate with every kind of start: lbound passes
+    that do not prove optimality, reduced-cost fixing that makes vfh
+    re-solve its root, and local branching."""
     fresh = None
     cold: list[bool] = []  # one entry per phase-1 start: is it the unfixed root LP?
     init = milp._Simplex.__init__
@@ -182,12 +183,12 @@ def test_cold_starts_counted(monkeypatch):
         bnb_starts.append((kwargs.get("root") is not None, kwargs.get("cutoff") is not None, len(cold) - before))
         return res
 
-    lp_inputs: list[tuple[int, bytes, bytes]] = []
+    lp_inputs: list[tuple[int, bytes, bytes, bool]] = []  # rows, lb, ub, warm
     lp = heuristics.solve_lp
 
-    def counted_lp(model):
-        lp_inputs.append((len(model.rows), model.lb.tobytes(), model.ub.tobytes()))
-        return lp(model)
+    def counted_lp(model, start=None):
+        lp_inputs.append((len(model.rows), model.lb.tobytes(), model.ub.tobytes(), start is not None))
+        return lp(model, start=start)
 
     bounding = []
     lbound = heuristics.lbound
@@ -226,10 +227,11 @@ def test_cold_starts_counted(monkeypatch):
     # one lbound pass and two vfh passes, all seeded with their root LP,
     # then the one local-branching B&B, which solves its own root
     assert bnb_starts == [(True, False, 0)] + [(True, True, 0)] * 2 + [(False, True, 1)]
-    # the unfixed root once, then one re-solve after reduced-cost fixing
-    # and the local-branching root
-    assert cold == [True, False, False]
+    # the unfixed root once, then the local-branching root; the re-solve
+    # after reduced-cost fixing starts from the root's basis
+    assert cold == [True, False]
     assert len(lp_inputs) == 2 and len(set(lp_inputs)) == 2
+    assert [warm for *_, warm in lp_inputs] == [False, True]
 
 
 def test_record_round_trip():
