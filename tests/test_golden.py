@@ -27,9 +27,11 @@ GOLDEN_DIR = TESTS_DIR / "golden"
 SEED = 1
 # (nodes, density, commodities, instance seed): vfh proves 8-0.5-4-1
 # optimal, lbound proves 8-0.5-4-2 and 9-0.4-4-4; 8-0.6-4-1 keeps its gap
-# open, so every ILS iteration runs with local branching under a cutoff
-CASES = [(8, 0.5, 4, 1), (8, 0.5, 4, 2), (9, 0.4, 4, 4), (8, 0.6, 4, 1)]
-GAP_OPEN = (8, 0.6, 4, 1)
+# open, so every ILS iteration runs with local branching under a cutoff;
+# on 6-0.8-3-0 vfh closes edges 0 and 1 by reduced-cost fixing and the gap
+# stays open too
+CASES = [(8, 0.5, 4, 1), (8, 0.5, 4, 2), (9, 0.4, 4, 4), (8, 0.6, 4, 1), (6, 0.8, 3, 0)]
+GAP_OPEN = [(8, 0.6, 4, 1), (6, 0.8, 3, 0)]
 
 
 def case_name(case) -> str:
@@ -60,11 +62,14 @@ def test_matches_golden(case):
 
 def test_same_output_across_blas_threads_and_kernels():
     """The simplex applies its tableau updates with a matrix product, whose
-    BLAS may split work by thread count and pick its kernel by CPU; a full
-    run on a gap-open case prints the golden bytes with one BLAS thread,
+    BLAS may split work by thread count and pick its kernel by CPU; full
+    runs on the gap-open cases print the golden bytes with one BLAS thread,
     with two, and with OpenBLAS forced onto its generic SSE kernel
     (``OPENBLAS_CORETYPE=Prescott``, which other BLAS builds ignore)."""
-    script = f"import sys; from test_golden import golden_text; sys.stdout.write(golden_text({GAP_OPEN!r}))"
+    script = (
+        "import json, sys; from test_golden import golden_text; "
+        f"json.dump([golden_text(case) for case in {GAP_OPEN!r}], sys.stdout)"
+    )
     path = os.pathsep.join([str(TESTS_DIR.parent / "src"), str(TESTS_DIR)])
     outputs = []
     for threads, core in (("1", None), ("2", None), ("1", "Prescott")):
@@ -75,11 +80,10 @@ def test_same_output_across_blas_threads_and_kernels():
         if core:
             env["OPENBLAS_CORETYPE"] = core
         run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
-        outputs.append(run.stdout)
-    assert json.loads(outputs[0])["record"]["gap"] >= 1
-    golden = (GOLDEN_DIR / f"{case_name(GAP_OPEN)}.json").read_text(encoding="utf-8")
+        outputs.append(json.loads(run.stdout))
+    assert all(json.loads(text)["record"]["gap"] >= 1 for text in outputs[0])
+    golden = [(GOLDEN_DIR / f"{case_name(case)}.json").read_text(encoding="utf-8") for case in GAP_OPEN]
     assert outputs == [golden] * 3
-
 
 if __name__ == "__main__":
     GOLDEN_DIR.mkdir(exist_ok=True)
