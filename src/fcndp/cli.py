@@ -36,19 +36,22 @@ def _parse_delta(text: str) -> int | None:
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="fcndp", description=__doc__)
+    default = SolverConfig()
     # a string default goes through type=int, so a malformed FCNDP_SEED is
     # a usage error
-    seed = os.environ.get("FCNDP_SEED", "0")
+    seed = os.environ.get("FCNDP_SEED", str(default.seed))
+    # the flags that make a SolverConfig (see _config), shared by solve and bench
+    solver = argparse.ArgumentParser(add_help=False)
+    solver.add_argument("--seed", type=int, default=seed)
+    solver.add_argument("--gamma", type=float, default=default.gamma)
+    solver.add_argument("--delta", type=_parse_delta, default=default.delta,
+                        help="design flip budget, integer or 'auto' (= ceil(E/2))")
+    solver.add_argument("--iters", type=int, default=default.iterations)
+    solver.add_argument("--time-limit", type=float, default=default.time_limit)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    solve = sub.add_parser("solve", help="run the full heuristic solver")
+    solve = sub.add_parser("solve", parents=[solver], help="run the full heuristic solver")
     solve.add_argument("--instance", required=True)
-    solve.add_argument("--seed", type=int, default=seed)
-    solve.add_argument("--gamma", type=float, default=0.85)
-    solve.add_argument("--delta", type=_parse_delta, default=None,
-                       help="design flip budget, integer or 'auto' (= ceil(E/2))")
-    solve.add_argument("--iters", type=int, default=10)
-    solve.add_argument("--time-limit", type=float, default=None)
     solve.add_argument("--output", default=None,
                        help="solution JSON path; run record goes next to it as *.run.json")
 
@@ -68,30 +71,29 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--seed", type=int, default=seed)
     gen.add_argument("--output", default=".", help="directory (or full path) for the file")
 
-    bench = sub.add_parser("bench", help="time-to-target series or comparison table")
+    bench = sub.add_parser("bench", parents=[solver], help="time-to-target series or comparison table")
     bench.add_argument("--instance", action="append", default=[], dest="instances")
     bench.add_argument("--ttt", action="store_true", help="time-to-target mode")
     bench.add_argument("--target-ratio", type=float, default=1.22)
     bench.add_argument("--reps", type=int, default=5)
-    bench.add_argument("--seed", type=int, default=seed)
-    bench.add_argument("--gamma", type=float, default=0.85)
-    bench.add_argument("--delta", type=_parse_delta, default=None)
-    bench.add_argument("--iters", type=int, default=10)
-    bench.add_argument("--time-limit", type=float, default=None)
     bench.add_argument("--jobs", type=int, default=1)
     bench.add_argument("--output", default=".", help="directory for CSV/NDJSON outputs")
     return parser
 
 
-def cmd_solve(args) -> int:
-    inst = load_instance(args.instance)
-    cfg = SolverConfig(
+def _config(args) -> SolverConfig:
+    return SolverConfig(
         gamma=args.gamma,
         delta=args.delta,
         iterations=args.iters,
         seed=args.seed,
         time_limit=args.time_limit,
     )
+
+
+def cmd_solve(args) -> int:
+    inst = load_instance(args.instance)
+    cfg = _config(args)
     t0 = time.monotonic()
     sol, rec = vfhlb(inst, cfg)
     wall = time.monotonic() - t0
@@ -165,13 +167,7 @@ def cmd_bench(args) -> int:
         return 1
     out_dir = Path(args.output)
     out_dir.mkdir(parents=True, exist_ok=True)
-    cfg = SolverConfig(
-        gamma=args.gamma,
-        delta=args.delta,
-        iterations=args.iters,
-        seed=args.seed,
-        time_limit=args.time_limit,
-    )
+    cfg = _config(args)
     if args.ttt:
         inst = load_instance(args.instances[0])
         opt = solve_exact(inst).cost
@@ -184,8 +180,10 @@ def cmd_bench(args) -> int:
     instances = [load_instance(p) for p in args.instances]
     optima = {}
     for inst in instances:
-        if inst.num_edges <= 20:
+        try:
             optima[inst.name or "unnamed"] = solve_exact(inst).cost
+        except ValueError:
+            pass  # the oracle cannot enumerate it: the gap columns stay NaN
     rows, records = batch(
         instances, [("vfhlb", cfg)], args.reps, optima=optima, jobs=args.jobs
     )

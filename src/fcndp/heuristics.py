@@ -242,13 +242,13 @@ def vfh(inst: Instance, gamma: float, rng=0, *, time_limit: float | None = None)
     flow block turns binary per pass under the incumbent cutoff, with
     reduced-cost fixing of closed opening variables after each success.
 
-    Works on the model ``lbound`` built and starts every pass from the root
-    relaxation of the current bounds, re-solved from its last basis only
-    after reduced-cost fixing closed an edge. Stops when every block moved,
-    the bound proves the incumbent optimal (``proves_optimal``), or a pass
-    finds nothing under the cutoff (the incumbent is then proven optimal). When bounding
-    runs out of budget the constructive incumbent is returned with the
-    bound bounding reached.
+    Works on the model ``lbound`` built and seeds every pass with its root
+    relaxation. Reduced-cost fixing closes only edges that sit at 0 in that
+    root, so its basis stays optimal under the closed bounds and it is never
+    re-solved. Stops when every block moved, the bound proves the incumbent
+    optimal (``proves_optimal``), or a pass finds nothing under the cutoff
+    (the incumbent is then proven optimal). When bounding runs out of budget
+    the constructive incumbent is returned with the bound bounding reached.
     """
     rng = np.random.default_rng(rng)
     s_best = partial_decoupling(inst, gamma, rng=rng)
@@ -270,34 +270,26 @@ def vfh(inst: Instance, gamma: float, rng=0, *, time_limit: float | None = None)
     binary = np.zeros(model.num_vars, dtype=bool)
     pending = list(range(inst.num_commodities))
     fixed_edges: list[int] = []
-    stale = False  # lp was solved under bounds since tightened
     while pending and not proves_optimal(inst, min_cost, bound):
         cand = candidate_list(inst, pending, gamma)
         k = cand[int(rng.integers(len(cand)))]
         pending.remove(k)
         binary[model.x_var(k, 0) : model.x_var(k, 2 * inst.num_edges)] = True
-        if stale:
-            lp = solve_lp(model, start=lp)
-            stale = False
         res = solve_bnb(model, binary, root=lp, cutoff=min_cost, time_limit=time_limit)
-        found = res.objective < math.inf
-        if not found:
+        if res.objective == math.inf:
             break  # nothing under the cutoff: incumbent is optimal
-        if lp.status == STATUS_OPTIMAL:
-            y_now = res.values[: inst.num_edges]
-            closed = [
-                e
-                for e in range(inst.num_edges)
-                if model.ub[e] != 0.0
-                and y_now[e] <= 1e-6
-                and lp.objective + lp.reduced_costs[e] > min_cost + RCVF_SLACK
-            ]
-            if closed:
-                model.ub[closed] = 0.0
-                fixed_edges += closed
-                # the bounds changed: the next pass re-solves the root from
-                # its last basis, where every closed edge is nonbasic at 0
-                stale = True
+        # lp.objective <= res.objective < min_cost, so a closed edge has a
+        # positive reduced cost: it is nonbasic at 0 in the root
+        y_now = res.values[: inst.num_edges]
+        closed = [
+            e
+            for e in range(inst.num_edges)
+            if model.ub[e] != 0.0
+            and y_now[e] <= 1e-6
+            and lp.objective + lp.reduced_costs[e] > min_cost + RCVF_SLACK
+        ]
+        model.ub[closed] = 0.0
+        fixed_edges += closed
         if _is_integral(model, res.values):
             sol = close_unused_edges(inst, _solution_from_values(inst, model, res.values))
             if sol.cost < min_cost:

@@ -1,6 +1,6 @@
 """Self-contained LP/MIP kernel with two calls:
-``solve_lp(model, start=None)`` solves the relaxation with a
-bounded-variable primal simplex, and
+``solve_lp(model)`` solves the relaxation with a bounded-variable primal
+simplex, and
 ``solve_bnb(model, binary, *, root=None, cutoff=None, time_limit=None)``
 runs branch-and-bound over the variables a boolean mask marks binary.
 
@@ -30,9 +30,9 @@ re-derived, and on a copy) or when it holds ``_REFRESH`` pivots.
 
 Only the root relaxation starts cold, with phase 1 and artificials;
 ``root=`` hands ``solve_bnb`` a ``solve_lp`` result so that it is solved
-once however many B&B calls start from it, and ``start=`` hands
-``solve_lp`` one to re-solve by the dual simplex after the model's bounds
-changed. A B&B child starts from its parent's optimal basis: it changes
+once however many B&B calls start from it, also after the model's bounds
+tightened around the root's point, which leaves its basis optimal. A B&B
+child starts from its parent's optimal basis: it changes
 the one branched bound, runs a bounded dual simplex back to primal
 feasibility, then a primal clean-up.
 The parent's tableau is reused in place by the child explored next; the
@@ -262,24 +262,13 @@ class _Simplex:
 
     def set_bounds(self, lb: np.ndarray, ub: np.ndarray) -> None:
         """New structural bounds. ``xb`` is left as it is, which is right when
-        only basic variables change bounds (a branch on the current basis);
-        ``rebase`` re-derives it otherwise."""
+        only basic variables change bounds (a branch on the current basis) or
+        the bounds tighten around the current point (every nonbasic variable
+        keeps its value); ``rebase`` re-derives it otherwise."""
         n = lb.size
         self.l[:n] = lb
         self.u[:n] = ub
         self._sync()
-
-    def resolve(self, lb: np.ndarray, ub: np.ndarray) -> str:
-        """Re-solves a solved state under new structural bounds: each
-        nonbasic variable stays at the side it sat at, ``xb`` is re-derived,
-        and ``reoptimize`` runs. Returns ``STATUS_ITERATION_LIMIT`` without
-        pivoting when a nonbasic variable's side has no finite bound."""
-        self.set_bounds(lb, ub)
-        side = np.where(self.at_upper, self.u, self.l)
-        if not np.all(np.isfinite(side[~self.in_basis])):
-            return STATUS_ITERATION_LIMIT
-        self._refresh_xb()
-        return self.reoptimize()
 
     def reoptimize(self) -> str:
         """Dual simplex back to primal feasibility, then a primal clean-up
@@ -567,36 +556,21 @@ class _Simplex:
         return self.optimize(self.c)
 
 
-def solve_lp(model: MipModel, start: LpResult | None = None) -> LpResult:
+def solve_lp(model: MipModel) -> LpResult:
     """Optimal basic solution of the LP relaxation, with reduced costs. The
     result can seed ``solve_bnb(model, ..., root=)`` while the model's
-    bounds stay as they are. ``start``, an optimal ``solve_lp`` result of
-    this model under bounds that have changed since, is re-solved from its
-    final basis by the dual simplex instead of from scratch; the cold solve
-    runs when that fails."""
-    return _solve_lp(model, start)
+    bounds stay as they are or tighten around its point."""
+    return _solve_lp(model)
 
 
-def _solve_lp(model: MipModel, start: LpResult | None = None) -> LpResult:
+def _solve_lp(model: MipModel) -> LpResult:
     """The body of ``solve_lp``; ``solve_bnb`` calls it for a root it solves
     itself, so that calls of the public name are the callers' own."""
     lb = np.asarray(model.lb, dtype=float).copy()
     ub = np.asarray(model.ub, dtype=float).copy()
-    status, spent = None, 0  # spent: pivots of a warm start that failed
-    if start is not None:
-        rec = start.start
-        if rec is None or rec.model is not model:
-            raise ValueError("start is not a solve_lp result of this model")
-        if rec.sx is not None:
-            sx = rec.sx.copy()
-            sx.iterations = 0
-            status = sx.resolve(lb, ub)
-            spent = sx.iterations
-    if status != STATUS_OPTIMAL:
-        limit = max(PIVOT_LIMIT_FLOOR, PIVOT_LIMIT_PER_DIM * (model.num_vars + 2 * len(model.rows)))
-        sx = _Simplex(model, lb, ub, limit)
-        status = sx.solve()
-        sx.iterations += spent
+    limit = max(PIVOT_LIMIT_FLOOR, PIVOT_LIMIT_PER_DIM * (model.num_vars + 2 * len(model.rows)))
+    sx = _Simplex(model, lb, ub, limit)
+    status = sx.solve()
     d = sx._reduced_costs(sx.c)
     primal = sx.values[: model.num_vars]
     return LpResult(
@@ -641,10 +615,14 @@ def solve_bnb(
     reaches the cutoff are pruned; with no cutoff and no integral point the
     result is infeasible. With nothing marked this is ``solve_lp``.
 
-    ``root``, a ``solve_lp(model)`` result for the model's current bounds,
-    stands in for the root relaxation, which is then not solved again; the
-    result is the same as without it. Every other node starts from its
-    parent's optimal basis and re-solves with the dual simplex.
+    ``root``, a ``solve_lp(model)`` result, stands in for the root
+    relaxation, which is then not solved again. The model's bounds may have
+    moved since, if only by tightening around the root's point: every bound
+    that moved is no wider than before and still holds the root's value.
+    The root's basis then stays primal and dual optimal, and the result
+    has the status and objective of a solve without ``root``. Every other
+    node starts from its parent's optimal basis and re-solves with the dual
+    simplex.
     """
     binary = np.asarray(binary, dtype=bool)
     bad = np.flatnonzero(binary & ~model.integer_ok)
@@ -655,8 +633,12 @@ def solve_bnb(
         rec = root.start
         if rec is None or rec.model is not model:
             raise ValueError("root is not a solve_lp result of this model")
-        if not (np.array_equal(rec.lb, model.lb) and np.array_equal(rec.ub, model.ub)):
-            raise ValueError("root was solved under other bounds")
+        # only the bounds that moved are checked: a basic value may sit up
+        # to FEAS_TOL outside bounds that did not
+        moved = (model.lb != rec.lb) | (model.ub != rec.ub)
+        lo, hi, v = model.lb[moved], model.ub[moved], root.values[moved]
+        if np.any((lo < rec.lb[moved]) | (hi > rec.ub[moved]) | (v < lo) | (v > hi)):
+            raise ValueError("root was solved under other bounds, not tightened around its point")
     if not binary.any():
         return root if root is not None else solve_lp(model)
     binary_ids = np.flatnonzero(binary)

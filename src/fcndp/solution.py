@@ -186,18 +186,27 @@ def solution_to_json(inst: Instance, sol: Solution, **kwargs) -> str:
     return json.dumps(solution_to_dict(inst, sol, **kwargs), indent=2, sort_keys=True)
 
 
+def _id(value, size: int, what: str) -> int:
+    """``value`` as an id in [0, size); raises ValueError outside it."""
+    i = int(value)
+    if not 0 <= i < size:
+        raise ValueError(f"{what} id {i} is outside [0, {size})")
+    return i
+
+
 def solution_from_dict(inst: Instance, data: dict) -> Solution:
-    """Rebuild a Solution from the JSON schema (open_edges + node paths)."""
+    """Rebuild a Solution from the JSON schema (open_edges + node paths);
+    raises ValueError on an edge or commodity id the instance lacks."""
     y = np.zeros(inst.num_edges, dtype=np.int8)
     for e in data["open_edges"]:
-        y[int(e)] = 1
+        y[_id(e, inst.num_edges, "edge")] = 1
     arc_of = {}
     for e, edge in enumerate(inst.edges):
         arc_of[(edge.u, edge.v)] = 2 * e
         arc_of[(edge.v, edge.u)] = 2 * e + 1
     x = np.zeros((inst.num_commodities, 2 * inst.num_edges), dtype=np.int8)
     for key, seq in data.get("paths", {}).items():
-        k = int(key)
+        k = _id(key, inst.num_commodities, "commodity")
         for a, b in zip(seq, seq[1:]):
             pair = (int(a), int(b))
             if pair not in arc_of:

@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -108,6 +109,23 @@ def test_verify_rejects_closed_edge_path(worked_file, tmp_path, capsys):
     assert "closed-edge" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "open_edges, paths",
+    [([-1], {"0": [0, 2]}), ([2], {"-1": [0, 2]}), ([7], {"0": [0, 2]}), ([2], {"3": [0, 2]})],
+    ids=["edge-1", "commodity-1", "edge7", "commodity3"],
+)
+def test_verify_rejects_out_of_range_ids(worked_file, tmp_path, capsys, open_edges, paths):
+    """Edge ids outside [0, 3) and commodity ids outside [0, 1) of the
+    worked instance are refused, not wrapped around or left to crash."""
+    data = {"cost": 10.0, "lower_bound": 0.0, "open_edges": open_edges, "paths": paths,
+            "gap": 10.0, "wall_time_s": 0.0, "seed": 0}
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    code = main(["verify", "--instance", str(worked_file), "--solution", str(path)])
+    assert code == 3
+    assert "cannot reconstruct solution" in capsys.readouterr().err
+
+
 def test_oracle_command(worked_file, tmp_path):
     out = tmp_path / "oracle.json"
     code = main(["oracle", "--instance", str(worked_file), "--output", str(out)])
@@ -139,6 +157,18 @@ def test_bench_compare_writes_outputs(worked_file, tmp_path):
     assert lines[1].split(",")[1] == "vfhlb"
     records = (tmp_path / "records.ndjson").read_text().splitlines()
     assert len(records) == 2
+
+
+def test_bench_compare_without_known_optimum(tmp_path):
+    """An instance the oracle cannot enumerate (a non-integer length) is
+    still benched, with NaN gap columns."""
+    path = tmp_path / "fractional.txt"
+    path.write_text(WORKED_TEXT.replace("e 0 1 1 5 1", "e 0 1 1.5 5 1"))
+    code = main(["bench", "--instance", str(path), "--reps", "2", "--output", str(tmp_path)])
+    assert code == 0
+    header, row = (tmp_path / "compare.csv").read_text().splitlines()
+    values = dict(zip(header.split(","), row.split(",")))
+    assert math.isnan(float(values["avg_gap"])) and math.isnan(float(values["gap"]))
 
 
 def test_missing_instance_is_io_error(tmp_path):

@@ -155,12 +155,11 @@ def test_local_branching_not_repeated_on_unchanged_incumbent(monkeypatch):
 
 def test_cold_starts_counted(monkeypatch):
     """Only a root LP starts cold: B&B children start from their parent's
-    basis, a B&B seeded with root= starts nothing cold, the unfixed root LP
-    is solved once, vfh re-solves its root after reduced-cost fixing from
-    the root's last basis, and it never re-solves an LP it already has.
-    Runs on the first candidate with every kind of start: lbound passes
-    that do not prove optimality, reduced-cost fixing that makes vfh
-    re-solve its root, and local branching."""
+    basis, a B&B seeded with root= starts nothing cold, and the unfixed
+    root LP is solved once per run, also after reduced-cost fixing closed
+    edges. Runs on the first candidate with every kind of start: lbound
+    passes that do not prove optimality, reduced-cost fixing that closes an
+    edge, and local branching."""
     fresh = None
     cold: list[bool] = []  # one entry per phase-1 start: is it the unfixed root LP?
     init = milp._Simplex.__init__
@@ -183,12 +182,20 @@ def test_cold_starts_counted(monkeypatch):
         bnb_starts.append((kwargs.get("root") is not None, kwargs.get("cutoff") is not None, len(cold) - before))
         return res
 
-    lp_inputs: list[tuple[int, bytes, bytes, bool]] = []  # rows, lb, ub, warm
+    lp_calls = []
     lp = heuristics.solve_lp
 
-    def counted_lp(model, start=None):
-        lp_inputs.append((len(model.rows), model.lb.tobytes(), model.ub.tobytes(), start is not None))
-        return lp(model, start=start)
+    def counted_lp(model):
+        lp_calls.append(1)
+        return lp(model)
+
+    fixed: list[list[int]] = []  # the edges each vfh run closes
+    relax_and_fix = driver.vfh
+
+    def kept_vfh(*args, **kwargs):
+        res = relax_and_fix(*args, **kwargs)
+        fixed.append(res.fixed_edges)
+        return res
 
     bounding = []
     lbound = heuristics.lbound
@@ -209,29 +216,29 @@ def test_cold_starts_counted(monkeypatch):
     monkeypatch.setattr(heuristics, "solve_lp", counted_lp)
     monkeypatch.setattr(heuristics, "lbound", kept_lbound)
     monkeypatch.setattr(driver, "local_branching", counted_search)
+    monkeypatch.setattr(driver, "vfh", kept_vfh)
     for case in CANDIDATES:
-        for seen in (cold, bnb_starts, lp_inputs, bounding, searches):
+        for seen in (cold, bnb_starts, lp_calls, bounding, searches, fixed):
             seen.clear()
         inst = generate_instance(*case)
         fresh = build_model(inst, compute_big_m(inst))
         vfhlb(inst, SolverConfig(seed=1))
         passes = bounding[0].iterations
-        if passes and not bounding[0].opt_found and len(lp_inputs) >= 2 and searches:
+        if passes and not bounding[0].opt_found and fixed[0] and searches:
             break
     else:
-        pytest.fail("no candidate has lbound passes, a vfh re-solve and local branching")
+        pytest.fail("no candidate has lbound passes, reduced-cost fixing and local branching")
     # the counts below are the ones this instance takes; a kernel change
     # that picks another candidate must re-derive them, not loosen them
     assert case == (6, 0.8, 3, 0)
-    assert (passes, len(searches)) == (1, 1)
-    # one lbound pass and two vfh passes, all seeded with their root LP,
-    # then the one local-branching B&B, which solves its own root
+    assert (passes, len(searches), fixed) == (1, 1, [[0, 1]])
+    # one lbound pass and two vfh passes, all seeded with the root LP,
+    # the second after reduced-cost fixing, then the one local-branching
+    # B&B, which solves its own root
     assert bnb_starts == [(True, False, 0)] + [(True, True, 0)] * 2 + [(False, True, 1)]
-    # the unfixed root once, then the local-branching root; the re-solve
-    # after reduced-cost fixing starts from the root's basis
+    # the unfixed root once, then the local-branching root
     assert cold == [True, False]
-    assert len(lp_inputs) == 2 and len(set(lp_inputs)) == 2
-    assert [warm for *_, warm in lp_inputs] == [False, True]
+    assert len(lp_calls) == 1
 
 
 def test_record_round_trip():

@@ -85,6 +85,7 @@ def test_same_output_across_blas_threads_and_kernels():
     golden = [(GOLDEN_DIR / f"{case_name(case)}.json").read_text(encoding="utf-8") for case in GAP_OPEN]
     assert outputs == [golden] * 3
 
+
 if __name__ == "__main__":
     GOLDEN_DIR.mkdir(exist_ok=True)
     for case in CASES:

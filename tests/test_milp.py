@@ -776,42 +776,34 @@ def test_dual_reoptimizes_children_at_size():
     assert frac.size == 49 and total <= 2000
 
 
-@given(model=oracle_models(), pick=st.integers(0, 10_000), value=st.sampled_from([0.0, 1.0]))
-def test_warm_resolve_matches_cold_solve(model, pick, value):
-    """solve_lp(start=) re-solves an optimal root after the model's bounds
-    changed, from the root's final basis: the status and objective of a
-    cold solve, a point within the new rows and bounds, and a result that
-    can seed solve_bnb under the new bounds."""
-    root = solve_lp(model)
-    marked = np.flatnonzero(model.integer_ok)
-    j = int(marked[pick % marked.size])
-    model.lb[j] = model.ub[j] = value
-    warm = solve_lp(model, start=root)
-    cold = solve_lp(replace(model, lb=model.lb.copy(), ub=model.ub.copy()))
-    assert warm.status == cold.status
-    if cold.status == "optimal":
-        assert abs(warm.objective - cold.objective) <= 1e-6 * (1 + abs(cold.objective))
-        assert residuals_ok(model, warm.values)
-        assert solve_bnb(model, np.zeros(model.num_vars, dtype=bool), root=warm) is warm
-
-
-def test_warm_resolve_after_reduced_cost_fixing():
-    """Closing y/x variables that sit at 0 with a positive reduced cost, as
-    vfh's reduced-cost fixing does, leaves the root's basis optimal: the
-    warm re-solve takes no pivot and returns the same point, while a cold
-    solve starts over. A start from another model is refused."""
+def test_root_seed_after_bounds_tighten_around_its_point():
+    """Closing every y/x variable that sits at 0 in the root with a reduced
+    cost above 1e-6, as vfh's reduced-cost fixing does, leaves the root a
+    valid seed: the seeded B&B has the status and objective of a cold one
+    of the tightened model. A widened bound, or a tightened one that cuts
+    off the root's point, is refused."""
     inst = generate_instance(8, 0.6, 4, 1)
     model = build_model(inst, compute_big_m(inst))
     root = solve_lp(model)
-    closed = np.flatnonzero(model.integer_ok & (root.reduced_costs > 1e-6) & (model.ub > 0))
+    closed = np.flatnonzero(model.integer_ok & (root.values == 0.0) & (root.reduced_costs > 1e-6) & (model.ub > 0))
     assert closed.size
     model.ub[closed] = 0.0
-    warm = solve_lp(model, start=root)
-    assert warm.status == "optimal" and warm.iterations == 0
-    np.testing.assert_allclose(warm.values, root.values, rtol=0, atol=1e-9)
-    assert solve_lp(replace(model, lb=model.lb.copy(), ub=model.ub.copy())).iterations > 0
-    with pytest.raises(ValueError):
-        solve_lp(build_model(inst, compute_big_m(inst)), start=root)
+    y_only = model.integer_ok & (np.arange(model.num_vars) < model.num_edges)
+    tight = replace(model, lb=model.lb.copy(), ub=model.ub.copy())
+    optimum = solve_bnb(tight, model.integer_ok).objective
+    for binary, cutoff in ((model.integer_ok, None), (y_only, None), (model.integer_ok, optimum)):
+        cold = solve_bnb(tight, binary, cutoff=cutoff)
+        seeded = solve_bnb(model, binary, root=root, cutoff=cutoff)
+        assert seeded.status == cold.status
+        assert seeded.objective == pytest.approx(cold.objective, rel=1e-9, abs=1e-9)
+    model.ub[closed[0]] = 2.0
+    with pytest.raises(ValueError, match="other bounds"):
+        solve_bnb(model, model.integer_ok, root=root)
+    model.ub[closed[0]] = 0.0
+    assert root.values[0] > 0.0
+    model.ub[0] = 0.0
+    with pytest.raises(ValueError, match="other bounds"):
+        solve_bnb(model, model.integer_ok, root=root)
 
 
 def test_cold_start_holds_one_dense_copy():
