@@ -9,7 +9,7 @@ cost to path length.
 """
 
 from fcndp import generate_instance, solve_exact, verify_bilevel
-from fcndp.heuristics import candidate_list, partial_decoupling
+from fcndp.heuristics import SWEEPS, candidate_list, partial_decoupling
 
 inst = generate_instance(9, 0.5, 6, seed=54)
 print(inst.name)
@@ -19,10 +19,8 @@ pending = list(range(inst.num_commodities))
 band = candidate_list(inst, pending, gamma=0.85)
 print("quantities:", [k.quantity for k in inst.commodities], "-> band:", band)
 
-round_costs: list = []
-sol = partial_decoupling(inst, gamma=0.85, rng=3, round_costs=round_costs)
-print("per-sweep costs:", round_costs)
-print("kept the cheapest:", sol.cost)
+sol = partial_decoupling(inst, gamma=0.85, rng=3)
+print(f"kept the cheapest of {SWEEPS} sweeps:", sol.cost)
 print("feasible:", verify_bilevel(inst, sol).passed)
 
 exact = solve_exact(inst)

@@ -4,7 +4,6 @@ branching, ejection-cycle perturbation, an iterated-local-search driver, an
 exact enumeration oracle and a benchmarking harness."""
 
 from .instance import (
-    BigM,
     Commodity,
     Edge,
     Instance,
@@ -32,7 +31,6 @@ from .milp import LpResult, solve_bnb, solve_lp
 from .heuristics import (
     InefficiencyReport,
     LboundResult,
-    LeaderCostBlend,
     VfhResult,
     candidate_list,
     ejection_cycle,

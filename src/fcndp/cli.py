@@ -117,7 +117,7 @@ def cmd_verify(args) -> int:
     try:
         data = json.loads(Path(args.solution).read_text(encoding="utf-8"))
         sol = solution_from_dict(inst, data)
-    except (ValueError, KeyError) as exc:
+    except ValueError as exc:
         print(f"cannot reconstruct solution: {exc}", file=sys.stderr)
         return 3
     report = verify_bilevel(inst, sol)

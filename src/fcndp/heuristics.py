@@ -1,5 +1,11 @@
 """Construction, bounding, variable fixing, local branching and perturbation.
 
+One construction sweep (``_sweeps``) serves two callers: ``partial_decoupling``
+routes every commodity from the empty design under the instance's opening
+costs, and ``ejection_cycle`` re-routes only the commodities crossing an
+inefficient chain, on top of the edges the others keep open and with the
+chain priced out. Both keep the first cheapest of ``SWEEPS`` sweeps.
+
 All randomized choices draw from a single numpy Generator passed by the
 caller (an int seed is accepted and wrapped), so every operation is a
 deterministic function of (inputs, seed).
@@ -16,14 +22,10 @@ from .graph import Adjacency, dijkstra, extract_path
 from .instance import Instance, compute_big_m
 from .milp import STATUS_ITERATION_LIMIT, STATUS_OPTIMAL, LpResult, solve_bnb, solve_lp
 from .model import MipModel, add_local_branching_cut, build_model
-from .solution import (
-    Solution,
-    close_unused_edges,
-    empty_solution,
-    evaluate_cost,
-)
+from .solution import Solution, close_unused_edges, evaluate_cost
 
 RCVF_SLACK = 1e-6
+SWEEPS = 10  # construction sweeps, alpha = 1, 0.9, ..., 0.1
 
 
 def candidate_list(inst: Instance, pending, gamma: float) -> list[int]:
@@ -41,28 +43,6 @@ def candidate_list(inst: Instance, pending, gamma: float) -> list[int]:
     return [k for k in pending if inst.commodities[k].quantity >= gamma * top]
 
 
-@dataclass
-class LeaderCostBlend:
-    """Routing cost mixing fixed cost (only for closed edges), per-commodity
-    variable cost and edge length; alpha shifts weight from the variable
-    cost toward the length."""
-
-    inst: Instance
-    alpha: float
-    fixed_costs: np.ndarray
-
-    def edge_costs(self, y_open: np.ndarray, k: int) -> np.ndarray:
-        c = self.inst.edge_array("c")
-        beta = self.inst.edge_array("beta")
-        q = self.inst.commodities[k].quantity
-        closed = np.asarray(y_open) == 0
-        return (
-            np.where(closed, self.fixed_costs, 0.0)
-            + self.alpha * q * beta
-            + (1.0 - self.alpha) * c
-        )
-
-
 def ejection_cost_sentinel(inst: Instance) -> float:
     """Finite stand-in for an infinite opening cost; dominates any design."""
     f_sum = float(inst.edge_array("f").sum())
@@ -70,71 +50,47 @@ def ejection_cost_sentinel(inst: Instance) -> float:
     return 1e6 * (f_sum + flow)
 
 
-def partial_decoupling(
-    inst: Instance,
-    gamma: float,
-    rng=0,
-    *,
-    rounds: int = 10,
-    restricted=None,
-    frozen: Solution | None = None,
-    fixed_cost_override=None,
-    round_costs: list | None = None,
-) -> Solution:
-    """Constructive heuristic: route commodities one by one under a blended
-    leader cost, re-route everything by length, close unused edges, and keep
-    the cheapest of ``rounds`` sweeps with alpha descending from 1.
+def _sweeps(inst: Instance, gamma: float, rng, leaders, base_y: np.ndarray, opening: np.ndarray):
+    """Yield one closed, re-costed design per sweep, alpha descending from 1.
 
-    With ``restricted`` only those commodities are leader-routed on top of
-    the frozen remainder of ``frozen`` (whose other flows keep their edges
-    open); ``fixed_cost_override`` replaces the opening costs in the blend
-    but never in the reported cost.
+    A sweep routes the ``leaders`` one by one on top of the design
+    ``base_y``, each along a shortest path under the blended cost: the
+    ``opening`` cost of every still-closed edge, plus alpha times its
+    variable cost, plus 1 - alpha times its length. Then every commodity is
+    re-routed by length on the opened network and unused edges close, so
+    the yielded cost never includes ``opening``, only the instance's ``f``.
     """
-    rng = np.random.default_rng(rng)
     E, K = inst.num_edges, inst.num_commodities
-    if K == 0:
-        return empty_solution(inst)
-    if restricted is not None and frozen is None:
-        raise ValueError("restricted rebuild requires a frozen base solution")
     c = inst.edge_array("c")
-    f_eff = (
-        np.asarray(fixed_cost_override, dtype=float)
-        if fixed_cost_override is not None
-        else inst.edge_array("f")
-    )
-    leader_set = sorted(int(k) for k in restricted) if restricted is not None else list(range(K))
-    base_y = np.zeros(E, dtype=np.int8)
-    if frozen is not None:
-        outside = [k for k in range(K) if k not in set(leader_set)]
-        for k in outside:
-            flow = np.asarray(frozen.x[k]).reshape(-1, 2).sum(axis=1)
-            base_y[flow > 0] = 1
+    beta = inst.edge_array("beta")
     full_adj = Adjacency.from_instance(inst)
-    best: Solution | None = None
-    for step in range(rounds):
-        alpha = 1.0 - step / rounds
-        blend = LeaderCostBlend(inst, alpha, f_eff)
+    for step in range(SWEEPS):
+        alpha = 1.0 - step / SWEEPS
         y = base_y.copy()
-        pending = list(leader_set)
+        pending = list(leaders)
         while pending:
             cand = candidate_list(inst, pending, gamma)
             k = cand[int(rng.integers(len(cand)))]
             pending.remove(k)
             com = inst.commodities[k]
-            pr = dijkstra(full_adj, com.origin, blend.edge_costs(y, k))
-            for arc in extract_path(pr, com.destination):
+            cost = np.where(y == 0, opening, 0.0) + alpha * com.quantity * beta + (1.0 - alpha) * c
+            for arc in extract_path(dijkstra(full_adj, com.origin, cost), com.destination):
                 y[arc >> 1] = 1
         x = np.zeros((K, 2 * E), dtype=np.int8)
         open_adj = Adjacency.from_instance(inst, open_mask=y.astype(bool))
         for k, com in enumerate(inst.commodities):
-            pr = dijkstra(open_adj, com.origin, c)
-            x[k, extract_path(pr, com.destination)] = 1
-        sol = close_unused_edges(inst, Solution(y, x, 0.0))
-        if round_costs is not None:
-            round_costs.append(sol.cost)
-        if best is None or sol.cost < best.cost:
-            best = sol
-    return best
+            x[k, extract_path(dijkstra(open_adj, com.origin, c), com.destination)] = 1
+        yield close_unused_edges(inst, Solution(y, x, 0.0))
+
+
+def partial_decoupling(inst: Instance, gamma: float, rng=0) -> Solution:
+    """Constructive heuristic: the first cheapest of ``SWEEPS`` sweeps that
+    leader-route every commodity from the empty design, charging each
+    closed edge its fixed cost."""
+    rng = np.random.default_rng(rng)
+    empty = np.zeros(inst.num_edges, dtype=np.int8)
+    sweeps = _sweeps(inst, gamma, rng, range(inst.num_commodities), empty, inst.edge_array("f"))
+    return min(sweeps, key=lambda s: s.cost)
 
 
 def _strengthen_bound(value: float, inst: Instance) -> float:
@@ -392,15 +348,13 @@ def ejection_cycle(inst: Instance, sol: Solution, gamma: float, rng=0) -> Soluti
     if not chains:
         return sol
     chain = chains[int(rng.integers(len(chains)))]
-    x = np.asarray(sol.x)
-    k_set = [
-        k
-        for k in range(inst.num_commodities)
-        if any(x[k, 2 * e] + x[k, 2 * e + 1] > 0 for e in chain)
-    ]
-    override = inst.edge_array("f")
-    override[chain] = ejection_cost_sentinel(inst)
-    rebuilt = partial_decoupling(
-        inst, gamma, rng=rng, restricted=k_set, frozen=sol, fixed_cost_override=override
-    )
+    # commodities crossing the chain are rebuilt on top of the edges the
+    # others use, which stay open
+    crossing = np.asarray(sol.x).reshape(inst.num_commodities, inst.num_edges, 2).sum(axis=2) > 0
+    on_chain = crossing[:, chain].any(axis=1)
+    base_y = crossing[~on_chain].any(axis=0).astype(np.int8)
+    opening = inst.edge_array("f")
+    opening[chain] = ejection_cost_sentinel(inst)
+    sweeps = _sweeps(inst, gamma, rng, np.flatnonzero(on_chain).tolist(), base_y, opening)
+    rebuilt = min(sweeps, key=lambda s: s.cost)
     return rebuilt if rebuilt.cost <= sol.cost else sol

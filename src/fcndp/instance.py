@@ -10,7 +10,7 @@ derived from these two fields, never stored separately.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -88,16 +88,6 @@ class Instance:
         return np.array([k.quantity for k in self.commodities], dtype=float)
 
 
-@dataclass(frozen=True)
-class BigM:
-    """Per-edge linearization constants for the shortest-path optimality rows."""
-
-    values: tuple[float, ...] = field(default_factory=tuple)
-
-    def __getitem__(self, e: int) -> float:
-        return self.values[e]
-
-
 def _validate(inst: Instance) -> None:
     if inst.nodes <= 0:
         raise InstanceValidationError("node count must be positive", "nodes")
@@ -114,11 +104,11 @@ def _validate(inst: Instance) -> None:
         if key in seen:
             raise InstanceValidationError(f"duplicate undirected edge {key}", "duplicate-edge")
         seen.add(key)
-        if not e.c > 0:
+        if not (math.isfinite(e.c) and e.c > 0):
             raise InstanceValidationError(f"edge {idx} has length {e.c}", "positive-length")
-        if e.f < 0:
+        if not (math.isfinite(e.f) and e.f >= 0):
             raise InstanceValidationError(f"edge {idx} has fixed cost {e.f}", "nonnegative-fixed-cost")
-        if e.beta < 0:
+        if not (math.isfinite(e.beta) and e.beta >= 0):
             raise InstanceValidationError(f"edge {idx} has unit cost {e.beta}", "nonnegative-unit-cost")
     for idx, k in enumerate(inst.commodities):
         if not (0 <= k.origin < inst.nodes and 0 <= k.destination < inst.nodes):
@@ -130,7 +120,7 @@ def _validate(inst: Instance) -> None:
             raise InstanceValidationError(
                 f"commodity {idx} has equal origin and destination {k.origin}", "distinct-endpoints"
             )
-        if not k.quantity > 0:
+        if not (math.isfinite(k.quantity) and k.quantity > 0):
             raise InstanceValidationError(
                 f"commodity {idx} has quantity {k.quantity}", "positive-quantity"
             )
@@ -267,12 +257,13 @@ def generate_instance(
     return Instance(n_nodes, edges, tuple(commodities), name=name)
 
 
-def compute_big_m(inst: Instance) -> BigM:
-    """M_e = c_e + sum of all edge lengths.
+def compute_big_m(inst: Instance) -> np.ndarray:
+    """Per-edge linearization constants of the shortest-path optimality rows,
+    M_e = c_e + sum of all edge lengths, as a float array.
 
     Any difference of shortest-path potentials is bounded by the total edge
     length, so the optimality rows become vacuous on closed edges and reduce
     to the plain length bound on open ones.
     """
     total = sum(e.c for e in inst.edges)
-    return BigM(tuple(e.c + total for e in inst.edges))
+    return np.array([e.c + total for e in inst.edges], dtype=float)

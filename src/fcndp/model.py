@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .instance import BigM, Instance
+from .instance import Instance
 
 SENSE_LE = "<="
 SENSE_GE = ">="
@@ -61,7 +61,7 @@ class MipModel:
         return np.asarray(values)[start : start + 2 * self.num_edges]
 
 
-def build_model(inst: Instance, big_m: BigM) -> MipModel:
+def build_model(inst: Instance, big_m: np.ndarray) -> MipModel:
     E, K, V = inst.num_edges, inst.num_commodities, inst.nodes
     num_vars = E + 2 * E * K + V * K
     obj = np.zeros(num_vars)

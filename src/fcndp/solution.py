@@ -9,6 +9,7 @@ a fresh one.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -28,14 +29,6 @@ class Solution:
 
     def open_edges(self) -> list[int]:
         return [int(e) for e in np.flatnonzero(self.y)]
-
-
-def empty_solution(inst: Instance) -> Solution:
-    return Solution(
-        np.zeros(inst.num_edges, dtype=np.int8),
-        np.zeros((inst.num_commodities, 2 * inst.num_edges), dtype=np.int8),
-        0.0,
-    )
 
 
 def arc_unit_costs(inst: Instance, k: int) -> np.ndarray:
@@ -187,30 +180,44 @@ def solution_to_json(inst: Instance, sol: Solution, **kwargs) -> str:
 
 
 def _id(value, size: int, what: str) -> int:
-    """``value`` as an id in [0, size); raises ValueError outside it."""
-    i = int(value)
-    if not 0 <= i < size:
-        raise ValueError(f"{what} id {i} is outside [0, {size})")
-    return i
+    """``value`` as an id in [0, size); raises ValueError on a non-int
+    (bools and floats included) or an id outside that range."""
+    if type(value) is not int:
+        raise ValueError(f"{what} id {value!r} is not an integer")
+    if not 0 <= value < size:
+        raise ValueError(f"{what} id {value} is outside [0, {size})")
+    return value
+
+
+def _of_type(value, kind, what: str):
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise ValueError(f"{what} {value!r} does not match the solution schema")
+    return value
 
 
 def solution_from_dict(inst: Instance, data: dict) -> Solution:
     """Rebuild a Solution from the JSON schema (open_edges + node paths);
-    raises ValueError on an edge or commodity id the instance lacks."""
+    raises ValueError on input of another shape or on an edge, commodity or
+    node id the instance lacks."""
+    _of_type(data, dict, "solution")
     y = np.zeros(inst.num_edges, dtype=np.int8)
-    for e in data["open_edges"]:
+    for e in _of_type(data.get("open_edges"), list, "open_edges"):
         y[_id(e, inst.num_edges, "edge")] = 1
     arc_of = {}
     for e, edge in enumerate(inst.edges):
         arc_of[(edge.u, edge.v)] = 2 * e
         arc_of[(edge.v, edge.u)] = 2 * e + 1
     x = np.zeros((inst.num_commodities, 2 * inst.num_edges), dtype=np.int8)
-    for key, seq in data.get("paths", {}).items():
-        k = _id(key, inst.num_commodities, "commodity")
-        for a, b in zip(seq, seq[1:]):
-            pair = (int(a), int(b))
+    for key, seq in _of_type(data.get("paths", {}), dict, "paths").items():
+        if not (isinstance(key, str) and key.isascii() and key.isdigit()):
+            raise ValueError(f"commodity key {key!r} is not a decimal id")
+        k = _id(int(key), inst.num_commodities, "commodity")
+        nodes = [_id(i, inst.nodes, "node") for i in _of_type(seq, list, f"path of commodity {k}")]
+        for pair in zip(nodes, nodes[1:]):
             if pair not in arc_of:
                 raise ValueError(f"path of commodity {k} uses missing edge {pair}")
             x[k, arc_of[pair]] = 1
-    cost = float(data["cost"])
-    return Solution(y, x, cost)
+    cost = _of_type(data.get("cost"), (int, float), "cost")
+    if not abs(cost) <= sys.float_info.max:  # NaN, infinities and ints no float holds
+        raise ValueError(f"cost {cost} is not a finite float")
+    return Solution(y, x, float(cost))

@@ -126,6 +126,51 @@ def test_verify_rejects_out_of_range_ids(worked_file, tmp_path, capsys, open_edg
     assert "cannot reconstruct solution" in capsys.readouterr().err
 
 
+GOOD = {"cost": 10.0, "lower_bound": 10.0, "open_edges": [2], "paths": {"0": [0, 2]},
+        "gap": 0.0, "wall_time_s": 0.0, "seed": 0}
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        {**GOOD, "paths": {"0": [0, 1.7, 2]}},
+        {**GOOD, "paths": {"0": [0, True, 2]}},
+        {**GOOD, "paths": {"0": "02"}},
+        {**GOOD, "paths": {"0.0": [0, 2]}},
+        {**GOOD, "paths": {" 0": [0, 2]}},
+        {**GOOD, "paths": [[0, 2]]},
+        {**GOOD, "open_edges": 5},
+        {**GOOD, "open_edges": [2.0]},
+        {**GOOD, "open_edges": [True]},
+        {**GOOD, "cost": None},
+        {**GOOD, "cost": "10"},
+        {**GOOD, "cost": math.nan},
+        {**GOOD, "cost": 10**400},
+        {k: v for k, v in GOOD.items() if k != "open_edges"},
+        [GOOD],
+    ],
+    ids=["float-node", "bool-node", "string-path", "float-key", "padded-key", "list-paths",
+         "int-open-edges", "float-edge", "bool-edge", "null-cost", "string-cost", "nan-cost", "huge-int-cost",
+         "no-open-edges", "top-level-list"],
+)
+def test_verify_rejects_malformed_solution(worked_file, tmp_path, capsys, data):
+    """Ids must be ints (never bools or floats), commodity keys decimal
+    strings, and every field the schema's type: anything else is refused
+    with exit 3, not truncated into a passing design or left to crash."""
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    code = main(["verify", "--instance", str(worked_file), "--solution", str(path)])
+    assert code == 3
+    assert "cannot reconstruct solution" in capsys.readouterr().err
+
+
+def test_verify_accepts_well_formed_solution(worked_file, tmp_path, capsys):
+    path = tmp_path / "good.json"
+    path.write_text(json.dumps(GOOD))
+    assert main(["verify", "--instance", str(worked_file), "--solution", str(path)]) == 0
+    assert capsys.readouterr().out.strip() == "OK"
+
+
 def test_oracle_command(worked_file, tmp_path):
     out = tmp_path / "oracle.json"
     code = main(["oracle", "--instance", str(worked_file), "--output", str(out)])

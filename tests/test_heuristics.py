@@ -7,7 +7,8 @@ from conftest import make_solution
 from fcndp import heuristics, milp
 from fcndp.instance import Commodity, Edge, Instance, generate_instance
 from fcndp.heuristics import (
-    LeaderCostBlend,
+    SWEEPS,
+    _sweeps,
     candidate_list,
     ejection_cycle,
     ejection_cost_sentinel,
@@ -54,13 +55,20 @@ def test_candidate_list_errors():
 
 
 def test_blend_recomputes_against_current_design():
-    inst = quantities_instance([2])
-    blend = LeaderCostBlend(inst, 0.5, inst.edge_array("f"))
-    closed = blend.edge_costs(np.array([0]), 0)
-    opened = blend.edge_costs(np.array([1]), 0)
-    # f only charged while the edge is closed
-    assert closed[0] == 1 + 0.5 * 2 * 1 + 0.5 * 1
-    assert opened[0] == closed[0] - 1
+    """The second leader reuses the edge the first one opened, because its
+    opening cost is no longer charged. At alpha = 1 the leader 0 -> 1
+    (quantity 2) opens edge 0; the leader 2 -> 1 then pays 2 + 1 for the
+    detour 2-0-1, where 2 + 5 (edge 0 charged again) would lose to 5 + 1
+    for the direct edge 2."""
+    inst = Instance(
+        3,
+        (Edge(0, 1, 1, 4, 1), Edge(0, 2, 1, 1, 1), Edge(1, 2, 1, 5, 1)),
+        (Commodity(0, 1, 2), Commodity(2, 1, 1)),
+    )
+    empty = np.zeros(3, dtype=np.int8)
+    first = next(_sweeps(inst, 1.0, np.random.default_rng(0), [0, 1], empty, inst.edge_array("f")))
+    assert first.open_edges() == [0, 1]
+    assert first.cost == 4 + 1 + 2 * 1 + 1 * 2
 
 
 def test_partial_decoupling_worked(worked):
@@ -73,8 +81,10 @@ def test_partial_decoupling_worked(worked):
 def test_partial_decoupling_no_commodities(worked):
     inst = Instance(worked.nodes, worked.edges, ())
     sol = partial_decoupling(inst, 0.85, rng=0)
-    assert sol.cost == 0.0
+    assert type(sol.cost) is float and sol.cost == 0.0
     assert sol.open_edges() == []
+    assert sol.y.dtype == np.int8 and sol.y.shape == (inst.num_edges,)
+    assert sol.x.dtype == np.int8 and sol.x.shape == (0, 2 * inst.num_edges)
 
 
 def test_partial_decoupling_alpha_one_routes_min_variable_cost():
@@ -90,23 +100,27 @@ def test_partial_decoupling_alpha_one_routes_min_variable_cost():
         ),
         (Commodity(0, 3, 1),),
     )
-    sol = partial_decoupling(inst, 0.85, rng=0, rounds=1)
+    empty = np.zeros(4, dtype=np.int8)
+    sol = next(_sweeps(inst, 0.85, np.random.default_rng(0), [0], empty, inst.edge_array("f")))
     assert sol.open_edges() == [0, 1]
     assert sol.cost == 2.0
 
 
-def test_partial_decoupling_running_min_over_rounds(worked):
-    costs: list = []
-    sol = partial_decoupling(worked, 0.85, rng=5, rounds=10, round_costs=costs)
-    assert len(costs) == 10
-    running = np.minimum.accumulate(costs)
-    assert sol.cost == running[-1]
-    assert all(a >= b for a, b in zip(running, running[1:]))
-
-
-def test_partial_decoupling_restricted_needs_frozen(worked):
-    with pytest.raises(ValueError, match="frozen"):
-        partial_decoupling(worked, 0.85, restricted=[0])
+def test_partial_decoupling_running_min_over_rounds():
+    """partial_decoupling keeps the first cheapest of the sweeps it would
+    draw from the same rng; here the sweep costs vary and the cheapest
+    comes third."""
+    inst = generate_instance(8, 0.5, 4, seed=2)
+    empty = np.zeros(inst.num_edges, dtype=np.int8)
+    sweeps = list(_sweeps(inst, 0.85, np.random.default_rng(2), range(4), empty, inst.edge_array("f")))
+    assert len(sweeps) == SWEEPS
+    costs = [s.cost for s in sweeps]
+    first = costs.index(min(costs))
+    assert first > 0 and max(costs) > min(costs)
+    sol = partial_decoupling(inst, 0.85, rng=2)
+    assert sol.cost == sweeps[first].cost
+    assert np.array_equal(sol.y, sweeps[first].y)
+    assert np.array_equal(sol.x, sweeps[first].x)
 
 
 def tree_instance() -> Instance:

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from fcndp.instance import (
-    BigM,
     Commodity,
     Edge,
     Instance,
@@ -90,6 +89,34 @@ def test_save_unwritable_path(tmp_path):
     inst = Instance(2, (Edge(0, 1, 1, 2, 3),), ())
     with pytest.raises(OSError):
         save_instance(inst, tmp_path / "no" / "such" / "dir.txt")
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize(
+    "field, invariant",
+    [("c", "positive-length"), ("f", "nonnegative-fixed-cost"),
+     ("beta", "nonnegative-unit-cost"), ("q", "positive-quantity")],
+)
+def test_non_finite_costs_rejected(field, invariant, value):
+    """A NaN or infinite cost or quantity fails its sign invariant: NaN
+    compares False either way, and no finite design cost comes out of an
+    infinite one."""
+    edge = dict(c=1.0, f=1.0, beta=1.0)
+    q = 1.0
+    if field == "q":
+        q = value
+    else:
+        edge[field] = value
+    with pytest.raises(InstanceValidationError, match=invariant) as exc:
+        Instance(2, (Edge(0, 1, **edge),), (Commodity(0, 1, q),))
+    assert exc.value.invariant == invariant
+
+
+def test_load_rejects_nan_fixed_cost(tmp_path):
+    path = tmp_path / "bad.txt"
+    path.write_text("nodes 2\nedges 1\ncommodities 1\ne 0 1 1 nan 1\nk 0 1 1\n")
+    with pytest.raises(InstanceValidationError, match="nonnegative-fixed-cost"):
+        load_instance(path)
 
 
 def test_duplicate_edge_rejected():
