@@ -26,7 +26,7 @@ from .solution import (
     solution_to_json,
     verify_bilevel,
 )
-from .model import MipModel, add_local_branching_cut, build_model, export_text
+from .model import MipModel, add_local_branching_cut, build_model
 from .milp import LpResult, solve_bnb, solve_lp
 from .heuristics import (
     InefficiencyReport,

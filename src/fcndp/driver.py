@@ -16,6 +16,9 @@ from .solution import Solution
 
 @dataclass
 class SolverConfig:
+    """``time_limit`` (seconds, > 0) is a deadline for the whole ``vfhlb``
+    run; only the root relaxation can overrun it."""
+
     gamma: float = 0.85
     delta: int | None = None  # None resolves to ceil(E / 2)
     iterations: int = 10
@@ -29,6 +32,8 @@ class SolverConfig:
             raise ValueError("delta must be nonnegative")
         if self.iterations < 1:
             raise ValueError("need at least one iteration")
+        if self.time_limit is not None and not self.time_limit > 0:
+            raise ValueError("time_limit must be positive")
 
     def resolve_delta(self, inst: Instance) -> int:
         return self.delta if self.delta is not None else math.ceil(inst.num_edges / 2)
@@ -70,34 +75,28 @@ def vfhlb(inst: Instance, cfg: SolverConfig | None = None) -> tuple[Solution, Ru
     incumbent optimal (``proves_optimal``); otherwise runs the configured
     number of perturb + local-branch iterations, tracking the best solution
     seen. An iteration whose perturbation returns the solution local branching
-    last started from skips that search.
+    last started from skips that search. ``cfg.time_limit`` sets one deadline
+    that every stage reads, down to the simplex pivot loops; only the root
+    relaxation can overrun it.
     """
     cfg = cfg or SolverConfig()
     delta = cfg.resolve_delta(inst)
     rng = np.random.default_rng(cfg.seed)
     t0 = time.monotonic()
-
-    def left() -> float | None:
-        if cfg.time_limit is None:
-            return None
-        return max(cfg.time_limit - (time.monotonic() - t0), 0.05)
-
-    def out_of_time() -> bool:
-        return cfg.time_limit is not None and time.monotonic() - t0 >= cfg.time_limit
-
-    res = vfh(inst, cfg.gamma, rng=rng, time_limit=left())
+    deadline = t0 + (cfg.time_limit or math.inf)
+    res = vfh(inst, cfg.gamma, rng=rng, deadline=deadline)
     status = "ok"
     current = res.solution
     bound = res.lower_bound
     best = current
     trajectory = [(best.cost, time.monotonic() - t0)]
     searched = current  # the Solution the last local_branching call started from
-    current = local_branching(inst, current, delta, time_limit=left())
+    current = local_branching(inst, current, delta, deadline=deadline)
     best = update_best(best, current)
     trajectory.append((best.cost, time.monotonic() - t0))
     if not proves_optimal(inst, best.cost, bound):
         for _ in range(cfg.iterations):
-            if out_of_time():
+            if time.monotonic() >= deadline:
                 status = "time-limit"
                 break
             current = ejection_cycle(inst, current, cfg.gamma, rng=rng)
@@ -106,7 +105,7 @@ def vfhlb(inst: Instance, cfg: SolverConfig | None = None) -> tuple[Solution, Ru
             # the same neighbourhood would be searched again for nothing
             if current is not searched:
                 searched = current
-                current = local_branching(inst, current, delta, time_limit=left())
+                current = local_branching(inst, current, delta, deadline=deadline)
             best = update_best(best, current)
             trajectory.append((best.cost, time.monotonic() - t0))
     wall = time.monotonic() - t0

@@ -136,7 +136,7 @@ class LboundResult:
     status: str = STATUS_OPTIMAL  # else the status of the pass that stopped early
 
 
-def lbound(inst: Instance, *, time_limit: float | None = None) -> LboundResult:
+def lbound(inst: Instance, *, deadline: float | None = None) -> LboundResult:
     """Progressive-integrality lower bound.
 
     Re-solves the relaxation while promoting every opening variable at value
@@ -145,10 +145,10 @@ def lbound(inst: Instance, *, time_limit: float | None = None) -> LboundResult:
     than 90% of the opening variables are binary, or when a pass promotes
     nothing new. The root relaxation is solved once and seeds every pass.
 
-    A pass that ends without a proven optimum (budget) stops the bounding:
-    the result keeps the last valid bound, the ceil-rounded root or the last
-    completed pass, with that pass's status. Raises only when the root
-    relaxation itself fails.
+    A pass that ends without a proven optimum (budget, or ``deadline``, a
+    ``time.monotonic()`` value) stops the bounding: the result keeps the last
+    valid bound, the ceil-rounded root or the last completed pass, with that
+    pass's status. Raises only when the root relaxation itself fails.
     """
     model = build_model(inst, compute_big_m(inst))
     root = solve_lp(model)
@@ -172,7 +172,7 @@ def lbound(inst: Instance, *, time_limit: float | None = None) -> LboundResult:
         remaining -= set(promote)
         nvbin += len(promote)
         last = res
-        res = solve_bnb(model, binary, root=root, time_limit=time_limit)
+        res = solve_bnb(model, binary, root=root, deadline=deadline)
         iterations += 1
         if res.status != STATUS_OPTIMAL:
             value = _strengthen_bound(last.objective, inst)
@@ -193,7 +193,7 @@ class VfhResult:
     fixed_edges: list[int] = field(default_factory=list)
 
 
-def vfh(inst: Instance, gamma: float, rng=0, *, time_limit: float | None = None) -> VfhResult:
+def vfh(inst: Instance, gamma: float, rng=0, *, deadline: float | None = None) -> VfhResult:
     """Relax-and-fix driver: construction, bounding, then one commodity's
     flow block turns binary per pass under the incumbent cutoff, with
     reduced-cost fixing of closed opening variables after each success.
@@ -202,16 +202,17 @@ def vfh(inst: Instance, gamma: float, rng=0, *, time_limit: float | None = None)
     relaxation. Reduced-cost fixing closes only edges that sit at 0 in that
     root, so its basis stays optimal under the closed bounds and it is never
     re-solved. Stops when every block moved, the bound proves the incumbent
-    optimal (``proves_optimal``), or a pass finds nothing under the cutoff
-    (the incumbent is then proven optimal). When bounding runs out of budget
-    the constructive incumbent is returned with the bound bounding reached.
+    optimal (``proves_optimal``), a pass finds nothing under the cutoff (a
+    proof), or a pass runs out of budget or reaches ``deadline``. When
+    bounding runs out of budget the constructive incumbent is returned with
+    the bound bounding reached.
     """
     rng = np.random.default_rng(rng)
     s_best = partial_decoupling(inst, gamma, rng=rng)
     if inst.num_commodities == 0:
         return VfhResult(s_best, 0.0, True)
     try:
-        lb_res = lbound(inst, time_limit=time_limit)
+        lb_res = lbound(inst, deadline=deadline)
     except RuntimeError:
         # the root relaxation failed: fall back to the constructive
         # incumbent and the trivial bound
@@ -231,9 +232,11 @@ def vfh(inst: Instance, gamma: float, rng=0, *, time_limit: float | None = None)
         k = cand[int(rng.integers(len(cand)))]
         pending.remove(k)
         binary[model.x_var(k, 0) : model.x_var(k, 2 * inst.num_edges)] = True
-        res = solve_bnb(model, binary, root=lp, cutoff=min_cost, time_limit=time_limit)
+        res = solve_bnb(model, binary, root=lp, cutoff=min_cost, deadline=deadline)
         if res.objective == math.inf:
-            break  # nothing under the cutoff: incumbent is optimal
+            # cutoff or infeasible prove the incumbent optimal; iteration-limit
+            # (budget or deadline) with no incumbent proves nothing
+            break
         # lp.objective <= res.objective < min_cost, so a closed edge has a
         # positive reduced cost: it is nonbasic at 0 in the root
         y_now = res.values[: inst.num_edges]
@@ -259,14 +262,14 @@ def vfh(inst: Instance, gamma: float, rng=0, *, time_limit: float | None = None)
 
 
 def local_branching(
-    inst: Instance, sol: Solution, delta: int, *, time_limit: float | None = None
+    inst: Instance, sol: Solution, delta: int, *, deadline: float | None = None
 ) -> Solution:
     """Branch-and-bound restricted to designs within Hamming distance
     ``delta`` of the incumbent design, under its cost as cutoff. Returns the
     improvement or the input unchanged."""
     model = build_model(inst, compute_big_m(inst))
     model = add_local_branching_cut(model, sol.y, delta)
-    res = solve_bnb(model, model.integer_ok, cutoff=sol.cost, time_limit=time_limit)
+    res = solve_bnb(model, model.integer_ok, cutoff=sol.cost, deadline=deadline)
     if res.objective < math.inf and _is_integral(model, res.values):
         out = _solution_from_values(inst, model, res.values)
         if out.cost < sol.cost:

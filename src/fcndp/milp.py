@@ -1,8 +1,9 @@
 """Self-contained LP/MIP kernel with two calls:
 ``solve_lp(model)`` solves the relaxation with a bounded-variable primal
 simplex, and
-``solve_bnb(model, binary, *, root=None, cutoff=None, time_limit=None)``
-runs branch-and-bound over the variables a boolean mask marks binary.
+``solve_bnb(model, binary, *, root=None, cutoff=None, deadline=None)``
+runs branch-and-bound over the variables a boolean mask marks binary, until
+the absolute ``time.monotonic()`` value ``deadline`` if one is given.
 
 The simplex keeps a dense tableau (desk-scale models make dense cheap),
 filled at a cold start straight from ``MipModel.rows`` with one slack
@@ -156,6 +157,7 @@ class _Simplex:
         self.c = np.concatenate([model.obj, np.zeros(m)])
         self.b = np.array([row.rhs for row in rows], dtype=float)
         self.iter_limit = iter_limit
+        self.deadline = math.inf  # in time.monotonic(); a solve stops there as at iter_limit
         self.iterations = 0
 
         n_all = n + m
@@ -331,7 +333,7 @@ class _Simplex:
         shift = np.empty(self.m)
         t_rows = np.empty(self.m)
         while True:
-            if self.iterations >= self.iter_limit:
+            if self.iterations >= self.iter_limit or time.monotonic() >= self.deadline:
                 return STATUS_ITERATION_LIMIT
             # how much moving each nonbasic column off its bound lowers the
             # cost; zero for the columns that cannot move
@@ -417,10 +419,11 @@ class _Simplex:
         point is primal feasible. Dual Devex pricing picks the leaving row
         (the largest infeasibility^2 / w_i, with every row weight 1 at the
         start of each call) and Harris's two-pass ratio test the entering
-        column. Ends with ``STATUS_ITERATION_LIMIT`` at the pivot
-        budget, and also when rounding has spoilt the tableau: the point is
-        no longer finite, or the entering column's entry in the pivot row,
-        read through the pending block, is noise (at most ``PIVOT_TOL``)."""
+        column. Ends with ``STATUS_ITERATION_LIMIT`` at the pivot budget
+        or the deadline, and also when rounding has spoilt the tableau: the
+        point is no longer finite, or the entering column's entry in the
+        pivot row, read through the pending block, is noise (at most
+        ``PIVOT_TOL``)."""
         d = self._reduced_costs(cost)
         since_refresh = 0
         # work arrays, rewritten in place at every pivot
@@ -443,7 +446,7 @@ class _Simplex:
                 return STATUS_ITERATION_LIMIT
             if top <= FEAS_TOL:
                 return STATUS_OPTIMAL
-            if self.iterations >= self.iter_limit:
+            if self.iterations >= self.iter_limit or time.monotonic() >= self.deadline:
                 return STATUS_ITERATION_LIMIT
             # dual Devex: the infeasible row with the largest
             # infeasibility^2 / weight leaves
@@ -563,13 +566,15 @@ def solve_lp(model: MipModel) -> LpResult:
     return _solve_lp(model)
 
 
-def _solve_lp(model: MipModel) -> LpResult:
+def _solve_lp(model: MipModel, deadline: float = math.inf) -> LpResult:
     """The body of ``solve_lp``; ``solve_bnb`` calls it for a root it solves
-    itself, so that calls of the public name are the callers' own."""
+    itself, so that calls of the public name are the callers' own, and with
+    its deadline."""
     lb = np.asarray(model.lb, dtype=float).copy()
     ub = np.asarray(model.ub, dtype=float).copy()
     limit = max(PIVOT_LIMIT_FLOOR, PIVOT_LIMIT_PER_DIM * (model.num_vars + 2 * len(model.rows)))
     sx = _Simplex(model, lb, ub, limit)
+    sx.deadline = deadline
     status = sx.solve()
     d = sx._reduced_costs(sx.c)
     primal = sx.values[: model.num_vars]
@@ -605,7 +610,7 @@ def solve_bnb(
     *,
     root: LpResult | None = None,
     cutoff: float | None = None,
-    time_limit: float | None = None,
+    deadline: float | None = None,
 ) -> LpResult:
     """Branch-and-bound over the variables the boolean mask ``binary`` marks.
 
@@ -623,6 +628,9 @@ def solve_bnb(
     has the status and objective of a solve without ``root``. Every other
     node starts from its parent's optimal basis and re-solves with the dual
     simplex.
+
+    ``deadline``, a ``time.monotonic()`` value, stops the search between
+    nodes and inside simplex runs, with ``STATUS_ITERATION_LIMIT``.
     """
     binary = np.asarray(binary, dtype=bool)
     bad = np.flatnonzero(binary & ~model.integer_ok)
@@ -643,7 +651,7 @@ def solve_bnb(
         return root if root is not None else solve_lp(model)
     binary_ids = np.flatnonzero(binary)
     int_obj = _integral_objective(model, binary)
-    t0 = time.monotonic()
+    deadline = math.inf if deadline is None else deadline
 
     incumbent: np.ndarray | None = None
     incumbent_obj = math.inf
@@ -661,9 +669,7 @@ def solve_bnb(
     live = -1  # id of the node whose tableau sx holds
     age = 0  # pivots sx has taken since it was copied from the root's
     while stack:
-        if nodes_done >= NODE_LIMIT or (
-            time_limit is not None and time.monotonic() - t0 > time_limit
-        ):
+        if nodes_done >= NODE_LIMIT or time.monotonic() >= deadline:
             hit_limit = True
             break
         if nodes_done and nodes_done % 100 == 0:
@@ -678,7 +684,7 @@ def solve_bnb(
         nodes_done += 1
         if basis is None:  # the root
             if root is None:
-                root = _solve_lp(model)
+                root = _solve_lp(model, deadline)
                 total_pivots += root.iterations
             status, values = root.status, root.values
         else:
@@ -701,6 +707,7 @@ def solve_bnb(
                     hit_limit = True
                     continue
             live = node
+            sx.deadline = deadline
             status = sx.reoptimize()
             total_pivots += sx.iterations
             age += sx.iterations

@@ -10,7 +10,7 @@ routed path to be shortest in the open network, one per arc direction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -42,7 +42,6 @@ class MipModel:
     num_edges: int
     num_commodities: int
     num_nodes: int
-    names: list[str] = field(default_factory=list)
 
     def y_var(self, e: int) -> int:
         return e
@@ -68,7 +67,6 @@ def build_model(inst: Instance, big_m: np.ndarray) -> MipModel:
     lb = np.zeros(num_vars)
     ub = np.ones(num_vars)
     kinds = ["y"] * E + ["x"] * (2 * E * K) + ["pi"] * (V * K)
-    names = [f"y_{e}" for e in range(E)]
     c = inst.edge_array("c")
     pot_cap = float(c.sum())
 
@@ -83,7 +81,6 @@ def build_model(inst: Instance, big_m: np.ndarray) -> MipModel:
         num_edges=E,
         num_commodities=K,
         num_nodes=V,
-        names=names,
     )
 
     for e, edge in enumerate(inst.edges):
@@ -93,12 +90,9 @@ def build_model(inst: Instance, big_m: np.ndarray) -> MipModel:
             g = com.quantity * edge.beta
             obj[model.x_var(k, 2 * e)] = g
             obj[model.x_var(k, 2 * e + 1)] = g
-            names.append(f"x_{k}_{edge.u}_{edge.v}")
-            names.append(f"x_{k}_{edge.v}_{edge.u}")
     for k, com in enumerate(inst.commodities):
         for i in range(V):
             ub[model.pi_var(k, i)] = 0.0 if i == com.destination else pot_cap
-            names.append(f"pi_{k}_{i}")
 
     rows = model.rows
     for k, com in enumerate(inst.commodities):
@@ -167,24 +161,3 @@ def add_local_branching_cut(model: MipModel, ybar, delta: int) -> MipModel:
     rhs = float(delta - int(ybar.sum()))
     cut = Row(cols, coefs, SENSE_LE, rhs, "local_branching")
     return replace(model, rows=[*model.rows, cut])
-
-
-def export_text(model: MipModel) -> str:
-    """Fixed-format text dump for external cross-checks.
-
-    Layout: a header line ``vars N rows M``, then one line per variable
-    ``var <name> <lb> <ub> <obj> <kind>`` and one line per row
-    ``row <name> <sense> <rhs> <name>*<coef> ...``.
-    """
-    lines = [f"vars {model.num_vars} rows {len(model.rows)}"]
-    for v in range(model.num_vars):
-        lines.append(
-            f"var {model.names[v]} {model.lb[v]:g} {model.ub[v]:g} "
-            f"{model.obj[v]:g} {model.kinds[v]}"
-        )
-    for row in model.rows:
-        terms = " ".join(
-            f"{model.names[int(cv)]}*{co:g}" for cv, co in zip(row.cols, row.coefs)
-        )
-        lines.append(f"row {row.name} {row.sense} {row.rhs:g} {terms}")
-    return "\n".join(lines) + "\n"

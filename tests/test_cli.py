@@ -226,6 +226,10 @@ def test_invalid_instance_is_error(tmp_path):
     assert main(["solve", "--instance", str(bad)]) == 1
 
 
+def test_time_limit_that_is_not_a_number_is_error(worked_file):
+    assert main(["solve", "--instance", str(worked_file), "--time-limit", "nan"]) == 1
+
+
 def test_usage_error_exit_code():
     assert main(["solve"]) == 1  # missing required --instance
     assert main(["--help"]) == 0

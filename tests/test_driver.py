@@ -1,12 +1,16 @@
 import math
+import time
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from fcndp import driver, heuristics, milp
 from fcndp.driver import RunRecord, SolverConfig, update_best, vfhlb
 from fcndp.instance import compute_big_m, generate_instance
+from fcndp.milp import solve_lp
 from fcndp.model import build_model
 from fcndp.oracle import solve_exact
 from fcndp.solution import Solution, verify_bilevel
@@ -38,6 +42,13 @@ def test_config_defaults_and_validation():
         SolverConfig(iterations=0)
     with pytest.raises(ValueError):
         SolverConfig(delta=-1)
+
+
+@pytest.mark.parametrize("limit", [math.nan, 0.0, -3.0])
+def test_time_limit_must_be_positive(limit):
+    # a NaN limit would make every clock comparison false: no deadline at all
+    with pytest.raises(ValueError, match="time_limit"):
+        SolverConfig(time_limit=limit)
 
 
 def test_worked_run_proves_optimum_and_skips_loop(worked):
@@ -107,6 +118,79 @@ def test_time_limit_returns_feasible_flagged():
     # with the budget gone before the loop the run is flagged
     if rec.gap >= 1:
         assert rec.status == "time-limit"
+
+
+def test_time_limit_is_one_deadline_for_the_whole_run():
+    """Bounding, relax-and-fix and local branching all stop at the deadline,
+    inside their simplex runs too; only the root relaxation (about 0.1 s
+    here) runs to its end regardless."""
+    inst = generate_instance(15, 0.25, 8, 1)
+    t0 = time.monotonic()
+    sol, rec = vfhlb(inst, SolverConfig(seed=1, time_limit=0.5))
+    assert time.monotonic() - t0 <= 0.75
+    assert verify_bilevel(inst, sol).passed
+
+
+@st.composite
+def oracle_instances(draw):
+    """Instances the oracle enumerates: 5-7 nodes, at most 14 edges."""
+    n = draw(st.integers(5, 7))
+    density = draw(st.sampled_from([0.5, 0.6, 0.7, 0.8]))
+    inst = generate_instance(n, density, draw(st.integers(1, 3)), seed=draw(st.integers(0, 10_000)))
+    assume(inst.num_edges <= 14)
+    return inst
+
+
+def check_bounds(inst, limit):
+    """The bound lies between the root relaxation and the optimum, and the
+    design is feasible and no cheaper than the optimum."""
+    root = solve_lp(build_model(inst, compute_big_m(inst)))
+    opt = solve_exact(inst).cost
+    sol, rec = vfhlb(inst, SolverConfig(seed=1, time_limit=limit))
+    assert root.objective - 1e-6 <= rec.lower_bound <= opt <= sol.cost
+    assert verify_bilevel(inst, sol).passed
+
+
+@given(inst=oracle_instances(), limit=st.sampled_from([None, 1e-3, 0.01, 0.05]))
+def test_bounds_hold_under_a_time_limit(inst, limit):
+    check_bounds(inst, limit)
+
+
+class Ticks:
+    """A clock that moves on by one at every read, so that a deadline falls
+    at the same pivot of the same simplex run however fast the machine."""
+
+    def __init__(self):
+        self.now = 0.0
+
+    def monotonic(self) -> float:
+        self.now += 1.0
+        return self.now
+
+
+def test_bounds_hold_wherever_the_deadline_falls(monkeypatch):
+    """A deadline at every one of the run's clock reads in turn: in
+    construction, between B&B nodes, inside primal and dual simplex runs.
+    The bounds hold wherever it falls."""
+    inst = generate_instance(6, 0.8, 2, 335)
+    clock = Ticks()
+    monkeypatch.setattr(driver, "time", clock)
+    monkeypatch.setattr(milp, "time", clock)
+    vfhlb(inst, SolverConfig(seed=1))
+    reads = int(clock.now)
+    cut = []  # per dual simplex run: did the deadline end it
+    dual = milp._Simplex.dual
+
+    def watched(self, cost):
+        status = dual(self, cost)
+        cut.append(status == milp.STATUS_ITERATION_LIMIT and clock.now >= self.deadline)
+        return status
+
+    monkeypatch.setattr(milp._Simplex, "dual", watched)
+    for ticks in range(1, reads + 1):
+        clock.now = 0.0
+        check_bounds(inst, float(ticks))
+    assert sum(cut) >= 10
 
 
 # instances whose run keeps a gap open, tried in order; each test below runs

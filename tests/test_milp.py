@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
@@ -36,7 +37,6 @@ def tiny_model(obj, lb, ub, rows=(), integer=None) -> MipModel:
         num_edges=0,
         num_commodities=0,
         num_nodes=0,
-        names=[f"v{i}" for i in range(n)],
     )
 
 
@@ -279,6 +279,36 @@ def test_iteration_limit_status(worked, monkeypatch):
     model = build_model(worked, compute_big_m(worked))
     res = solve_lp(model)
     assert res.status == "iteration-limit"
+
+
+def test_bnb_stops_at_a_passed_deadline(worked):
+    """A deadline that has passed stops the search before its first node,
+    the root relaxation included."""
+    model = build_model(worked, compute_big_m(worked))
+    res = solve_bnb(model, model.integer_ok, deadline=time.monotonic())
+    assert res.status == "iteration-limit"
+    assert res.nodes == 0
+
+
+def test_simplex_stops_at_a_passed_deadline():
+    """Both simplex loops end at the deadline where they end at the pivot
+    budget: before the next pivot."""
+    inst = generate_instance(8, 0.5, 4, 1)
+    model = build_model(inst, compute_big_m(inst))
+    cold = milp._Simplex(model, model.lb.copy(), model.ub.copy(), 10_000)
+    cold.deadline = time.monotonic()
+    assert cold.solve() == "iteration-limit"
+    assert cold.iterations == 0
+    root = solve_lp(model)
+    ids = np.flatnonzero(model.integer_ok)
+    j = int(ids[np.argmax(np.abs(root.values[ids] - np.round(root.values[ids])))])
+    child = fixed(model, j, 0.0)
+    warm = root.start.sx.copy()
+    warm.set_bounds(child.lb, child.ub)
+    warm.iterations = 0
+    warm.deadline = time.monotonic()
+    assert warm.dual(warm.c) == "iteration-limit"
+    assert warm.iterations == 0
 
 
 @st.composite

@@ -3,7 +3,7 @@ import pytest
 
 from fcndp.instance import Commodity, Edge, Instance, compute_big_m, generate_instance
 from fcndp.milp import solve_bnb, solve_lp
-from fcndp.model import add_local_branching_cut, build_model, export_text
+from fcndp.model import add_local_branching_cut, build_model
 from fcndp.oracle import solve_exact
 
 
@@ -128,13 +128,3 @@ def test_lp_relaxation_below_integral(worked):
     lp = solve_lp(model)
     bb = solve_bnb(model, model.integer_ok)
     assert lp.objective <= bb.objective + 1e-9
-
-
-def test_export_text(worked):
-    model = build_model(worked, compute_big_m(worked))
-    text = export_text(model)
-    lines = text.splitlines()
-    assert lines[0] == "vars 12 rows 12"
-    assert sum(1 for l in lines if l.startswith("var ")) == 12
-    assert sum(1 for l in lines if l.startswith("row ")) == 12
-    assert any("y_2" in l for l in lines)
