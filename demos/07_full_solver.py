@@ -1,7 +1,8 @@
 """The full iterated run: construct + bound + fix, then perturb and
 re-branch for a fixed number of iterations, tracking the best solution.
 
-With integer data a gap below one proves optimality and skips the loop.
+A bound that proves the incumbent optimal (with integer data, a gap below
+one) skips local branching and the loop.
 Identical (instance, config) pairs reproduce bit-identical solutions.
 """
 

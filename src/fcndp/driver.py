@@ -71,13 +71,16 @@ def update_best(best: Solution | None, candidate: Solution) -> Solution:
 def vfhlb(inst: Instance, cfg: SolverConfig | None = None) -> tuple[Solution, RunRecord]:
     """Full solver run; deterministic given (instance, config).
 
-    Skips the perturbation loop when the bound already proves the
-    incumbent optimal (``proves_optimal``); otherwise runs the configured
-    number of perturb + local-branch iterations, tracking the best solution
-    seen. An iteration whose perturbation returns the solution local branching
-    last started from skips that search. ``cfg.time_limit`` sets one deadline
-    that every stage reads, down to the simplex pivot loops; only the root
-    relaxation can overrun it.
+    Runs ``vfh``, then, while the bound does not prove the best solution
+    optimal (``proves_optimal``), local branching from the ``vfh``
+    incumbent and up to the configured number of perturb + local-branch
+    iterations, tracking the best solution seen. An iteration whose
+    perturbation returns the solution local branching last started from
+    skips that search. The trajectory holds one entry per stage that ran,
+    so a run that ``vfh`` proves has one. ``cfg.time_limit`` sets one
+    deadline that every stage reads, down to the simplex pivot loops; only
+    the root relaxation can overrun it. A run that ends past its deadline
+    without a proof has status ``time-limit``.
     """
     cfg = cfg or SolverConfig()
     delta = cfg.resolve_delta(inst)
@@ -85,19 +88,17 @@ def vfhlb(inst: Instance, cfg: SolverConfig | None = None) -> tuple[Solution, Ru
     t0 = time.monotonic()
     deadline = t0 + (cfg.time_limit or math.inf)
     res = vfh(inst, cfg.gamma, rng=rng, deadline=deadline)
-    status = "ok"
     current = res.solution
     bound = res.lower_bound
     best = current
     trajectory = [(best.cost, time.monotonic() - t0)]
-    searched = current  # the Solution the last local_branching call started from
-    current = local_branching(inst, current, delta, deadline=deadline)
-    best = update_best(best, current)
-    trajectory.append((best.cost, time.monotonic() - t0))
     if not proves_optimal(inst, best.cost, bound):
+        searched = current  # the Solution the last local_branching call started from
+        current = local_branching(inst, current, delta, deadline=deadline)
+        best = update_best(best, current)
+        trajectory.append((best.cost, time.monotonic() - t0))
         for _ in range(cfg.iterations):
-            if time.monotonic() >= deadline:
-                status = "time-limit"
+            if proves_optimal(inst, best.cost, bound) or time.monotonic() >= deadline:
                 break
             current = ejection_cycle(inst, current, cfg.gamma, rng=rng)
             # local branching reads only the design, the cost and the budget:
@@ -108,14 +109,17 @@ def vfhlb(inst: Instance, cfg: SolverConfig | None = None) -> tuple[Solution, Ru
                 current = local_branching(inst, current, delta, deadline=deadline)
             best = update_best(best, current)
             trajectory.append((best.cost, time.monotonic() - t0))
-    wall = time.monotonic() - t0
+    end = time.monotonic()
+    # a stage the deadline cuts returns what it has, so only the clock tells
+    # that an unproven run was cut
+    cut = end >= deadline and not proves_optimal(inst, best.cost, bound)
     record = RunRecord(
         seed=cfg.seed,
         cost=best.cost,
         lower_bound=bound,
         gap=best.cost - bound,
         trajectory=trajectory,
-        wall_time_s=wall,
-        status=status,
+        wall_time_s=end - t0,
+        status="time-limit" if cut else "ok",
     )
     return best, record

@@ -20,7 +20,7 @@ import numpy as np
 
 from .graph import Adjacency, dijkstra, extract_path
 from .instance import Instance, compute_big_m
-from .milp import STATUS_ITERATION_LIMIT, STATUS_OPTIMAL, LpResult, solve_bnb, solve_lp
+from .milp import CUTOFF_SLACK, STATUS_ITERATION_LIMIT, STATUS_OPTIMAL, LpResult, solve_bnb, solve_lp
 from .model import MipModel, add_local_branching_cut, build_model
 from .solution import Solution, close_unused_edges, evaluate_cost
 
@@ -202,10 +202,12 @@ def vfh(inst: Instance, gamma: float, rng=0, *, deadline: float | None = None) -
     relaxation. Reduced-cost fixing closes only edges that sit at 0 in that
     root, so its basis stays optimal under the closed bounds and it is never
     re-solved. Stops when every block moved, the bound proves the incumbent
-    optimal (``proves_optimal``), a pass finds nothing under the cutoff (a
-    proof), or a pass runs out of budget or reaches ``deadline``. When
-    bounding runs out of budget the constructive incumbent is returned with
-    the bound bounding reached.
+    optimal (``proves_optimal``), a pass finds nothing under the cutoff, or
+    a pass runs out of budget or reaches ``deadline``. A pass that finds
+    nothing under the cutoff is a proof: the bound rises to the incumbent's
+    cost (less ``CUTOFF_SLACK`` on other than integer data), and the result
+    is ``proven``. When bounding runs out of budget the constructive
+    incumbent is returned with the bound bounding reached.
     """
     rng = np.random.default_rng(rng)
     s_best = partial_decoupling(inst, gamma, rng=rng)
@@ -234,8 +236,12 @@ def vfh(inst: Instance, gamma: float, rng=0, *, deadline: float | None = None) -
         binary[model.x_var(k, 0) : model.x_var(k, 2 * inst.num_edges)] = True
         res = solve_bnb(model, binary, root=lp, cutoff=min_cost, deadline=deadline)
         if res.objective == math.inf:
-            # cutoff or infeasible prove the incumbent optimal; iteration-limit
-            # (budget or deadline) with no incumbent proves nothing
+            # cutoff or infeasible: no design costs below the pruning level
+            # min_cost - CUTOFF_SLACK, which proves the incumbent optimal;
+            # iteration-limit (budget or deadline) with no incumbent proves
+            # nothing
+            if res.status != STATUS_ITERATION_LIMIT:
+                bound = max(bound, _strengthen_bound(min_cost - CUTOFF_SLACK, inst))
             break
         # lp.objective <= res.objective < min_cost, so a closed edge has a
         # positive reduced cost: it is nonbasic at 0 in the root

@@ -55,25 +55,64 @@ def test_worked_run_proves_optimum_and_skips_loop(worked):
     sol, rec = vfhlb(worked)
     assert sol.cost == 10.0
     assert rec.gap < 1
-    # gap guard: only the construction and one local-branching entry
-    assert len(rec.trajectory) == 2
+    # vfh proves the incumbent: only its entry, no local branching
+    assert len(rec.trajectory) == 1
     assert rec.status == "ok"
 
 
-def test_gap_below_one_proves_nothing_on_fractional_data():
-    """With f and beta of 8-0.6-4-1 divided by 100 a gap below one is no
-    proof: vfh does not call its incumbent proven, vfhlb runs every
-    perturbation iteration, as it does on the integer instance, and ends
-    on the optimum."""
+def test_proven_incumbent_is_not_searched(monkeypatch):
+    """On 8-0.6-4-1 vfh's relax-and-fix pass ends at its cutoff, which
+    proves the incumbent (801, the optimum): neither local branching nor
+    an ejection cycle runs."""
+    calls = []
+
+    def stage(name):
+        def called(inst, sol, *args, **kwargs):
+            calls.append(name)
+            return sol
+
+        return called
+
+    monkeypatch.setattr(driver, "local_branching", stage("local_branching"))
+    monkeypatch.setattr(driver, "ejection_cycle", stage("ejection_cycle"))
+    sol, rec = vfhlb(generate_instance(8, 0.6, 4, 1), SolverConfig(seed=1))
+    assert calls == []
+    assert rec.cost == rec.lower_bound == 801.0
+    assert len(rec.trajectory) == 1
+    assert rec.status == "ok"
+
+
+def refuse_proofs(monkeypatch):
+    """Make vfhlb treat every bound as open, so that its search loop runs
+    whatever vfh proved; vfh itself keeps its own proof test."""
+    monkeypatch.setattr(driver, "proves_optimal", lambda *args: False)
+
+
+def test_gap_below_one_proves_nothing_on_fractional_data(monkeypatch):
+    """With f and beta of 8-0.6-4-1 divided by 100, lbound's bound lies
+    within one of vfh's incumbent but is no proof: vfh goes on to a
+    relax-and-fix pass, and only that pass's cutoff proves the incumbent.
+    A vfhlb run whose vfh stops at lbound's bound runs every perturbation
+    iteration, as on an open gap, and ends on the optimum."""
     inst = generate_instance(8, 0.6, 4, 1)
     edges = tuple(replace(e, f=e.f / 100, beta=e.beta / 100) for e in inst.edges)
     scaled = replace(inst, edges=edges)
     assert not scaled.is_integer_data()
     opt = solve_exact(scaled).cost
+    bounding = heuristics.lbound(scaled).value
     res = heuristics.vfh(scaled, SolverConfig().gamma, rng=1)
-    assert not res.proven
-    assert res.solution.cost - res.lower_bound < 1
+    assert res.solution.cost - bounding < 1
+    assert not heuristics.proves_optimal(scaled, res.solution.cost, bounding)
+    assert res.proven and bounding < res.lower_bound <= opt
+    relax_and_fix = driver.vfh
+
+    def stopped_at_bounding(*args, **kwargs):
+        # the same draws from the run's generator, with lbound's bound only
+        return replace(relax_and_fix(*args, **kwargs), lower_bound=bounding, proven=False)
+
+    monkeypatch.setattr(driver, "vfh", stopped_at_bounding)
     sol, rec = vfhlb(scaled, SolverConfig(seed=1))
+    assert rec.lower_bound == bounding
     assert len(rec.trajectory) == 2 + SolverConfig().iterations == 12
     assert abs(sol.cost - opt) <= 1e-9
     assert rec.lower_bound <= opt
@@ -193,7 +232,33 @@ def test_bounds_hold_wherever_the_deadline_falls(monkeypatch):
     assert sum(cut) >= 10
 
 
-# instances whose run keeps a gap open, tried in order; each test below runs
+@pytest.mark.parametrize("refused", [False, True], ids=["proofs-kept", "proofs-refused"])
+def test_cut_run_without_proof_reports_time_limit(monkeypatch, refused):
+    """A deadline at every clock read after the first of a run that vfh
+    proves when it has no limit. A run that the deadline cuts and that ends
+    without a proof reports ``time-limit``; one that still ends proven
+    reports ``ok``. With proofs refused the search loop runs to its end, so
+    the deadline also falls in its last round and after it."""
+    if refused:
+        refuse_proofs(monkeypatch)
+    inst = generate_instance(6, 0.8, 2, 335)
+    clock = Ticks()
+    monkeypatch.setattr(driver, "time", clock)
+    monkeypatch.setattr(milp, "time", clock)
+    _, rec = vfhlb(inst, SolverConfig(seed=1))
+    assert (rec.gap, rec.status) == (0.0, "ok")
+    reads = int(clock.now)
+    ends = set()
+    for ticks in range(1, reads):  # the deadline t0 + ticks is at or before the last read
+        clock.now = 0.0
+        _, rec = vfhlb(inst, SolverConfig(seed=1, time_limit=float(ticks)))
+        proven = driver.proves_optimal(inst, rec.cost, rec.lower_bound)
+        assert rec.status == ("ok" if proven else "time-limit"), ticks
+        ends.add(proven)
+    assert ends == ({False} if refused else {False, True})
+
+
+# instances tried in order, with proofs refused; each test below runs
 # on the first one where its premise holds and fails if none does, so that a
 # kernel change that moves the premise off every candidate cannot make the
 # test pass vacuously. Every candidate gives the same call counts, cost and
@@ -206,7 +271,9 @@ CANDIDATES = [(8, 0.5, 4, 2), (9, 0.4, 4, 4), (8, 0.6, 4, 1), (6, 0.8, 3, 0)]
 
 def test_local_branching_not_repeated_on_unchanged_incumbent(monkeypatch):
     """When every ejection cycle returns its input, only the first
-    local-branching search runs; each iteration still records a cost."""
+    local-branching search runs; each iteration still records a cost. vfh
+    proves every candidate, so proofs are refused to make the loop run."""
+    refuse_proofs(monkeypatch)
     calls = []
     unchanged = []  # per ejection cycle: did it return its input?
     real_search, real_cycle = driver.local_branching, driver.ejection_cycle
@@ -226,12 +293,11 @@ def test_local_branching_not_repeated_on_unchanged_incumbent(monkeypatch):
         calls.clear()
         unchanged.clear()
         _, rec = vfhlb(generate_instance(*case), SolverConfig(seed=1))
-        # premise: the gap stays open, so the loop runs, and no ejection
-        # cycle changes the incumbent
-        if rec.gap >= 1 and unchanged and all(unchanged):
+        # premise: the loop runs, and no ejection cycle changes the incumbent
+        if unchanged and all(unchanged):
             break
     else:
-        pytest.fail("no candidate keeps its gap open with every ejection cycle returning its input")
+        pytest.fail("no candidate has every ejection cycle returning its input")
     assert len(calls) == 1
     assert len(rec.trajectory) == 2 + SolverConfig().iterations == 12
     assert len(unchanged) == SolverConfig().iterations
@@ -243,7 +309,9 @@ def test_cold_starts_counted(monkeypatch):
     root LP is solved once per run, also after reduced-cost fixing closed
     edges. Runs on the first candidate with every kind of start: lbound
     passes that do not prove optimality, reduced-cost fixing that closes an
-    edge, and local branching."""
+    edge, and local branching, which runs only because proofs are refused:
+    vfh proves every candidate."""
+    refuse_proofs(monkeypatch)
     fresh = None
     cold: list[bool] = []  # one entry per phase-1 start: is it the unfixed root LP?
     init = milp._Simplex.__init__

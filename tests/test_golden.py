@@ -1,9 +1,11 @@
-"""Golden outputs of full solver runs.
+"""Golden outputs of full solver runs and of the search loop.
 
-Each file under ``tests/golden/`` holds the solution and run record of one
-``vfhlb`` run with every timing field left out, so a refactor that claims
-"same behaviour" must reproduce it byte for byte. Regenerate (only when a
-behaviour change is intended) with::
+Each ``tests/golden/<case>.json`` holds the solution and run record of one
+``vfhlb`` run with every timing field left out, and each
+``tests/golden/search-<case>.json`` the design and per-round costs of the
+search loop alone (construction, then ejection-cycle + local-branching
+rounds), so a refactor that claims "same behaviour" must reproduce them
+byte for byte. Regenerate (only when a behaviour change is intended) with::
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -16,22 +18,28 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from fcndp import heuristics
 from fcndp.driver import SolverConfig, vfhlb
+from fcndp.heuristics import ejection_cycle, local_branching, partial_decoupling
 from fcndp.instance import generate_instance
+from fcndp.milp import STATUS_CUTOFF
 from fcndp.solution import solution_to_dict
 
 TESTS_DIR = Path(__file__).resolve().parent
 GOLDEN_DIR = TESTS_DIR / "golden"
 SEED = 1
-# (nodes, density, commodities, instance seed): vfh proves 8-0.5-4-1
-# optimal, lbound proves 8-0.5-4-2 and 9-0.4-4-4; 8-0.6-4-1 keeps its gap
-# open, so every ILS iteration runs with local branching under a cutoff;
-# on 6-0.8-3-0 vfh closes edges 0 and 1 by reduced-cost fixing and the gap
-# stays open too
+# (nodes, density, commodities, instance seed): lbound proves 8-0.5-4-2
+# and 9-0.4-4-4 optimal; on 8-0.5-4-1, 8-0.6-4-1 and 6-0.8-3-0 a
+# relax-and-fix pass ends at its cutoff, which proves the incumbent, and on
+# 6-0.8-3-0 vfh first closes edges 0 and 1 by reduced-cost fixing. So no
+# run searches: SEARCH_CASES cover the search loop
 CASES = [(8, 0.5, 4, 1), (8, 0.5, 4, 2), (9, 0.4, 4, 4), (8, 0.6, 4, 1), (6, 0.8, 3, 0)]
-GAP_OPEN = [(8, 0.6, 4, 1), (6, 0.8, 3, 0)]
+# the search loop runs on these whatever the bound proves and whatever the
+# clock reads: every round's local branching is a B&B that its cutoff ends
+SEARCH_CASES = [(8, 0.6, 4, 1), (6, 0.8, 3, 0)]
 
 
 def case_name(case) -> str:
@@ -54,22 +62,66 @@ def golden_text(case) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
+def search_text(case) -> str:
+    """The search loop of ``vfhlb`` without its proof test and its clock:
+    the constructive design, then ``iterations`` rounds of ejection cycle
+    and local branching, all drawing from one generator seeded ``SEED``."""
+    inst = generate_instance(*case)
+    cfg = SolverConfig(seed=SEED)
+    rng = np.random.default_rng(SEED)
+    current = partial_decoupling(inst, cfg.gamma, rng=rng)
+    costs = [current.cost]
+    for _ in range(cfg.iterations):
+        current = ejection_cycle(inst, current, cfg.gamma, rng=rng)
+        current = local_branching(inst, current, cfg.resolve_delta(inst))
+        costs.append(current.cost)
+    solution = solution_to_dict(inst, current, seed=SEED)
+    for unbounded in ("lower_bound", "gap", "wall_time_s"):
+        del solution[unbounded]
+    payload = {"solution": solution, "trajectory_costs": costs}
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
 @pytest.mark.parametrize("case", CASES, ids=case_name)
 def test_matches_golden(case):
     path = GOLDEN_DIR / f"{case_name(case)}.json"
     assert golden_text(case) == path.read_text(encoding="utf-8")
 
 
+@pytest.mark.parametrize("case", SEARCH_CASES, ids=case_name)
+def test_search_matches_golden(case):
+    path = GOLDEN_DIR / f"search-{case_name(case)}.json"
+    assert search_text(case) == path.read_text(encoding="utf-8")
+
+
+def blas_probe() -> dict:
+    """The full runs and the search loops of ``SEARCH_CASES``, with the
+    number of the search loops' B&B runs that ended at their cutoff."""
+    texts = [golden_text(case) for case in SEARCH_CASES]
+    ends = []
+    bnb = heuristics.solve_bnb
+
+    def watched(*args, **kwargs):
+        res = bnb(*args, **kwargs)
+        ends.append(res.status)
+        return res
+
+    heuristics.solve_bnb = watched
+    try:
+        texts += [search_text(case) for case in SEARCH_CASES]
+    finally:
+        heuristics.solve_bnb = bnb
+    return {"texts": texts, "cutoffs": ends.count(STATUS_CUTOFF)}
+
+
 def test_same_output_across_blas_threads_and_kernels():
     """The simplex applies its tableau updates with a matrix product, whose
     BLAS may split work by thread count and pick its kernel by CPU; full
-    runs on the gap-open cases print the golden bytes with one BLAS thread,
-    with two, and with OpenBLAS forced onto its generic SSE kernel
-    (``OPENBLAS_CORETYPE=Prescott``, which other BLAS builds ignore)."""
-    script = (
-        "import json, sys; from test_golden import golden_text; "
-        f"json.dump([golden_text(case) for case in {GAP_OPEN!r}], sys.stdout)"
-    )
+    runs and search loops print the golden bytes, and as many B&B runs end
+    at their cutoff, with one BLAS thread, with two, and with OpenBLAS
+    forced onto its generic SSE kernel (``OPENBLAS_CORETYPE=Prescott``,
+    which other BLAS builds ignore)."""
+    script = "import json, sys; from test_golden import blas_probe; json.dump(blas_probe(), sys.stdout)"
     path = os.pathsep.join([str(TESTS_DIR.parent / "src"), str(TESTS_DIR)])
     outputs = []
     for threads, core in (("1", None), ("2", None), ("1", "Prescott")):
@@ -81,9 +133,11 @@ def test_same_output_across_blas_threads_and_kernels():
             env["OPENBLAS_CORETYPE"] = core
         run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
         outputs.append(json.loads(run.stdout))
-    assert all(json.loads(text)["record"]["gap"] >= 1 for text in outputs[0])
-    golden = [(GOLDEN_DIR / f"{case_name(case)}.json").read_text(encoding="utf-8") for case in GAP_OPEN]
-    assert outputs == [golden] * 3
+    # premise: every round of both search loops ran a B&B that its cutoff ended
+    cutoffs = len(SEARCH_CASES) * SolverConfig().iterations
+    golden = [(GOLDEN_DIR / f"{case_name(case)}.json").read_text(encoding="utf-8") for case in SEARCH_CASES]
+    golden += [(GOLDEN_DIR / f"search-{case_name(case)}.json").read_text(encoding="utf-8") for case in SEARCH_CASES]
+    assert outputs == [{"texts": golden, "cutoffs": cutoffs}] * 3
 
 
 if __name__ == "__main__":
@@ -91,4 +145,8 @@ if __name__ == "__main__":
     for case in CASES:
         path = GOLDEN_DIR / f"{case_name(case)}.json"
         path.write_text(golden_text(case), encoding="utf-8")
+        print(path)
+    for case in SEARCH_CASES:
+        path = GOLDEN_DIR / f"search-{case_name(case)}.json"
+        path.write_text(search_text(case), encoding="utf-8")
         print(path)

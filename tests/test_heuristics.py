@@ -211,6 +211,34 @@ def test_vfh_worked_proves_optimum(worked):
     assert res.proven
 
 
+def test_vfh_keeps_the_proof_of_a_pass_that_ends_at_its_cutoff():
+    """On 8-0.6-4-1 bounding stops at 777; a relax-and-fix pass then finds
+    nothing under the incumbent's cost, which proves it: the bound rises to
+    801, the oracle optimum."""
+    inst = generate_instance(8, 0.6, 4, 1)
+    assert lbound(inst).value == 777.0
+    res = vfh(inst, 0.85, rng=1)
+    assert (res.solution.cost, res.lower_bound, res.proven) == (801.0, 801.0, True)
+    assert solve_exact(inst).cost == 801.0
+
+
+def test_pass_out_of_budget_proves_nothing(monkeypatch):
+    """A relax-and-fix pass that runs out of budget before it finds an
+    incumbent ends with an infinite objective too, but proves nothing: the
+    bound stays at lbound's 777 and the incumbent is not proven."""
+    inst = generate_instance(8, 0.6, 4, 1)
+    bnb = heuristics.solve_bnb
+
+    def out_of_budget(model, binary, *, cutoff=None, **kwargs):
+        if cutoff is None:  # lbound's passes
+            return bnb(model, binary, **kwargs)
+        return milp.LpResult(milp.STATUS_ITERATION_LIMIT, math.inf, model.lb.copy())
+
+    monkeypatch.setattr(heuristics, "solve_bnb", out_of_budget)
+    res = vfh(inst, 0.85, rng=1)
+    assert (res.solution.cost, res.lower_bound, res.proven) == (801.0, 777.0, False)
+
+
 def test_vfh_returns_lbound_solution_when_integral():
     inst = tree_instance()
     res = vfh(inst, 0.85, rng=0)
