@@ -1,5 +1,5 @@
 """Self-contained LP/MIP kernel with two calls:
-``solve_lp(model)`` solves the relaxation with a bounded-variable primal
+``solve_lp(model)`` solves the relaxation with a bounded-variable dual
 simplex, and
 ``solve_bnb(model, binary, *, root=None, cutoff=None, deadline=None)``
 runs branch-and-bound over the variables a boolean mask marks binary, until
@@ -29,21 +29,29 @@ fly. The block is applied as one matrix product when the whole tableau is
 read (every ``_REFRESH`` pivots, when ``xb`` and the reduced costs are
 re-derived, and on a copy) or when it holds ``_REFRESH`` pivots.
 
-Only the root relaxation starts cold, with phase 1 and artificials;
+Every solve takes one path: a bounded dual simplex back to primal
+feasibility, then a primal clean-up of any reduced cost that rounding left
+on the wrong side of ``OPT_TOL``. A cold start is the slack basis with each
+structural variable nonbasic at the bound its cost points to (lower for a
+cost >= 0, upper for one < 0), which is dual feasible, so there is no
+phase 1 (Koberstein, *The dual simplex method, techniques for a fast and
+stable implementation*, PhD thesis, Paderborn 2005). A variable unbounded
+in the direction its cost falls, a free one included, is refused with
+``ValueError``; every model built in this package bounds every variable,
+so none of its LPs is unbounded. Only the root relaxation starts cold;
 ``root=`` hands ``solve_bnb`` a ``solve_lp`` result so that it is solved
 once however many B&B calls start from it, also after the model's bounds
 tightened around the root's point, which leaves its basis optimal. A B&B
-child starts from its parent's optimal basis: it changes
-the one branched bound, runs a bounded dual simplex back to primal
-feasibility, then a primal clean-up.
-The parent's tableau is reused in place by the child explored next; the
+child starts from its parent's optimal basis with its one branched bound
+changed. The parent's tableau is reused in place by the child explored next; the
 other child reaches its parent's basis from whatever tableau is live by a
 basis exchange, so a pending node holds O(rows + columns) state and no
 LU factorization is needed. Rounding builds up over long runs of pivots:
 a dual run stops with ``STATUS_ITERATION_LIMIT`` when its point is no
 longer finite or its pivot, read through the pending pivots, is at most
-``PIVOT_TOL``, and a basis exchange that finds no pivot above it is retried
-from the root's tableau, the node dropped if that fails too.
+``PIVOT_TOL``, a primal run when rounding leaves its step unblocked, and a
+basis exchange that finds no pivot above ``PIVOT_TOL`` is retried from the
+root's tableau, the node dropped if that fails too.
 
 Every pricing and ratio-test choice counts values within a relative 1e-9
 of the best as tied: ratio-test ties go to the largest pivot, then to the
@@ -52,9 +60,7 @@ products round as the BLAS kernel does (OpenBLAS's SkylakeX kernel also by
 thread count), and the tolerance keeps those last bits from picking the
 pivots. The values still differ in their last bits, and the B&B's
 branching and its callers' rounding can turn on them, so solves are
-bit-reproducible only under one BLAS build and thread count. Free
-variables (no finite bound on either side) are not supported; every model
-built in this package bounds everything.
+bit-reproducible only under one BLAS build and thread count.
 """
 
 from __future__ import annotations
@@ -70,7 +76,6 @@ from .model import SENSE_EQ, SENSE_GE, SENSE_LE, MipModel
 
 STATUS_OPTIMAL = "optimal"
 STATUS_INFEASIBLE = "infeasible"
-STATUS_UNBOUNDED = "unbounded"
 STATUS_CUTOFF = "cutoff"
 STATUS_ITERATION_LIMIT = "iteration-limit"
 
@@ -133,10 +138,12 @@ class LpResult:
 
 
 class _Simplex:
-    """One solver state. A cold start (the constructor) runs phase 1 with
-    artificials, then phase 2. A warm start puts new bounds on a solved
-    state, after a ``rebase`` to another basis if need be, and runs the dual
-    simplex, then a primal clean-up."""
+    """One solver state, solved by ``reoptimize``: the dual simplex, then a
+    primal clean-up. The constructor builds the cold start, the slack basis
+    of ``[A | I | b]`` with each structural variable nonbasic at the bound
+    its cost points to; it refuses a variable unbounded in that direction.
+    A warm start puts new bounds on a solved state, after a ``rebase`` to
+    another basis if need be."""
 
     def __init__(self, model: MipModel, lb: np.ndarray, ub: np.ndarray, iter_limit: int):
         rows = model.rows
@@ -152,66 +159,35 @@ class _Simplex:
                 self.l[n + i] = -math.inf
             elif row.sense != SENSE_EQ:
                 raise ValueError(f"unknown row sense {row.sense!r}")
-        if np.any(~np.isfinite(self.l) & ~np.isfinite(self.u)):
-            raise ValueError("free variables are not supported")
         self.c = np.concatenate([model.obj, np.zeros(m)])
-        self.b = np.array([row.rhs for row in rows], dtype=float)
+        # each structural starts nonbasic at the bound its cost points to,
+        # which makes the slack basis dual feasible; a slack starts basic
+        self.at_upper = self.c < 0.0
+        unbounded = np.flatnonzero(~np.isfinite(np.where(self.at_upper, self.u, self.l)[:n]))
+        if unbounded.size:
+            raise ValueError(f"variable {int(unbounded[0])} is unbounded in the direction its cost falls")
         self.iter_limit = iter_limit
         self.deadline = math.inf  # in time.monotonic(); a solve stops there as at iter_limit
         self.iterations = 0
-
-        n_all = n + m
-        # nonbasic start: every variable at its finite bound (lower preferred);
-        # a slack's finite bound is 0, so only structurals enter the residual
-        self.at_upper = ~np.isfinite(self.l)
-        z = np.where(self.at_upper, self.u, self.l)
-        resid = self.b - np.array([row.coefs @ z[row.cols] for row in rows], dtype=float)
-
-        # each row starts with its slack basic when the slack can absorb the
-        # residual, else with an artificial signed to take a nonnegative value
-        art_rows = []
-        basis = []
-        for i in range(m):
-            lo, hi = self.l[n + i], self.u[n + i]
-            need = resid[i]  # value the slack would have to take
-            if lo - FEAS_TOL <= need <= hi + FEAS_TOL:
-                basis.append(n + i)
-            else:
-                pin = lo if need < lo else hi
-                art_rows.append((i, 1.0 if need - pin > 0 else -1.0))
-                basis.append(n_all + len(art_rows) - 1)
-        self.n_art = len(art_rows)
-        if self.n_art:
-            self.l = np.concatenate([self.l, np.zeros(self.n_art)])
-            self.u = np.concatenate([self.u, np.full(self.n_art, math.inf)])
-            self.c = np.concatenate([self.c, np.zeros(self.n_art)])
-            self.at_upper = np.concatenate([self.at_upper, np.zeros(self.n_art, dtype=bool)])
-        self.ncols = n_all + self.n_art
-        # the starting tableau [A | I | art | b], filled row by row
+        self.ncols = n + m
+        # the starting tableau [A | I | b], filled row by row
         self.tableau = np.zeros((m, self.ncols + 1))
         for i, row in enumerate(rows):
             self.tableau[i, row.cols] = row.coefs
             self.tableau[i, n + i] = 1.0
-        for j, (i, sign) in enumerate(art_rows):
-            self.tableau[i, n_all + j] = sign
-        self.tableau[:, -1] = self.b
+            self.tableau[i, -1] = row.rhs
         # pivots held back from the tableau: the live tableau is
         # tableau - pend_c[:, :pend_k] @ pend_r[:pend_k]
         self.pend_c = np.empty((m, _REFRESH))
         self.pend_r = np.empty((_REFRESH, self.ncols + 1))
         self.pend_k = 0
-        self.basis = np.array(basis, dtype=int)
+        self.basis = np.arange(n, n + m)
         self.in_basis = np.zeros(self.ncols, dtype=bool)
         self.in_basis[self.basis] = True
         # Devex reference weights of the primal pricing, one per column,
         # and of the dual's, one per row
         self.weights = np.ones(self.ncols)
         self.row_weights = np.ones(m)
-        # every starting basic column is +-e_r: dividing the rows of the
-        # -e_r artificials by -1 makes the starting basis the identity
-        for i, sign in art_rows:
-            if sign < 0:
-                self.tableau[i, :] /= sign
         self._sync()
         self._refresh_xb()
 
@@ -275,9 +251,9 @@ class _Simplex:
     def reoptimize(self) -> str:
         """Dual simplex back to primal feasibility, then a primal clean-up
         of any reduced cost left on the wrong side of the tolerance."""
-        status = self.dual(self.c)
+        status = self.dual()
         if status == STATUS_OPTIMAL:
-            status = self.optimize(self.c)
+            status = self.optimize()
         return status
 
     def _col(self, q: int) -> np.ndarray:
@@ -311,14 +287,14 @@ class _Simplex:
         self.values = z_n
         self.values[self.basis] = xb
 
-    def _reduced_costs(self, cost: np.ndarray) -> np.ndarray:
+    def _reduced_costs(self) -> np.ndarray:
         self._flush()
-        d = cost - cost[self.basis] @ self.tableau[:, :-1]
+        d = self.c - self.c[self.basis] @ self.tableau[:, :-1]
         d[self.basis] = 0.0
         return d
 
-    def optimize(self, cost: np.ndarray) -> str:
-        d = self._reduced_costs(cost)
+    def optimize(self) -> str:
+        d = self._reduced_costs()
         bland = False
         degenerate_run = 0
         bland_after = 2 * (self.m + self.ncols)
@@ -372,7 +348,9 @@ class _Simplex:
             t_own = span if math.isfinite(span) else math.inf
             t_star = min(t_min_rows, t_own)
             if math.isinf(t_star):
-                return STATUS_UNBOUNDED
+                # every column is bounded on the side its cost falls to, so
+                # only rounding leaves a step unblocked
+                return STATUS_ITERATION_LIMIT
             self.iterations += 1
             since_refresh += 1
             if t_own <= t_min_rows + 1e-9:
@@ -411,9 +389,9 @@ class _Simplex:
             if since_refresh >= _REFRESH:
                 since_refresh = 0
                 self._refresh_xb()
-                d = self._reduced_costs(cost)
+                d = self._reduced_costs()
 
-    def dual(self, cost: np.ndarray) -> str:
+    def dual(self) -> str:
         """Bounded dual simplex from a dual feasible basis: a primal
         infeasible basic variable leaves at the bound it violates until the
         point is primal feasible. Dual Devex pricing picks the leaving row
@@ -424,7 +402,7 @@ class _Simplex:
         point is no longer finite, or the entering column's entry in the
         pivot row, read through the pending block, is noise (at most
         ``PIVOT_TOL``)."""
-        d = self._reduced_costs(cost)
+        d = self._reduced_costs()
         since_refresh = 0
         # work arrays, rewritten in place at every pivot
         below = np.empty(self.m)
@@ -441,7 +419,7 @@ class _Simplex:
             np.subtract(self.lbb, self.xb, out=below)
             np.subtract(self.xb, self.ubb, out=above)
             np.maximum(below, above, out=worst)
-            top = worst.max()
+            top = worst.max(initial=0.0)
             if not math.isfinite(top):
                 return STATUS_ITERATION_LIMIT
             if top <= FEAS_TOL:
@@ -502,7 +480,7 @@ class _Simplex:
             if since_refresh >= _REFRESH:
                 since_refresh = 0
                 self._refresh_xb()
-                d = self._reduced_costs(cost)
+                d = self._reduced_costs()
 
     def _pivot(
         self,
@@ -543,21 +521,6 @@ class _Simplex:
         self.xb[r] = entering_val
         return row
 
-    def solve(self) -> str:
-        if self.n_art:
-            phase1 = np.zeros(self.ncols)
-            phase1[self.ncols - self.n_art :] = 1.0
-            status = self.optimize(phase1)
-            if status != STATUS_OPTIMAL:
-                return status
-            if float(phase1 @ self.values) > FEAS_TOL * (1.0 + float(np.abs(self.b).sum())):
-                return STATUS_INFEASIBLE
-            first_art = self.ncols - self.n_art
-            self.l[first_art:] = 0.0
-            self.u[first_art:] = 0.0
-            self._sync()
-        return self.optimize(self.c)
-
 
 def solve_lp(model: MipModel) -> LpResult:
     """Optimal basic solution of the LP relaxation, with reduced costs. The
@@ -575,8 +538,8 @@ def _solve_lp(model: MipModel, deadline: float = math.inf) -> LpResult:
     limit = max(PIVOT_LIMIT_FLOOR, PIVOT_LIMIT_PER_DIM * (model.num_vars + 2 * len(model.rows)))
     sx = _Simplex(model, lb, ub, limit)
     sx.deadline = deadline
-    status = sx.solve()
-    d = sx._reduced_costs(sx.c)
+    status = sx.reoptimize()
+    d = sx._reduced_costs()
     primal = sx.values[: model.num_vars]
     return LpResult(
         status=status,
@@ -714,8 +677,6 @@ def solve_bnb(
             values = sx.values[: model.num_vars]
         if status == STATUS_INFEASIBLE:
             continue
-        if status == STATUS_UNBOUNDED:
-            return LpResult(STATUS_UNBOUNDED, -math.inf, values.copy(), None, total_pivots, nodes_done)
         if status == STATUS_ITERATION_LIMIT:
             hit_limit = True
             continue

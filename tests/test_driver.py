@@ -61,9 +61,9 @@ def test_worked_run_proves_optimum_and_skips_loop(worked):
 
 
 def test_proven_incumbent_is_not_searched(monkeypatch):
-    """On 8-0.6-4-1 vfh's relax-and-fix pass ends at its cutoff, which
-    proves the incumbent (801, the optimum): neither local branching nor
-    an ejection cycle runs."""
+    """On 8-0.6-4-1 an lbound pass is integral, which proves vfh's
+    incumbent (801, the optimum): neither local branching nor an ejection
+    cycle runs."""
     calls = []
 
     def stage(name):
@@ -89,12 +89,12 @@ def refuse_proofs(monkeypatch):
 
 
 def test_gap_below_one_proves_nothing_on_fractional_data(monkeypatch):
-    """With f and beta of 8-0.6-4-1 divided by 100, lbound's bound lies
-    within one of vfh's incumbent but is no proof: vfh goes on to a
-    relax-and-fix pass, and only that pass's cutoff proves the incumbent.
+    """With f and beta of 6-0.8-3-0 divided by 100, lbound's bound lies
+    within one of vfh's incumbent but is no proof: vfh goes on to
+    relax-and-fix passes, and only a pass's cutoff proves the incumbent.
     A vfhlb run whose vfh stops at lbound's bound runs every perturbation
     iteration, as on an open gap, and ends on the optimum."""
-    inst = generate_instance(8, 0.6, 4, 1)
+    inst = generate_instance(6, 0.8, 3, 0)
     edges = tuple(replace(e, f=e.f / 100, beta=e.beta / 100) for e in inst.edges)
     scaled = replace(inst, edges=edges)
     assert not scaled.is_integer_data()
@@ -220,8 +220,8 @@ def test_bounds_hold_wherever_the_deadline_falls(monkeypatch):
     cut = []  # per dual simplex run: did the deadline end it
     dual = milp._Simplex.dual
 
-    def watched(self, cost):
-        status = dual(self, cost)
+    def watched(self):
+        status = dual(self)
         cut.append(status == milp.STATUS_ITERATION_LIMIT and clock.now >= self.deadline)
         return status
 
@@ -263,10 +263,12 @@ def test_cut_run_without_proof_reports_time_limit(monkeypatch, refused):
 # kernel change that moves the premise off every candidate cannot make the
 # test pass vacuously. Every candidate gives the same call counts, cost and
 # bound with one or two BLAS threads and under OpenBLAS's SkylakeX, Haswell,
-# Sandybridge and Prescott kernels; 7-0.65-3-5 and 7-0.8-2-8 are left out
-# because they do not (7-0.8-2-8 bounds at 313 or 296 depending on how the
+# Sandybridge and Prescott kernels; 9-0.4-4-4, 8-0.6-4-1 and 7-0.65-3-5 are
+# left out because they do not (lbound proves 9-0.4-4-4 under five of those
+# settings but leaves relax-and-fix to prove it under two SkylakeX threads,
+# and proves 8-0.6-4-1 in two passes or three, depending on how the
 # simplex's matrix products round)
-CANDIDATES = [(8, 0.5, 4, 2), (9, 0.4, 4, 4), (8, 0.6, 4, 1), (6, 0.8, 3, 0)]
+CANDIDATES = [(8, 0.5, 4, 2), (6, 0.8, 3, 0), (6, 0.8, 3, 25), (8, 0.5, 4, 1)]
 
 
 def test_local_branching_not_repeated_on_unchanged_incumbent(monkeypatch):
@@ -313,7 +315,7 @@ def test_cold_starts_counted(monkeypatch):
     vfh proves every candidate."""
     refuse_proofs(monkeypatch)
     fresh = None
-    cold: list[bool] = []  # one entry per phase-1 start: is it the unfixed root LP?
+    cold: list[bool] = []  # one entry per cold start: is it the unfixed root LP?
     init = milp._Simplex.__init__
 
     def counted_init(self, model, lb, ub, iter_limit):
@@ -383,7 +385,7 @@ def test_cold_starts_counted(monkeypatch):
     # the counts below are the ones this instance takes; a kernel change
     # that picks another candidate must re-derive them, not loosen them
     assert case == (6, 0.8, 3, 0)
-    assert (passes, len(searches), fixed) == (1, 1, [[0, 1]])
+    assert (passes, len(searches), fixed) == (1, 1, [[2]])
     # one lbound pass and two vfh passes, all seeded with the root LP,
     # the second after reduced-cost fixing, then the one local-branching
     # B&B, which solves its own root

@@ -24,22 +24,26 @@ import pytest
 from fcndp import heuristics
 from fcndp.driver import SolverConfig, vfhlb
 from fcndp.heuristics import ejection_cycle, local_branching, partial_decoupling
-from fcndp.instance import generate_instance
-from fcndp.milp import STATUS_CUTOFF
+from fcndp.instance import compute_big_m, generate_instance
+from fcndp.milp import STATUS_CUTOFF, solve_lp
+from fcndp.model import build_model
 from fcndp.solution import solution_to_dict
 
 TESTS_DIR = Path(__file__).resolve().parent
 GOLDEN_DIR = TESTS_DIR / "golden"
 SEED = 1
-# (nodes, density, commodities, instance seed): lbound proves 8-0.5-4-2
-# and 9-0.4-4-4 optimal; on 8-0.5-4-1, 8-0.6-4-1 and 6-0.8-3-0 a
-# relax-and-fix pass ends at its cutoff, which proves the incumbent, and on
-# 6-0.8-3-0 vfh first closes edges 0 and 1 by reduced-cost fixing. So no
-# run searches: SEARCH_CASES cover the search loop
+# (nodes, density, commodities, instance seed): lbound proves 8-0.5-4-1,
+# 8-0.5-4-2 and 8-0.6-4-1 optimal; on 6-0.8-3-0 vfh closes edge 2 by
+# reduced-cost fixing, then a relax-and-fix pass ends at its cutoff, which
+# proves the incumbent; 9-0.4-4-4 is proven one way or the other depending
+# on how the BLAS kernel rounds. So no run searches: SEARCH_CASES cover the
+# search loop
 CASES = [(8, 0.5, 4, 1), (8, 0.5, 4, 2), (9, 0.4, 4, 4), (8, 0.6, 4, 1), (6, 0.8, 3, 0)]
 # the search loop runs on these whatever the bound proves and whatever the
 # clock reads: every round's local branching is a B&B that its cutoff ends
 SEARCH_CASES = [(8, 0.6, 4, 1), (6, 0.8, 3, 0)]
+# cold root LPs whose pivot path the BLAS settings must not change
+ROOT_CASES = [(12, 0.3, 6, 1), (15, 0.25, 8, 1)]
 
 
 def case_name(case) -> str:
@@ -96,7 +100,9 @@ def test_search_matches_golden(case):
 
 def blas_probe() -> dict:
     """The full runs and the search loops of ``SEARCH_CASES``, with the
-    number of the search loops' B&B runs that ended at their cutoff."""
+    number of the search loops' B&B runs that ended at their cutoff, and
+    the pivot count and final basis of the cold root LP of each of
+    ``ROOT_CASES``."""
     texts = [golden_text(case) for case in SEARCH_CASES]
     ends = []
     bnb = heuristics.solve_bnb
@@ -111,16 +117,22 @@ def blas_probe() -> dict:
         texts += [search_text(case) for case in SEARCH_CASES]
     finally:
         heuristics.solve_bnb = bnb
-    return {"texts": texts, "cutoffs": ends.count(STATUS_CUTOFF)}
+    roots = []
+    for case in ROOT_CASES:
+        inst = generate_instance(*case)
+        res = solve_lp(build_model(inst, compute_big_m(inst)))
+        roots.append([res.iterations, res.start.sx.basis.tolist()])
+    return {"texts": texts, "cutoffs": ends.count(STATUS_CUTOFF), "roots": roots}
 
 
 def test_same_output_across_blas_threads_and_kernels():
     """The simplex applies its tableau updates with a matrix product, whose
     BLAS may split work by thread count and pick its kernel by CPU; full
-    runs and search loops print the golden bytes, and as many B&B runs end
-    at their cutoff, with one BLAS thread, with two, and with OpenBLAS
-    forced onto its generic SSE kernel (``OPENBLAS_CORETYPE=Prescott``,
-    which other BLAS builds ignore)."""
+    runs and search loops print the golden bytes, as many B&B runs end at
+    their cutoff, and the cold root LPs take the same pivots to the same
+    basis, with one BLAS thread, with two, and with OpenBLAS forced onto
+    its generic SSE kernel (``OPENBLAS_CORETYPE=Prescott``, which other
+    BLAS builds ignore)."""
     script = "import json, sys; from test_golden import blas_probe; json.dump(blas_probe(), sys.stdout)"
     path = os.pathsep.join([str(TESTS_DIR.parent / "src"), str(TESTS_DIR)])
     outputs = []
@@ -137,7 +149,10 @@ def test_same_output_across_blas_threads_and_kernels():
     cutoffs = len(SEARCH_CASES) * SolverConfig().iterations
     golden = [(GOLDEN_DIR / f"{case_name(case)}.json").read_text(encoding="utf-8") for case in SEARCH_CASES]
     golden += [(GOLDEN_DIR / f"search-{case_name(case)}.json").read_text(encoding="utf-8") for case in SEARCH_CASES]
-    assert outputs == [{"texts": golden, "cutoffs": cutoffs}] * 3
+    # the dual simplex from the slack basis takes 124 and 285 pivots
+    roots = outputs[0]["roots"]
+    assert [pivots for pivots, _ in roots] == [124, 285]
+    assert outputs == [{"texts": golden, "cutoffs": cutoffs, "roots": roots}] * 3
 
 
 if __name__ == "__main__":
