@@ -32,6 +32,8 @@ class SolverConfig:
             raise ValueError("delta must be nonnegative")
         if self.iterations < 1:
             raise ValueError("need at least one iteration")
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
         if self.time_limit is not None and not self.time_limit > 0:
             raise ValueError("time_limit must be positive")
 

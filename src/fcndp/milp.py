@@ -8,30 +8,25 @@ the absolute ``time.monotonic()`` value ``deadline`` if one is given.
 The simplex keeps a dense tableau (desk-scale models make dense cheap),
 filled at a cold start straight from ``MipModel.rows`` with one slack
 column per row, so it is the only dense copy of the model; numpy is all it
-needs. The primal simplex prices with Devex reference weights (Harris,
-*Pivot selection methods of the Devex LP code*, Math. Prog. 5, 1973):
-among the columns whose reduced cost prices in by more than ``OPT_TOL``,
-the one with the largest d_j^2 / w_j enters, with every weight 1 at the
-start of each solve and updated from the pivot row. It falls back to
-Bland's rule after a run of degenerate pivots. The dual simplex prices by
-dual Devex: among the rows whose basic variable is out of its bounds by
-more than ``FEAS_TOL``, the one with the largest infeasibility^2 / w_i
-leaves, with every row weight 1 at the start of each solve and updated
-from the pivot column. It takes Harris's two-pass ratio test: the longest
-step that keeps every reduced cost within ``OPT_TOL`` of its sign, then the
-largest pivot inside it. The pricing state (the bounds of the basic
-variables, the direction each nonbasic variable moves in, which may move
-at all, the Devex weights) is kept up to date pivot by pivot rather than
-rebuilt. A pivot does not rewrite the tableau: it is
+needs. It is a bounded dual simplex, the kernel's only algorithm, and
+prices by dual Devex (Harris, *Pivot selection methods of the Devex LP
+code*, Math. Prog. 5, 1973): among the rows whose basic variable is out of
+its bounds by more than ``FEAS_TOL``, the one with the largest
+infeasibility^2 / w_i leaves, with every row weight 1 at the start of each
+solve and updated from the pivot column. It takes Harris's two-pass ratio
+test: the longest step that keeps every reduced cost within ``OPT_TOL`` of
+its sign, then the largest pivot inside it. The pricing state (the bounds
+of the basic variables, the direction each nonbasic variable moves in,
+which may move at all, the Devex weights) is kept up to date pivot by
+pivot rather than rebuilt. A pivot does not rewrite the tableau: it is
 held back as one column and one row of a pending block, and the reads the
 simplex makes, one column or one row, subtract the block's product on the
 fly. The block is applied as one matrix product when the whole tableau is
 read (every ``_REFRESH`` pivots, when ``xb`` and the reduced costs are
 re-derived, and on a copy) or when it holds ``_REFRESH`` pivots.
 
-Every solve takes one path: a bounded dual simplex back to primal
-feasibility, then a primal clean-up of any reduced cost that rounding left
-on the wrong side of ``OPT_TOL``. A cold start is the slack basis with each
+Every solve takes one path: the dual simplex back to primal feasibility
+from a dual feasible basis. A cold start is the slack basis with each
 structural variable nonbasic at the bound its cost points to (lower for a
 cost >= 0, upper for one < 0), which is dual feasible, so there is no
 phase 1 (Koberstein, *The dual simplex method, techniques for a fast and
@@ -47,11 +42,12 @@ changed. The parent's tableau is reused in place by the child explored next; the
 other child reaches its parent's basis from whatever tableau is live by a
 basis exchange, so a pending node holds O(rows + columns) state and no
 LU factorization is needed. Rounding builds up over long runs of pivots:
-a dual run stops with ``STATUS_ITERATION_LIMIT`` when its point is no
-longer finite or its pivot, read through the pending pivots, is at most
-``PIVOT_TOL``, a primal run when rounding leaves its step unblocked, and a
-basis exchange that finds no pivot above ``PIVOT_TOL`` is retried from the
-root's tableau, the node dropped if that fails too.
+a solve stops with ``STATUS_ITERATION_LIMIT`` when its point is no longer
+finite, when its pivot, read through the pending pivots, is at most
+``PIVOT_TOL``, or when, once primal feasible, a reduced cost re-derived
+from the tableau is on the wrong side of ``OPT_TOL``; a basis exchange
+that finds no pivot above ``PIVOT_TOL`` is retried from the root's
+tableau, the node dropped if that fails too.
 
 Every pricing and ratio-test choice counts values within a relative 1e-9
 of the best as tied: ratio-test ties go to the largest pivot, then to the
@@ -138,10 +134,10 @@ class LpResult:
 
 
 class _Simplex:
-    """One solver state, solved by ``reoptimize``: the dual simplex, then a
-    primal clean-up. The constructor builds the cold start, the slack basis
-    of ``[A | I | b]`` with each structural variable nonbasic at the bound
-    its cost points to; it refuses a variable unbounded in that direction.
+    """One solver state, solved by ``solve``, the dual simplex. The
+    constructor builds the cold start, the slack basis of ``[A | I | b]``
+    with each structural variable nonbasic at the bound its cost points
+    to; it refuses a variable unbounded in that direction.
     A warm start puts new bounds on a solved state, after a ``rebase`` to
     another basis if need be."""
 
@@ -184,9 +180,7 @@ class _Simplex:
         self.basis = np.arange(n, n + m)
         self.in_basis = np.zeros(self.ncols, dtype=bool)
         self.in_basis[self.basis] = True
-        # Devex reference weights of the primal pricing, one per column,
-        # and of the dual's, one per row
-        self.weights = np.ones(self.ncols)
+        # Devex reference weights of the dual pricing, one per row
         self.row_weights = np.ones(m)
         self._sync()
         self._refresh_xb()
@@ -233,7 +227,7 @@ class _Simplex:
         self._flush()
         other = copy.copy(self)
         names = ("l", "u", "at_upper", "tableau", "pend_c", "pend_r", "basis", "in_basis", "xb", "values")
-        names += ("lbb", "ubb", "move", "movable", "weights", "row_weights")
+        names += ("lbb", "ubb", "move", "movable", "row_weights")
         for name in names:
             setattr(other, name, getattr(self, name).copy())
         return other
@@ -247,14 +241,6 @@ class _Simplex:
         self.l[:n] = lb
         self.u[:n] = ub
         self._sync()
-
-    def reoptimize(self) -> str:
-        """Dual simplex back to primal feasibility, then a primal clean-up
-        of any reduced cost left on the wrong side of the tolerance."""
-        status = self.dual()
-        if status == STATUS_OPTIMAL:
-            status = self.optimize()
-        return status
 
     def _col(self, q: int) -> np.ndarray:
         """Column ``q`` of the live tableau."""
@@ -293,115 +279,21 @@ class _Simplex:
         d[self.basis] = 0.0
         return d
 
-    def optimize(self) -> str:
-        d = self._reduced_costs()
-        bland = False
-        degenerate_run = 0
-        bland_after = 2 * (self.m + self.ncols)
-        since_refresh = 0
-        # a fresh Devex reference framework at each call
-        self.weights.fill(1.0)
-        # work arrays, rewritten in place at every pivot
-        score = np.empty(self.ncols)
-        price = np.empty(self.ncols)
-        delta = np.empty(self.m)
-        gap = np.empty(self.m)
-        shift = np.empty(self.m)
-        t_rows = np.empty(self.m)
-        while True:
-            if self.iterations >= self.iter_limit or time.monotonic() >= self.deadline:
-                return STATUS_ITERATION_LIMIT
-            # how much moving each nonbasic column off its bound lowers the
-            # cost; zero for the columns that cannot move
-            np.multiply(d, self.move, out=score)
-            np.negative(score, out=score)
-            score *= self.movable
-            if score.max(initial=0.0) <= OPT_TOL:
-                self._refresh_xb()
-                return STATUS_OPTIMAL
-            eligible = score > OPT_TOL
-            if bland:
-                q = int(np.flatnonzero(eligible)[0])
-            else:
-                # Devex: the eligible column with the largest score^2 / weight
-                np.square(score, out=price)
-                price /= self.weights
-                price *= eligible
-                q = _near_max(price)
-            sigma = -1.0 if self.at_upper[q] else 1.0
-            col = self._col(q)
-            np.multiply(col, -sigma, out=delta)
-            # primal ratio test: the step at which each basic variable
-            # reaches the bound it heads for
-            t_rows.fill(math.inf)
-            down = delta < -PIVOT_TOL
-            np.subtract(self.xb, self.lbb, out=gap)
-            np.maximum(gap, 0.0, out=gap)
-            np.divide(gap, delta, out=t_rows, where=down)
-            np.negative(t_rows, out=t_rows, where=down)
-            up = delta > PIVOT_TOL
-            np.subtract(self.ubb, self.xb, out=gap)
-            np.maximum(gap, 0.0, out=gap)
-            np.divide(gap, delta, out=t_rows, where=up)
-            t_min_rows = t_rows.min(initial=math.inf)
-            span = self.u[q] - self.l[q]
-            t_own = span if math.isfinite(span) else math.inf
-            t_star = min(t_min_rows, t_own)
-            if math.isinf(t_star):
-                # every column is bounded on the side its cost falls to, so
-                # only rounding leaves a step unblocked
-                return STATUS_ITERATION_LIMIT
-            self.iterations += 1
-            since_refresh += 1
-            if t_own <= t_min_rows + 1e-9:
-                # bound flip: no basis change
-                np.multiply(delta, t_own, out=shift)
-                self.xb += shift
-                self.at_upper[q] = ~self.at_upper[q]
-                self.move[q] = -self.move[q]
-                degenerate_run = 0
-                continue
-            cand = np.flatnonzero(t_rows <= t_star + 1e-9)
-            if bland:
-                r = int(cand[np.argmin(self.basis[cand])])
-            else:
-                r = int(cand[_near_max(np.abs(col[cand]), self.basis[cand])])
-            t = max(float(t_rows[r]), 0.0)
-            if t <= 1e-12:
-                degenerate_run += 1
-                if degenerate_run > bland_after:
-                    bland = True
-            else:
-                degenerate_run = 0
-            np.multiply(delta, t, out=shift)
-            self.xb += shift
-            entering_val = (self.u[q] if self.at_upper[q] else self.l[q]) + sigma * t
-            leaving = int(self.basis[r])
-            row = self._pivot(r, q, col, entering_val, bool(delta[r] > 0), d)
-            # Devex update from the pivot row divided by the pivot:
-            # w_j = max(w_j, row_j^2 w_q), and the leaving column's weight
-            # is max(w_q / pivot^2, 1)
-            w_q = self.weights[q]
-            np.square(row[:-1], out=price)
-            price *= w_q
-            np.maximum(self.weights, price, out=self.weights)
-            self.weights[leaving] = max(w_q / (col[r] * col[r]), 1.0)
-            if since_refresh >= _REFRESH:
-                since_refresh = 0
-                self._refresh_xb()
-                d = self._reduced_costs()
-
-    def dual(self) -> str:
+    def solve(self) -> str:
         """Bounded dual simplex from a dual feasible basis: a primal
         infeasible basic variable leaves at the bound it violates until the
         point is primal feasible. Dual Devex pricing picks the leaving row
         (the largest infeasibility^2 / w_i, with every row weight 1 at the
         start of each call) and Harris's two-pass ratio test the entering
-        column. Ends with ``STATUS_ITERATION_LIMIT`` at the pivot budget
-        or the deadline, and also when rounding has spoilt the tableau: the
-        point is no longer finite, or the entering column's entry in the
-        pivot row, read through the pending block, is noise (at most
-        ``PIVOT_TOL``)."""
+        column. Once primal feasible, it re-derives the reduced costs and
+        the point from the tableau and returns ``STATUS_OPTIMAL``, however
+        late. Ends with ``STATUS_ITERATION_LIMIT`` at the pivot budget or
+        the deadline, and also when rounding has spoilt the tableau: the
+        point is no longer finite, the entering column's entry in the pivot
+        row, read through the pending block, is noise (at most
+        ``PIVOT_TOL``), or a movable column's re-derived reduced cost is on
+        the wrong side of its sign by more than ``OPT_TOL``, which the
+        ratio test rules out but for rounding."""
         d = self._reduced_costs()
         since_refresh = 0
         # work arrays, rewritten in place at every pivot
@@ -423,6 +315,10 @@ class _Simplex:
             if not math.isfinite(top):
                 return STATUS_ITERATION_LIMIT
             if top <= FEAS_TOL:
+                d = self._reduced_costs()
+                if not np.all(self.move[self.movable] * d[self.movable] >= -OPT_TOL):
+                    return STATUS_ITERATION_LIMIT
+                self._refresh_xb()
                 return STATUS_OPTIMAL
             if self.iterations >= self.iter_limit or time.monotonic() >= self.deadline:
                 return STATUS_ITERATION_LIMIT
@@ -491,11 +387,11 @@ class _Simplex:
         leaves_at_upper: bool,
         d: np.ndarray,
         row: np.ndarray | None = None,
-    ) -> np.ndarray:
+    ) -> None:
         """Column ``q``, whose live tableau column is ``col``, enters the
-        basis in row ``r``; updates the reduced costs ``d`` in place and
-        returns the pivot row divided by the pivot. ``row`` is the live row
-        ``r`` when the caller has already read it. The tableau update
+        basis in row ``r``; updates the reduced costs ``d`` in place.
+        ``row`` is the live row ``r`` when the caller has already read it.
+        The tableau update
         ``T -= (col - e_r) (T[r] / col[r])`` is held back in the pending
         block and applied when the block is full or at the next read of the
         whole tableau."""
@@ -519,7 +415,6 @@ class _Simplex:
         self.lbb[r] = self.l[q]
         self.ubb[r] = self.u[q]
         self.xb[r] = entering_val
-        return row
 
 
 def solve_lp(model: MipModel) -> LpResult:
@@ -538,7 +433,7 @@ def _solve_lp(model: MipModel, deadline: float = math.inf) -> LpResult:
     limit = max(PIVOT_LIMIT_FLOOR, PIVOT_LIMIT_PER_DIM * (model.num_vars + 2 * len(model.rows)))
     sx = _Simplex(model, lb, ub, limit)
     sx.deadline = deadline
-    status = sx.reoptimize()
+    status = sx.solve()
     d = sx._reduced_costs()
     primal = sx.values[: model.num_vars]
     return LpResult(
@@ -671,7 +566,7 @@ def solve_bnb(
                     continue
             live = node
             sx.deadline = deadline
-            status = sx.reoptimize()
+            status = sx.solve()
             total_pivots += sx.iterations
             age += sx.iterations
             values = sx.values[: model.num_vars]

@@ -42,6 +42,8 @@ def test_config_defaults_and_validation():
         SolverConfig(iterations=0)
     with pytest.raises(ValueError):
         SolverConfig(delta=-1)
+    with pytest.raises(ValueError, match="seed"):
+        SolverConfig(seed=-1)
 
 
 @pytest.mark.parametrize("limit", [math.nan, 0.0, -3.0])
@@ -209,7 +211,7 @@ class Ticks:
 
 def test_bounds_hold_wherever_the_deadline_falls(monkeypatch):
     """A deadline at every one of the run's clock reads in turn: in
-    construction, between B&B nodes, inside primal and dual simplex runs.
+    construction, between B&B nodes, inside dual simplex runs.
     The bounds hold wherever it falls."""
     inst = generate_instance(6, 0.8, 2, 335)
     clock = Ticks()
@@ -218,14 +220,14 @@ def test_bounds_hold_wherever_the_deadline_falls(monkeypatch):
     vfhlb(inst, SolverConfig(seed=1))
     reads = int(clock.now)
     cut = []  # per dual simplex run: did the deadline end it
-    dual = milp._Simplex.dual
+    solve = milp._Simplex.solve
 
     def watched(self):
-        status = dual(self)
+        status = solve(self)
         cut.append(status == milp.STATUS_ITERATION_LIMIT and clock.now >= self.deadline)
         return status
 
-    monkeypatch.setattr(milp._Simplex, "dual", watched)
+    monkeypatch.setattr(milp._Simplex, "solve", watched)
     for ticks in range(1, reads + 1):
         clock.now = 0.0
         check_bounds(inst, float(ticks))

@@ -21,13 +21,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fcndp import heuristics
+from fcndp import heuristics, milp
 from fcndp.driver import SolverConfig, vfhlb
 from fcndp.heuristics import ejection_cycle, local_branching, partial_decoupling
 from fcndp.instance import compute_big_m, generate_instance
-from fcndp.milp import STATUS_CUTOFF, solve_lp
+from fcndp.milp import FEAS_TOL, STATUS_CUTOFF, STATUS_ITERATION_LIMIT, solve_bnb, solve_lp
 from fcndp.model import build_model
 from fcndp.solution import solution_to_dict
+from test_acceptance import pool_instance
 
 TESTS_DIR = Path(__file__).resolve().parent
 GOLDEN_DIR = TESTS_DIR / "golden"
@@ -96,6 +97,36 @@ def test_matches_golden(case):
 def test_search_matches_golden(case):
     path = GOLDEN_DIR / f"search-{case_name(case)}.json"
     assert search_text(case) == path.read_text(encoding="utf-8")
+
+
+def test_optimal_exit_check_refuses_nothing(monkeypatch):
+    """The dual simplex's ratio test keeps every reduced cost within
+    OPT_TOL of its sign, and its optimal exit checks that on reduced costs
+    re-derived from the tableau, ending the solve at the pivot budget's
+    status if rounding broke it. Over the golden full runs and search loops
+    and the B&B runs of the 30-instance oracle pool, the check refuses no
+    solve: a kernel change that erodes the margin fails here instead of
+    silently dropping B&B nodes."""
+    solve = milp._Simplex.solve
+    feasible_ends = []  # per solve that reached a primal feasible point: was it refused
+
+    def counted(self):
+        status = solve(self)
+        if np.maximum(self.lbb - self.xb, self.xb - self.ubb).max(initial=0.0) <= FEAS_TOL:
+            feasible_ends.append(status == STATUS_ITERATION_LIMIT)
+        return status
+
+    monkeypatch.setattr(milp._Simplex, "solve", counted)
+    for case in CASES:
+        golden_text(case)
+    for case in SEARCH_CASES:
+        search_text(case)
+    for i in range(30):
+        inst = pool_instance(i)
+        model = build_model(inst, compute_big_m(inst))
+        solve_bnb(model, model.integer_ok)
+    # 413 solves reach a primal feasible point here
+    assert len(feasible_ends) > 300 and sum(feasible_ends) == 0
 
 
 def blas_probe() -> dict:

@@ -301,13 +301,13 @@ def test_bnb_stops_at_a_passed_deadline(worked):
 
 
 def test_simplex_stops_at_a_passed_deadline():
-    """Both simplex loops end at the deadline where they end at the pivot
-    budget: before the next pivot."""
+    """A cold solve and a warm one end at the deadline where they end at
+    the pivot budget: before the next pivot."""
     inst = generate_instance(8, 0.5, 4, 1)
     model = build_model(inst, compute_big_m(inst))
     cold = milp._Simplex(model, model.lb.copy(), model.ub.copy(), 10_000)
     cold.deadline = time.monotonic()
-    assert cold.reoptimize() == "iteration-limit"
+    assert cold.solve() == "iteration-limit"
     assert cold.iterations == 0
     root = solve_lp(model)
     ids = np.flatnonzero(model.integer_ok)
@@ -317,8 +317,23 @@ def test_simplex_stops_at_a_passed_deadline():
     warm.set_bounds(child.lb, child.ub)
     warm.iterations = 0
     warm.deadline = time.monotonic()
-    assert warm.dual() == "iteration-limit"
+    assert warm.solve() == "iteration-limit"
     assert warm.iterations == 0
+
+
+def test_solved_lp_stays_optimal_past_its_deadline():
+    """A solve that finds its point already optimal reports it so, with
+    the root's point, even when its deadline has passed: a solved LP is not
+    thrown away."""
+    inst = generate_instance(8, 0.5, 4, 1)
+    model = build_model(inst, compute_big_m(inst))
+    root = solve_lp(model)
+    sx = root.start.sx.copy()
+    sx.iterations = 0
+    sx.deadline = time.monotonic()
+    assert sx.solve() == "optimal"
+    assert sx.iterations == 0
+    assert np.array_equal(sx.values[: model.num_vars], root.values)
 
 
 @st.composite
@@ -340,7 +355,7 @@ def warm_children(root, child: MipModel, sibling: MipModel):
     exchanged = root.start.sx.copy()
     basis, at_upper = exchanged.basis.copy(), exchanged.at_upper.copy()
     exchanged.set_bounds(sibling.lb, sibling.ub)
-    exchanged.reoptimize()
+    exchanged.solve()
     exchanged.set_bounds(child.lb, child.ub)
     exchanged.rebase(basis, at_upper)
     return in_place, exchanged
@@ -360,13 +375,12 @@ def check_warm_child(model: MipModel, root, j: int, value: float, other: float) 
     cold = solve_lp(child)
     ref = scipy_solve(child)
     for sx in warm_children(root, child, fixed(model, j, other)):
-        status = sx.dual()
+        status = sx.solve()
         if status == "optimal":
-            # the dual ratio test kept the basis dual feasible: the primal
-            # clean-up finds nothing to do
-            dual_pivots = sx.iterations
-            status = sx.optimize()
-            assert sx.iterations == dual_pivots
+            # the dual ratio test kept the basis dual feasible: every column
+            # that may move has a reduced cost of the sign its move needs
+            d = sx._reduced_costs()
+            assert np.all(sx.move[sx.movable] * d[sx.movable] >= -milp.OPT_TOL)
         assert status == cold.status
         if status == "infeasible":
             assert ref.status == 2
@@ -545,7 +559,7 @@ def test_copy_is_independent_of_its_original(model, picks, mine, theirs):
     of their own."""
     sx, start = exchanged(model, picks)
     twin = sx.copy()
-    for name in ("lbb", "ubb", "move", "movable", "weights", "row_weights"):
+    for name in ("lbb", "ubb", "move", "movable", "row_weights"):
         assert not np.shares_memory(getattr(twin, name), getattr(sx, name)), name
     for a, b in itertools.zip_longest(mine, theirs):
         if a is not None:
@@ -636,14 +650,12 @@ def test_root_lp_at_size(case, optimum, most_pivots):
 
 def check_kept_state(sx) -> None:
     """Each array the simplex keeps from pivot to pivot equals its
-    from-scratch definition, and every Devex weight, primal and dual, is
-    finite and at least 1."""
+    from-scratch definition, and every Devex row weight is finite and at
+    least 1."""
     assert np.array_equal(sx.lbb, sx.l[sx.basis])
     assert np.array_equal(sx.ubb, sx.u[sx.basis])
     assert np.array_equal(sx.move, np.where(sx.at_upper, -1.0, 1.0))
     assert np.array_equal(sx.movable, ~sx.in_basis & (sx.l != sx.u))
-    assert sx.weights.shape == (sx.ncols,)
-    assert np.all(np.isfinite(sx.weights)) and np.all(sx.weights >= 1.0)
     assert sx.row_weights.shape == (sx.m,)
     assert np.all(np.isfinite(sx.row_weights)) and np.all(sx.row_weights >= 1.0)
 
@@ -653,46 +665,40 @@ def test_kept_state_matches_its_definition(model, pick, value):
     """The cold start is dual feasible: every column that may move has a
     reduced cost of the sign its move needs, up to OPT_TOL. After every
     pivot of a cold solve, of a warm child re-solved in place and of one
-    reached by basis exchange, and at the end of every primal solve, the
-    kept pricing state is what it stands for."""
+    reached by basis exchange, and at the end of every solve, the kept
+    pricing state is what it stands for."""
     start = milp._Simplex(model, model.lb.copy(), model.ub.copy(), 0)
     check_kept_state(start)
     d = start._reduced_costs()
     assert np.all(start.move[start.movable] * d[start.movable] >= -milp.OPT_TOL)
     checks = []
-    pivot, optimize = milp._Simplex._pivot, milp._Simplex.optimize
+    pivot, solve = milp._Simplex._pivot, milp._Simplex.solve
 
     def checked_pivot(self, *args):
-        row = pivot(self, *args)
+        pivot(self, *args)
         check_kept_state(self)
         checks.append(1)
-        return row
 
-    def checked_optimize(self):
-        status = optimize(self)
+    def checked_solve(self):
+        status = solve(self)
         check_kept_state(self)
         return status
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(milp._Simplex, "_pivot", checked_pivot)
-        patch.setattr(milp._Simplex, "optimize", checked_optimize)
+        patch.setattr(milp._Simplex, "solve", checked_solve)
         root = solve_lp(model)
         assert root.status == "optimal" and checks
-        # each primal solve starts a fresh Devex reference framework: one
-        # that finds nothing to do leaves every weight at 1
-        again = root.start.sx.copy()
-        assert again.optimize() == "optimal" and again.iterations == root.iterations
-        assert np.all(again.weights == 1.0)
         marked = np.flatnonzero(model.integer_ok)
         frac = marked[np.abs(root.values[marked] - np.round(root.values[marked])) > 1e-6]
         assume(frac.size)
         j = int(frac[pick % frac.size])
         for sx in warm_children(root, fixed(model, j, value), fixed(model, j, 1.0 - value)):
             check_kept_state(sx)
-            if sx.reoptimize() == "optimal":
-                # each dual solve starts a fresh Devex reference framework
-                # too: one with nothing to do leaves every row weight at 1
-                assert sx.dual() == "optimal"
+            if sx.solve() == "optimal":
+                # each solve starts a fresh Devex reference framework: one
+                # with nothing to do leaves every row weight at 1
+                assert sx.solve() == "optimal"
                 assert np.all(sx.row_weights == 1.0)
 
 
@@ -723,7 +729,7 @@ def test_dual_stops_on_a_noise_pivot(monkeypatch):
     test), the dual stops at the pivot budget's status instead of dividing
     by it."""
     clean = child_of_root()
-    assert clean.dual() == "optimal" and clean.iterations > 0
+    assert clean.solve() == "optimal" and clean.iterations > 0
     col = milp._Simplex._col
 
     def noisy(self, q):
@@ -733,7 +739,7 @@ def test_dual_stops_on_a_noise_pivot(monkeypatch):
 
     sx = child_of_root()
     monkeypatch.setattr(milp._Simplex, "_col", noisy)
-    assert sx.dual() == "iteration-limit"
+    assert sx.solve() == "iteration-limit"
     assert sx.iterations == 0
 
 
@@ -750,25 +756,63 @@ def test_dual_stops_on_a_point_that_is_not_finite(monkeypatch):
 
     sx = child_of_root()
     monkeypatch.setattr(milp._Simplex, "_col", spoilt)
-    assert sx.dual() == "iteration-limit"
+    assert sx.solve() == "iteration-limit"
     assert sx.iterations == 1
 
 
-def test_primal_stops_on_an_unblocked_step(monkeypatch):
-    """Every column is bounded on the side its cost falls to, so only
-    rounding can leave a primal step unblocked; a primal run that meets one
-    stops at the pivot budget's status. Here x, in [0, inf), is priced in by
-    the cost -1 under the row x <= 3, which blocks it at 3 unless the
-    column read is noise."""
-    model = tiny_model([1.0], [0.0], [math.inf], rows=[([0], [1.0], SENSE_LE, 3.0)])
-    clean = milp._Simplex(model, model.lb.copy(), model.ub.copy(), 100)
-    clean.c[0] = -1.0
-    assert clean.optimize() == "optimal" and clean.values[0] == 3.0
-    sx = milp._Simplex(model, model.lb.copy(), model.ub.copy(), 100)
-    sx.c[0] = -1.0
-    monkeypatch.setattr(milp._Simplex, "_col", lambda self, q: np.zeros(self.m))
-    assert sx.optimize() == "iteration-limit"
-    assert sx.iterations == 0
+def spoil_reduced_costs(monkeypatch, by: float, times: float = math.inf) -> list[int]:
+    """Makes the reduced costs read at a primal feasible point, as the
+    dual's optimal exit reads them, put the first movable column on the
+    wrong side of its sign by ``by``, the first ``times`` such reads only;
+    returns the list of spoilt column ids, one per read."""
+    reduced_costs = milp._Simplex._reduced_costs
+    spoilt: list[int] = []
+
+    def spoiling(self):
+        d = reduced_costs(self)
+        worst = np.maximum(self.lbb - self.xb, self.xb - self.ubb).max(initial=0.0)
+        if worst <= milp.FEAS_TOL and len(spoilt) < times:
+            j = int(np.flatnonzero(self.movable)[0])
+            d[j] = -by * self.move[j]
+            spoilt.append(j)
+        return d
+
+    monkeypatch.setattr(milp._Simplex, "_reduced_costs", spoiling)
+    return spoilt
+
+
+def test_dual_refuses_a_wrong_signed_reduced_cost(monkeypatch):
+    """At its optimal exit the dual re-derives the reduced costs; a movable
+    column whose reduced cost is on the wrong side of its sign by more than
+    OPT_TOL ends the solve at the pivot budget's status, one within OPT_TOL
+    does not."""
+    inst = generate_instance(6, 0.8, 3, 3)
+    model = build_model(inst, compute_big_m(inst))
+    default = solve_lp(model)
+    with pytest.MonkeyPatch.context() as patch:
+        spoil_reduced_costs(patch, 0.5 * milp.OPT_TOL)
+        within = solve_lp(model)
+    assert within.status == "optimal" and within.objective == default.objective
+    spoilt = spoil_reduced_costs(monkeypatch, 2.0 * milp.OPT_TOL)
+    res = solve_lp(model)
+    assert res.status == "iteration-limit" and spoilt
+    assert res.iterations == default.iterations and res.start.sx is None
+
+
+def test_bnb_drops_a_node_whose_solve_is_refused(monkeypatch):
+    """A B&B node whose solve the optimal-exit check refuses is dropped
+    like one cut at the pivot budget: no error, and the search ends at the
+    budget's status with nothing better than the optimum."""
+    inst = generate_instance(6, 0.8, 3, 3)
+    model = build_model(inst, compute_big_m(inst))
+    root = solve_lp(model)
+    default = solve_bnb(model, model.integer_ok, root=root)
+    spoilt = spoil_reduced_costs(monkeypatch, 2.0 * milp.OPT_TOL, times=1)
+    res = solve_bnb(model, model.integer_ok, root=root)
+    assert default.status == "optimal" and default.nodes > 3
+    assert len(spoilt) == 1 and res.nodes > 1
+    assert res.status == "iteration-limit"
+    assert res.objective >= default.objective
 
 
 @pytest.mark.parametrize("fail", ["first-try", "always"])
@@ -834,7 +878,7 @@ def test_dual_reoptimizes_children_at_size():
             sx = root.start.sx.copy()
             sx.set_bounds(child.lb, child.ub)
             sx.iterations = 0
-            status = sx.reoptimize()
+            status = sx.solve()
             total += sx.iterations
             cold = solve_lp(child)
             assert status == cold.status
