@@ -140,10 +140,12 @@ def lbound(inst: Instance, *, deadline: float | None = None) -> LboundResult:
     """Progressive-integrality lower bound.
 
     Re-solves the relaxation while promoting every opening variable at value
-    >= 0.5 to binary, for at most ceil(0.2 E) passes, stopping early on an
-    integral solution (then the bound is the proven optimum) or once more
-    than 90% of the opening variables are binary, or when a pass promotes
-    nothing new. The root relaxation is solved once and seeds every pass.
+    >= 0.5 to binary (within 1e-9, so that a value one half up to rounding
+    is promoted whichever way its last bits fall), for at most ceil(0.2 E)
+    passes, stopping early on an integral solution (then the bound is the
+    proven optimum) or once more than 90% of the opening variables are
+    binary, or when a pass promotes nothing new. The root relaxation is
+    solved once and seeds every pass.
 
     A pass that ends without a proven optimum (budget, or ``deadline``, a
     ``time.monotonic()`` value) stops the bounding: the result keeps the last
@@ -165,7 +167,7 @@ def lbound(inst: Instance, *, deadline: float | None = None) -> LboundResult:
     iterations = 0
     res = root
     while True:
-        promote = [e for e in sorted(remaining) if res.values[e] >= 0.5]
+        promote = [e for e in sorted(remaining) if res.values[e] >= 0.5 - 1e-9]
         if not promote:
             break  # the same model, mask and root would give the same result
         binary[promote] = True

@@ -5,17 +5,21 @@ simplex, and
 runs branch-and-bound over the variables a boolean mask marks binary, until
 the absolute ``time.monotonic()`` value ``deadline`` if one is given.
 
-The simplex keeps a dense tableau (desk-scale models make dense cheap),
-filled at a cold start straight from ``MipModel.rows`` with one slack
-column per row, so it is the only dense copy of the model; numpy is all it
-needs. It is a bounded dual simplex, the kernel's only algorithm, and
-prices by dual Devex (Harris, *Pivot selection methods of the Devex LP
-code*, Math. Prog. 5, 1973): among the rows whose basic variable is out of
-its bounds by more than ``FEAS_TOL``, the one with the largest
-infeasibility^2 / w_i leaves, with every row weight 1 at the start of each
-solve and updated from the pivot column. It takes Harris's two-pass ratio
-test: the longest step that keeps every reduced cost within ``OPT_TOL`` of
-its sign, then the largest pivot inside it. The pricing state (the bounds
+The simplex keeps the short dense tableau ``B^-1 [N | b]`` (desk-scale
+models make dense cheap): one column per nonbasic variable and none for
+the basic ones, whose columns are unit vectors. With one slack per row it
+is m x (n + 1) for n structural variables, where the full tableau
+``B^-1 [A | I | b]`` would be m x (n + m + 1). A cold start fills it
+straight from ``MipModel.rows`` as ``[A | b]``, every slack basic, so it
+is the only dense copy of the model; numpy is all it needs.
+It is a bounded dual simplex, the kernel's only algorithm, and prices by
+dual Devex (Harris, *Pivot selection methods of the Devex LP code*, Math.
+Prog. 5, 1973): among the rows whose basic variable is out of its bounds
+by more than ``FEAS_TOL``, the one with the largest infeasibility^2 / w_i
+leaves, with every row weight 1 at the start of each solve and updated
+from the pivot column. It takes Harris's two-pass ratio test: the longest
+step that keeps every reduced cost within ``OPT_TOL`` of its sign, then
+the largest pivot inside it. The pricing state (the bounds
 of the basic variables, the direction each nonbasic variable moves in,
 which may move at all, the Devex weights) is kept up to date pivot by
 pivot rather than rebuilt. A pivot does not rewrite the tableau: it is
@@ -135,11 +139,18 @@ class LpResult:
 
 class _Simplex:
     """One solver state, solved by ``solve``, the dual simplex. The
-    constructor builds the cold start, the slack basis of ``[A | I | b]``
+    constructor builds the cold start, the slack basis of ``[A | I]``
     with each structural variable nonbasic at the bound its cost points
     to; it refuses a variable unbounded in that direction.
     A warm start puts new bounds on a solved state, after a ``rebase`` to
-    another basis if need be."""
+    another basis if need be.
+
+    The tableau is the short one, ``B^-1 [N | b]``: one column, or slot,
+    per nonbasic variable and none for the basic ones, whose columns are
+    unit vectors. ``nb[s]`` is the variable in slot ``s`` and ``slot[j]``
+    the slot of variable ``j``, -1 while ``j`` is basic; at a pivot the
+    leaving variable takes the entering one's slot. The reduced costs ``d``
+    and the pricing state ``move`` and ``movable`` are kept by slot."""
 
     def __init__(self, model: MipModel, lb: np.ndarray, ub: np.ndarray, iter_limit: int):
         rows = model.rows
@@ -166,20 +177,20 @@ class _Simplex:
         self.deadline = math.inf  # in time.monotonic(); a solve stops there as at iter_limit
         self.iterations = 0
         self.ncols = n + m
-        # the starting tableau [A | I | b], filled row by row
-        self.tableau = np.zeros((m, self.ncols + 1))
+        # the starting tableau [A | b], filled row by row: every structural
+        # is nonbasic, in the slot of its own id
+        self.tableau = np.zeros((m, n + 1))
         for i, row in enumerate(rows):
             self.tableau[i, row.cols] = row.coefs
-            self.tableau[i, n + i] = 1.0
             self.tableau[i, -1] = row.rhs
         # pivots held back from the tableau: the live tableau is
         # tableau - pend_c[:, :pend_k] @ pend_r[:pend_k]
         self.pend_c = np.empty((m, _REFRESH))
-        self.pend_r = np.empty((_REFRESH, self.ncols + 1))
+        self.pend_r = np.empty((_REFRESH, n + 1))
         self.pend_k = 0
         self.basis = np.arange(n, n + m)
-        self.in_basis = np.zeros(self.ncols, dtype=bool)
-        self.in_basis[self.basis] = True
+        self.nb = np.arange(n)
+        self.slot = np.concatenate([self.nb, np.full(m, -1)])
         # Devex reference weights of the dual pricing, one per row
         self.row_weights = np.ones(m)
         self._sync()
@@ -188,14 +199,14 @@ class _Simplex:
     def _sync(self) -> None:
         """Derives the pricing state that pivots keep up to date from the
         bounds, the basis and the nonbasic flags: the bounds of the basic
-        variables by row (``lbb``, ``ubb``), the direction each nonbasic
-        variable moves in (``move``: +1 up from its lower bound, -1 down from
-        its upper one) and which nonbasic variables may move at all
-        (``movable``: not basic, not fixed)."""
+        variables by row (``lbb``, ``ubb``), and by slot the direction each
+        nonbasic variable moves in (``move``: +1 up from its lower bound, -1
+        down from its upper one) and whether it may move at all (``movable``:
+        not fixed)."""
         self.lbb = self.l[self.basis]
         self.ubb = self.u[self.basis]
-        self.move = np.where(self.at_upper, -1.0, 1.0)
-        self.movable = ~self.in_basis & (self.l != self.u)
+        self.move = np.where(self.at_upper[self.nb], -1.0, 1.0)
+        self.movable = self.l[self.nb] != self.u[self.nb]
 
     def rebase(self, basis: np.ndarray, at_upper: np.ndarray) -> bool:
         """Moves to ``basis`` by exchange: each wanted column not yet basic
@@ -207,9 +218,9 @@ class _Simplex:
         column has no entry above ``PIVOT_TOL`` to pivot on."""
         wanted = np.zeros(self.ncols, dtype=bool)
         wanted[basis] = True
-        d = np.zeros(self.ncols)  # reduced costs are recomputed by the next solve
+        d = np.zeros(self.nb.size)  # reduced costs are recomputed by the next solve
         for q in basis:
-            if self.in_basis[q]:
+            if self.slot[q] < 0:
                 continue
             rows = np.flatnonzero(~wanted[self.basis])
             col = self._col(q)
@@ -226,7 +237,7 @@ class _Simplex:
     def copy(self) -> _Simplex:
         self._flush()
         other = copy.copy(self)
-        names = ("l", "u", "at_upper", "tableau", "pend_c", "pend_r", "basis", "in_basis", "xb", "values")
+        names = ("l", "u", "at_upper", "tableau", "pend_c", "pend_r", "basis", "nb", "slot", "xb", "values")
         names += ("lbb", "ubb", "move", "movable", "row_weights")
         for name in names:
             setattr(other, name, getattr(self, name).copy())
@@ -243,12 +254,12 @@ class _Simplex:
         self._sync()
 
     def _col(self, q: int) -> np.ndarray:
-        """Column ``q`` of the live tableau."""
-        k = self.pend_k
-        return self.tableau[:, q] - self.pend_c[:, :k] @ self.pend_r[:k, q]
+        """Column of the nonbasic variable ``q`` in the live tableau."""
+        k, s = self.pend_k, self.slot[q]
+        return self.tableau[:, s] - self.pend_c[:, :k] @ self.pend_r[:k, s]
 
     def _row(self, r: int) -> np.ndarray:
-        """Row ``r`` of the live tableau."""
+        """Row ``r`` of the live tableau, by slot."""
         k = self.pend_k
         return self.tableau[r] - self.pend_c[r, :k] @ self.pend_r[:k]
 
@@ -261,23 +272,23 @@ class _Simplex:
             self.pend_k = 0
 
     def _refresh_xb(self):
+        """Re-derives ``xb`` and the point ``values`` from the tableau,
+        adding up the nonbasic terms in variable-id order."""
         self._flush()
-        nonbasic = ~self.in_basis
         z_n = np.where(self.at_upper, self.u, self.l)
         z_n = np.where(np.isfinite(z_n), z_n, 0.0)
-        nz = np.flatnonzero(nonbasic & (z_n != 0.0))
+        nz = np.flatnonzero((self.slot >= 0) & (z_n != 0.0))
         xb = self.tableau[:, -1].copy()
         if nz.size:
-            xb -= self.tableau[:, nz] @ z_n[nz]
+            xb -= self.tableau[:, self.slot[nz]] @ z_n[nz]
         self.xb = xb
         self.values = z_n
         self.values[self.basis] = xb
 
     def _reduced_costs(self) -> np.ndarray:
+        """The reduced costs of the nonbasic variables, by slot."""
         self._flush()
-        d = self.c - self.c[self.basis] @ self.tableau[:, :-1]
-        d[self.basis] = 0.0
-        return d
+        return self.c[self.nb] - self.c[self.basis] @ self.tableau[:, :-1]
 
     def solve(self) -> str:
         """Bounded dual simplex from a dual feasible basis: a primal
@@ -301,8 +312,8 @@ class _Simplex:
         above = np.empty(self.m)
         worst = np.empty(self.m)
         shift = np.empty(self.m)
-        push = np.empty(self.ncols)
-        pushes = np.empty(self.ncols, dtype=bool)
+        push = np.empty(self.nb.size)
+        pushes = np.empty(self.nb.size, dtype=bool)
         price = np.empty(self.m)
         infeasible = np.empty(self.m, dtype=bool)
         # a fresh Devex reference framework at each call
@@ -353,7 +364,7 @@ class _Simplex:
             if not math.isfinite(t_max):
                 return STATUS_ITERATION_LIMIT
             near = cand[np.maximum(slack, 0.0) / pivots <= t_max]
-            q = int(near[_near_max(push[near])])
+            q = int(self.nb[near[_near_max(push[near], self.nb[near])]])
             col = self._col(q)
             if not abs(col[r]) > PIVOT_TOL:
                 return STATUS_ITERATION_LIMIT
@@ -391,27 +402,35 @@ class _Simplex:
         """Column ``q``, whose live tableau column is ``col``, enters the
         basis in row ``r``; updates the reduced costs ``d`` in place.
         ``row`` is the live row ``r`` when the caller has already read it.
-        The tableau update
+        The leaving variable takes ``q``'s slot ``s``. The tableau update
         ``T -= (col - e_r) (T[r] / col[r])`` is held back in the pending
         block and applied when the block is full or at the next read of the
-        whole tableau."""
+        whole tableau; for slot ``s`` it starts from the leaving variable's
+        unit column ``e_r``, so the slot's stored column becomes ``e_r``,
+        its earlier pending entries 0 and its new one ``1 / col[r]``."""
         leaving = int(self.basis[r])
+        s = int(self.slot[q])
         self.at_upper[leaving] = leaves_at_upper
-        self.in_basis[leaving] = False
-        self.move[leaving] = -1.0 if leaves_at_upper else 1.0
-        self.movable[leaving] = self.l[leaving] != self.u[leaving]
+        self.move[s] = -1.0 if leaves_at_upper else 1.0
+        self.movable[s] = self.l[leaving] != self.u[leaving]
+        self.nb[s] = leaving
+        self.slot[leaving] = s
+        self.slot[q] = -1
         k = self.pend_k
         row = np.divide(self._row(r) if row is None else row, col[r], out=self.pend_r[k])
+        row[s] = 1.0 / col[r]
+        self.pend_r[:k, s] = 0.0
+        self.tableau[:, s] = 0.0
+        self.tableau[r, s] = 1.0
         self.pend_c[:, k] = col
         self.pend_c[r, k] -= 1.0
         self.pend_k = k + 1
         if self.pend_k == _REFRESH:
             self._flush()
-        d -= d[q] * row[:-1]
-        d[q] = 0.0
+        d_q = d[s]
+        d[s] = 0.0
+        d -= d_q * row[:-1]
         self.basis[r] = q
-        self.in_basis[q] = True
-        self.movable[q] = False
         self.lbb[r] = self.l[q]
         self.ubb[r] = self.u[q]
         self.xb[r] = entering_val
@@ -434,13 +453,14 @@ def _solve_lp(model: MipModel, deadline: float = math.inf) -> LpResult:
     sx = _Simplex(model, lb, ub, limit)
     sx.deadline = deadline
     status = sx.solve()
-    d = sx._reduced_costs()
+    d = np.zeros(sx.ncols)
+    d[sx.nb] = sx._reduced_costs()
     primal = sx.values[: model.num_vars]
     return LpResult(
         status=status,
         objective=float(model.obj @ primal),
         values=primal.copy(),
-        reduced_costs=d[: model.num_vars].copy(),
+        reduced_costs=d[: model.num_vars],
         iterations=sx.iterations,
         start=_Start(model, lb, ub, sx if status == STATUS_OPTIMAL else None),
     )

@@ -95,16 +95,19 @@ def build_model(inst: Instance, big_m: np.ndarray) -> MipModel:
             ub[model.pi_var(k, i)] = 0.0 if i == com.destination else pot_cap
 
     rows = model.rows
+    # each node's edges in id order, with the sign of the edge's forward arc
+    # out of the node: +1 at its tail u, -1 at its head v (an instance has
+    # no self-loops)
+    incident: list[list[tuple[int, float]]] = [[] for _ in range(V)]
+    for e, edge in enumerate(inst.edges):
+        incident[edge.u].append((e, 1.0))
+        incident[edge.v].append((e, -1.0))
     for k, com in enumerate(inst.commodities):
         for i in range(V):
             cols, coefs = [], []
-            for e, edge in enumerate(inst.edges):
-                if edge.u == i:
-                    cols += [model.x_var(k, 2 * e), model.x_var(k, 2 * e + 1)]
-                    coefs += [1.0, -1.0]
-                elif edge.v == i:
-                    cols += [model.x_var(k, 2 * e), model.x_var(k, 2 * e + 1)]
-                    coefs += [-1.0, 1.0]
+            for e, sign in incident[i]:
+                cols += [model.x_var(k, 2 * e), model.x_var(k, 2 * e + 1)]
+                coefs += [sign, -sign]
             rhs = 1.0 if i == com.origin else (-1.0 if i == com.destination else 0.0)
             rows.append(
                 Row(np.array(cols, dtype=int), np.array(coefs), SENSE_EQ, rhs, f"flow_{k}_{i}")

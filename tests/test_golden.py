@@ -43,8 +43,9 @@ CASES = [(8, 0.5, 4, 1), (8, 0.5, 4, 2), (9, 0.4, 4, 4), (8, 0.6, 4, 1), (6, 0.8
 # the search loop runs on these whatever the bound proves and whatever the
 # clock reads: every round's local branching is a B&B that its cutoff ends
 SEARCH_CASES = [(8, 0.6, 4, 1), (6, 0.8, 3, 0)]
-# cold root LPs whose pivot path the BLAS settings must not change
-ROOT_CASES = [(12, 0.3, 6, 1), (15, 0.25, 8, 1)]
+# cold root LPs whose pivot path the BLAS settings must not change: the two
+# the benchmark solves and the one of the size a full solve aims at
+ROOT_CASES = [(12, 0.3, 6, 1), (15, 0.25, 8, 1), (20, 0.2, 10, 1)]
 
 
 def case_name(case) -> str:
@@ -180,9 +181,9 @@ def test_same_output_across_blas_threads_and_kernels():
     cutoffs = len(SEARCH_CASES) * SolverConfig().iterations
     golden = [(GOLDEN_DIR / f"{case_name(case)}.json").read_text(encoding="utf-8") for case in SEARCH_CASES]
     golden += [(GOLDEN_DIR / f"search-{case_name(case)}.json").read_text(encoding="utf-8") for case in SEARCH_CASES]
-    # the dual simplex from the slack basis takes 124 and 285 pivots
+    # the dual simplex from the slack basis takes 124, 285 and 647 pivots
     roots = outputs[0]["roots"]
-    assert [pivots for pivots, _ in roots] == [124, 285]
+    assert [pivots for pivots, _ in roots] == [124, 285, 647]
     assert outputs == [{"texts": golden, "cutoffs": cutoffs, "roots": roots}] * 3
 
 

@@ -376,10 +376,13 @@ def check_warm_child(model: MipModel, root, j: int, value: float, other: float) 
     ref = scipy_solve(child)
     for sx in warm_children(root, child, fixed(model, j, other)):
         status = sx.solve()
+        check_slots(sx)
         if status == "optimal":
-            # the dual ratio test kept the basis dual feasible: every column
-            # that may move has a reduced cost of the sign its move needs
+            # the dual ratio test kept the basis dual feasible: every slot
+            # whose variable may move has a reduced cost of the sign its
+            # move needs
             d = sx._reduced_costs()
+            assert d.shape == sx.nb.shape
             assert np.all(sx.move[sx.movable] * d[sx.movable] >= -milp.OPT_TOL)
         assert status == cold.status
         if status == "infeasible":
@@ -477,9 +480,10 @@ def test_root_seed_gives_same_result():
         solve_bnb(model, model.integer_ok, root=lp)
 
 
-# The simplex holds up to _REFRESH pivots back from its tableau and applies
-# them as one matrix product; these tests pin that bookkeeping to the
-# algebra it stands for.
+# The simplex keeps the short tableau B^-1 [N | b], one slot per nonbasic
+# variable, holds up to _REFRESH pivots back from it and applies them as
+# one matrix product; these tests pin that bookkeeping to the algebra it
+# stands for.
 
 
 @st.composite
@@ -493,9 +497,9 @@ def random_lps(draw):
 def exchange(sx, picks: list[int]) -> None:
     """One basis exchange per entry of ``picks``, which picks the nonbasic
     column that enters; it enters at the row of its largest entry."""
-    d = np.zeros(sx.ncols)
+    d = np.zeros(sx.nb.size)
     for pick in picks:
-        nonbasic = np.flatnonzero(~sx.in_basis)
+        nonbasic = np.flatnonzero(sx.slot >= 0)
         q = int(nonbasic[pick % nonbasic.size])
         col = sx._col(q)
         r = int(np.argmax(np.abs(col)))
@@ -505,27 +509,39 @@ def exchange(sx, picks: list[int]) -> None:
 
 def exchanged(model: MipModel, picks: list[int]):
     """A cold start after ``exchange(picks)``, with the exchanges the block
-    still holds back, and its starting tableau."""
+    still holds back, and the model's rows as ``[A | I | b]``."""
     sx = milp._Simplex(model, model.lb.astype(float), model.ub.astype(float), 0)
-    start = sx.tableau.copy()
-    # the starting tableau is [A | I | b], with every slack basic
     m, n = len(model.rows), model.num_vars
     a_i_b = np.zeros((m, n + m + 1))
     for i, row in enumerate(model.rows):
         a_i_b[i, row.cols] = row.coefs
         a_i_b[i, n + i] = 1.0
         a_i_b[i, -1] = row.rhs
-    assert np.array_equal(start, a_i_b)
+    # the starting tableau is [A | b]: every slack basic, every structural
+    # nonbasic in the slot of its own id
+    assert np.array_equal(sx.tableau, np.delete(a_i_b, np.s_[n : n + m], axis=1))
     assert np.array_equal(sx.basis, np.arange(n, n + m))
+    assert np.array_equal(sx.nb, np.arange(n))
+    check_slots(sx)
     exchange(sx, picks)
-    return sx, start
+    return sx, a_i_b
 
 
-def assert_basis_inverse_times_start(sx, start: np.ndarray) -> None:
-    """The flushed tableau is B^-1 [A | I | b], with B the basic columns of
-    the starting tableau."""
+def check_slots(sx) -> None:
+    """``nb`` and ``slot`` are inverse maps over the nonbasic variables:
+    every nonbasic variable has exactly one slot, and a basic one none."""
+    assert sx.tableau.shape == (sx.m, sx.nb.size + 1)
+    assert np.array_equal(np.sort(np.concatenate([sx.nb, sx.basis])), np.arange(sx.ncols))
+    assert np.array_equal(sx.slot[sx.nb], np.arange(sx.nb.size))
+    assert np.all(sx.slot[sx.basis] == -1)
+
+
+def assert_basis_inverse_times_start(sx, a_i_b: np.ndarray) -> None:
+    """The flushed tableau is B^-1 [N | b], with B the basic and N the
+    nonbasic columns of ``[A | I | b]``, the latter in slot order."""
     sx._flush()
-    expected = np.linalg.solve(start[:, sx.basis], start)
+    check_slots(sx)
+    expected = np.linalg.solve(a_i_b[:, sx.basis], a_i_b[:, np.append(sx.nb, -1)])
     np.testing.assert_allclose(sx.tableau, expected, rtol=0, atol=1e-7 * (1 + np.abs(expected).max()))
 
 
@@ -534,19 +550,19 @@ exchanges = st.lists(st.integers(0, 10_000), min_size=1, max_size=150)
 
 @given(model=st.one_of(oracle_models(), random_lps()), picks=exchanges)
 def test_held_back_reads_match_a_flush(model, picks):
-    """Mid-block, every column and row read through the held-back pivots
-    equals that of a flushed copy, and after a flush the tableau is
-    B^-1 [A | I | b]."""
-    sx, start = exchanged(model, picks)
+    """Mid-block, every nonbasic column and every row read through the
+    held-back pivots equals that of a flushed copy, and after a flush the
+    tableau is B^-1 [N | b]."""
+    sx, a_i_b = exchanged(model, picks)
     if sx.pend_k:
         flushed = copy.deepcopy(sx)
         flushed._flush()
         assert flushed.pend_k == 0
-        for q in range(sx.ncols + 1):
-            np.testing.assert_allclose(sx._col(q), flushed.tableau[:, q], rtol=0, atol=1e-9)
+        for q in sx.nb:
+            np.testing.assert_allclose(sx._col(q), flushed.tableau[:, flushed.slot[q]], rtol=0, atol=1e-9)
         for r in range(sx.m):
             np.testing.assert_allclose(sx._row(r), flushed.tableau[r], rtol=0, atol=1e-9)
-    assert_basis_inverse_times_start(sx, start)
+    assert_basis_inverse_times_start(sx, a_i_b)
 
 
 few = st.lists(st.integers(0, 10_000), min_size=1, max_size=8)
@@ -557,17 +573,17 @@ def test_copy_is_independent_of_its_original(model, picks, mine, theirs):
     """A copy taken mid-block and its original, taking different exchanges
     in turn, each end on the tableau of their own basis, with pricing state
     of their own."""
-    sx, start = exchanged(model, picks)
+    sx, a_i_b = exchanged(model, picks)
     twin = sx.copy()
-    for name in ("lbb", "ubb", "move", "movable", "row_weights"):
+    for name in ("tableau", "nb", "slot", "lbb", "ubb", "move", "movable", "row_weights"):
         assert not np.shares_memory(getattr(twin, name), getattr(sx, name)), name
     for a, b in itertools.zip_longest(mine, theirs):
         if a is not None:
             exchange(sx, [a])
         if b is not None:
             exchange(twin, [b])
-    assert_basis_inverse_times_start(sx, start)
-    assert_basis_inverse_times_start(twin, start)
+    assert_basis_inverse_times_start(sx, a_i_b)
+    assert_basis_inverse_times_start(twin, a_i_b)
     check_kept_state(sx)
     check_kept_state(twin)
 
@@ -614,10 +630,11 @@ def test_rebase_past_a_full_block(monkeypatch):
     sx.rebase(target.basis, target.at_upper)
     assert sx.iterations > milp._REFRESH and any(full)
     assert sorted(sx.basis) == sorted(target.basis)
-    # each basic variable's row, wherever the exchange put it
-    mine, theirs = np.argsort(sx.basis), np.argsort(target.basis)
-    scale = 1 + np.abs(target.tableau).max()
-    np.testing.assert_allclose(sx.tableau[mine], target.tableau[theirs], rtol=0, atol=1e-7 * scale)
+    # each basic variable's row and each nonbasic variable's column,
+    # wherever the exchange put them
+    mine = sx.tableau[np.ix_(np.argsort(sx.basis), np.append(np.argsort(sx.nb), -1))]
+    theirs = target.tableau[np.ix_(np.argsort(target.basis), np.append(np.argsort(target.nb), -1))]
+    np.testing.assert_allclose(mine, theirs, rtol=0, atol=1e-7 * (1 + np.abs(theirs).max()))
     np.testing.assert_allclose(sx.values[: model.num_vars], root.values, rtol=0, atol=1e-7)
 
 
@@ -650,20 +667,21 @@ def test_root_lp_at_size(case, optimum, most_pivots):
 
 def check_kept_state(sx) -> None:
     """Each array the simplex keeps from pivot to pivot equals its
-    from-scratch definition, and every Devex row weight is finite and at
-    least 1."""
+    from-scratch definition, the slots map the nonbasic variables one to
+    one, and every Devex row weight is finite and at least 1."""
+    check_slots(sx)
     assert np.array_equal(sx.lbb, sx.l[sx.basis])
     assert np.array_equal(sx.ubb, sx.u[sx.basis])
-    assert np.array_equal(sx.move, np.where(sx.at_upper, -1.0, 1.0))
-    assert np.array_equal(sx.movable, ~sx.in_basis & (sx.l != sx.u))
+    assert np.array_equal(sx.move, np.where(sx.at_upper[sx.nb], -1.0, 1.0))
+    assert np.array_equal(sx.movable, sx.l[sx.nb] != sx.u[sx.nb])
     assert sx.row_weights.shape == (sx.m,)
     assert np.all(np.isfinite(sx.row_weights)) and np.all(sx.row_weights >= 1.0)
 
 
 @given(model=oracle_models(), pick=st.integers(0, 10_000), value=st.sampled_from([0.0, 1.0]))
 def test_kept_state_matches_its_definition(model, pick, value):
-    """The cold start is dual feasible: every column that may move has a
-    reduced cost of the sign its move needs, up to OPT_TOL. After every
+    """The cold start is dual feasible: every slot whose variable may move
+    has a reduced cost of the sign its move needs, up to OPT_TOL. After every
     pivot of a cold solve, of a warm child re-solved in place and of one
     reached by basis exchange, and at the end of every solve, the kept
     pricing state is what it stands for."""
@@ -762,9 +780,9 @@ def test_dual_stops_on_a_point_that_is_not_finite(monkeypatch):
 
 def spoil_reduced_costs(monkeypatch, by: float, times: float = math.inf) -> list[int]:
     """Makes the reduced costs read at a primal feasible point, as the
-    dual's optimal exit reads them, put the first movable column on the
+    dual's optimal exit reads them, put the first movable slot on the
     wrong side of its sign by ``by``, the first ``times`` such reads only;
-    returns the list of spoilt column ids, one per read."""
+    returns the list of spoilt slots, one per read."""
     reduced_costs = milp._Simplex._reduced_costs
     spoilt: list[int] = []
 
@@ -919,9 +937,9 @@ def test_root_seed_after_bounds_tighten_around_its_point():
 
 
 def test_cold_start_holds_one_dense_copy():
-    """A cold solve keeps one dense m x (n + m) array, the tableau: its peak
-    allocation stays below 1.75 tableaux (a second dense copy of the model
-    would take it past 2)."""
+    """A cold solve keeps one dense m x (n + 1) array, the short tableau:
+    its peak allocation stays below 1.75 tableaux (a second dense copy of
+    the model would take it past 2)."""
     inst = generate_instance(15, 0.25, 8, 1)
     model = build_model(inst, compute_big_m(inst))
     tracemalloc.start()
@@ -931,6 +949,7 @@ def test_cold_start_holds_one_dense_copy():
     finally:
         tracemalloc.stop()
     assert res.status == "optimal"
+    assert res.start.sx.tableau.shape == (len(model.rows), model.num_vars + 1)
     assert peak < 1.75 * res.start.sx.tableau.nbytes
 
 
