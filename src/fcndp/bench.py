@@ -6,7 +6,9 @@ from __future__ import annotations
 import csv
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
+from collections import deque
+from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import astuple, dataclass, fields, replace
 from itertools import combinations
 
@@ -158,15 +160,69 @@ class ComparisonRow:
     gap: float
 
 
-def _run_one(args) -> dict:
+def _failed(task, error: str) -> dict:
+    inst, name, _, rep = task
+    return {"instance": inst.name or "unnamed", "method": name, "repetition": rep, "ok": False, "error": error}
+
+
+def _run_one(task) -> dict:
     """One seeded run as a record; a run that raises is recorded as failed."""
-    inst, name, cfg, rep = args
-    out = {"instance": inst.name or "unnamed", "method": name, "repetition": rep}
+    inst, name, cfg, rep = task
     try:
         _, rec = vfhlb(inst, replace(cfg, seed=cfg.seed + rep))
     except Exception as exc:  # per-run failures recorded, not fatal
-        return {**out, "ok": False, "error": str(exc)}
-    return {**rec.to_dict(), **out, "ok": True}
+        return _failed(task, str(exc))
+    return {**rec.to_dict(), "instance": inst.name or "unnamed", "method": name, "repetition": rep, "ok": True}
+
+
+def _run_pool(tasks: list, jobs: int) -> list[dict]:
+    """``_run_one`` over ``tasks`` in up to ``jobs`` worker processes, one
+    record per task in task order. A worker that dies (an OOM kill, say)
+    breaks its pool and loses every run in flight with it; each of those
+    runs again alone in a fresh one-worker pool and is recorded as failed if
+    its worker dies again, and the runs not yet started go on in a fresh
+    pool."""
+    records: list[dict | None] = [None] * len(tasks)
+    waiting = deque(range(len(tasks)))
+    lost: deque[int] = deque()
+    while waiting or lost:
+        alone = bool(lost)
+        for i in _run_until_broken(tasks, lost if alone else waiting, 1 if alone else jobs, records):
+            if alone:
+                records[i] = _failed(tasks[i], "worker process died")
+            else:
+                lost.append(i)
+    return records
+
+
+def _run_until_broken(tasks: list, order: deque, workers: int, records: list) -> list[int]:
+    """Runs the tasks whose indices ``order`` yields, at most ``workers`` at
+    a time, into ``records``, until ``order`` is empty or the pool breaks.
+    Returns the indices of the runs a broken pool lost; a task it never
+    started stays in ``order``."""
+    lost: list[int] = []
+    broken = False
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        running: dict = {}
+        while running or (order and not broken):
+            while order and not broken and len(running) < workers:
+                i = order.popleft()
+                try:
+                    running[pool.submit(_run_one, tasks[i])] = i
+                except BrokenProcessPool:
+                    order.appendleft(i)
+                    broken = True
+            if not running:
+                break
+            done, _ = wait(running, return_when=FIRST_COMPLETED)
+            for future in done:
+                i = running.pop(future)
+                try:
+                    records[i] = future.result()
+                except BrokenProcessPool:
+                    lost.append(i)
+                    broken = True
+    return lost
 
 
 def batch(
@@ -180,8 +236,9 @@ def batch(
     """Per instance x method aggregates over seeded repetitions.
 
     Seeds follow base + repetition index. Gap columns need the optimum in
-    ``optima`` (keyed by instance name) and are NaN otherwise. Failed runs
-    are recorded and skipped in the aggregates.
+    ``optima`` (keyed by instance name) and are NaN otherwise. Failed runs,
+    a run whose worker process died included, are recorded and skipped in
+    the aggregates.
     """
     if not instances or not methods or repetitions < 1:
         raise ValueError("need instances, methods and at least one repetition")
@@ -192,8 +249,7 @@ def batch(
         for rep in range(repetitions)
     ]
     if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            records = list(pool.map(_run_one, tasks))
+        records = _run_pool(tasks, jobs)
     else:
         records = [_run_one(task) for task in tasks]
     records.sort(key=lambda r: (r["instance"], r["method"], r["repetition"]))

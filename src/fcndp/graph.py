@@ -66,12 +66,16 @@ def dijkstra(adj: Adjacency, source: int, weights) -> PathResult:
     w = np.asarray(weights, dtype=float)
     if w.shape != (adj.num_edges,):
         raise ValueError(f"expected {adj.num_edges} edge weights, got {w.shape}")
-    if np.any(w < 0):
+    if (w < 0).any():
         raise ValueError("negative edge weight")
-    dist = np.full(adj.nodes, math.inf)
-    pred_arc = np.full(adj.nodes, NO_ARC, dtype=int)
-    pred_node = np.full(adj.nodes, -1, dtype=int)
-    done = np.zeros(adj.nodes, dtype=bool)
+    # the relaxation runs on Python lists and floats, which add and compare
+    # as float64 does, and the result becomes arrays once at the end
+    w = w.tolist()
+    out = adj.out
+    dist = [math.inf] * adj.nodes
+    pred_arc = [NO_ARC] * adj.nodes
+    pred_node = [-1] * adj.nodes
+    done = [False] * adj.nodes
     dist[source] = 0.0
     heap: list[tuple[float, int]] = [(0.0, source)]
     while heap:
@@ -79,14 +83,20 @@ def dijkstra(adj: Adjacency, source: int, weights) -> PathResult:
         if done[node]:
             continue
         done[node] = True
-        for arc, head in adj.out[node]:
+        for arc, head in out[node]:
             nd = d + w[arc >> 1]
             if nd < dist[head]:
                 dist[head] = nd
                 pred_arc[head] = arc
                 pred_node[head] = node
                 heapq.heappush(heap, (nd, head))
-    return PathResult(source, dist, pred_arc, pred_node, done)
+    return PathResult(
+        source,
+        np.array(dist),
+        np.array(pred_arc, dtype=int),
+        np.array(pred_node, dtype=int),
+        np.array(done, dtype=bool),
+    )
 
 
 def extract_path(pr: PathResult, target: int) -> list[int]:

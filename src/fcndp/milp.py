@@ -53,14 +53,19 @@ from the tableau is on the wrong side of ``OPT_TOL``; a basis exchange
 that finds no pivot above ``PIVOT_TOL`` is retried from the root's
 tableau, the node dropped if that fails too.
 
-Every pricing and ratio-test choice counts values within a relative 1e-9
-of the best as tied: ratio-test ties go to the largest pivot, then to the
-lowest variable id, and every other tie to the lowest id. The matrix
-products round as the BLAS kernel does (OpenBLAS's SkylakeX kernel also by
-thread count), and the tolerance keeps those last bits from picking the
-pivots. The values still differ in their last bits, and the B&B's
-branching and its callers' rounding can turn on them, so solves are
-bit-reproducible only under one BLAS build and thread count.
+A pivot reads the tableau twice, each time through the pending block: the
+leaving row (``_row``) and then the entering column (``_col``). Everything
+else it reads is kept state of size m or n: the basic values ``xb`` and
+their bounds, the reduced costs, the move directions and the Devex
+weights. Every pricing and ratio-test choice counts values within a
+relative 1e-9 of the best as tied. The leaving row's ties go to the lowest
+row. The ratio test's go to the largest pivot, then to the lowest variable
+id; a lone candidate needs no tie-break. A basis exchange's ties go to the
+lowest row. The matrix products round as the BLAS kernel does (OpenBLAS's
+SkylakeX kernel also by thread count), and the tolerance keeps those last
+bits from picking the pivots. The values still differ in their last
+bits, and the B&B's branching and its callers' rounding can turn on them,
+so solves are bit-reproducible only under one BLAS build and thread count.
 """
 
 from __future__ import annotations
@@ -106,11 +111,14 @@ def _near_max(values: np.ndarray, ids: np.ndarray | None = None) -> int:
     wins outright); ``ids`` defaults to the positions. Entries that only
     rounding tells apart tie, so the choice does not turn on how a BLAS
     kernel rounds."""
-    top = values.max()
+    top = np.maximum.reduce(values)
     if math.isnan(top):
         return int(np.argmax(values))
-    near = np.flatnonzero(values >= top * (1.0 - 1e-9))
-    return int(near[0] if ids is None else near[np.argmin(ids[near])])
+    near = values >= top * (1.0 - 1e-9)
+    if ids is None:
+        return int(near.argmax())  # the first near entry
+    near = near.nonzero()[0]
+    return int(near[0] if near.size == 1 else near[np.argmin(ids[near])])
 
 
 @dataclass
@@ -177,12 +185,15 @@ class _Simplex:
         self.deadline = math.inf  # in time.monotonic(); a solve stops there as at iter_limit
         self.iterations = 0
         self.ncols = n + m
-        # the starting tableau [A | b], filled row by row: every structural
-        # is nonbasic, in the slot of its own id
+        # the starting tableau [A | b], every structural nonbasic in the
+        # slot of its own id, filled by one assignment of all the rows'
+        # entries
         self.tableau = np.zeros((m, n + 1))
-        for i, row in enumerate(rows):
-            self.tableau[i, row.cols] = row.coefs
-            self.tableau[i, -1] = row.rhs
+        if m:
+            at_row = np.repeat(np.arange(m), [row.cols.size for row in rows])
+            cols = np.concatenate([row.cols for row in rows])
+            self.tableau[at_row, cols] = np.concatenate([row.coefs for row in rows])
+            self.tableau[:, -1] = [row.rhs for row in rows]
         # pivots held back from the tableau: the live tableau is
         # tableau - pend_c[:, :pend_k] @ pend_r[:pend_k]
         self.pend_c = np.empty((m, _REFRESH))
@@ -307,27 +318,30 @@ class _Simplex:
         ratio test rules out but for rounding."""
         d = self._reduced_costs()
         since_refresh = 0
+        # the kept state, bound once: pivots update these arrays in place,
+        # and only _refresh_xb replaces one (xb)
+        xb, lbb, ubb, weights = self.xb, self.lbb, self.ubb, self.row_weights
+        move, movable, nb = self.move, self.movable, self.nb
         # work arrays, rewritten in place at every pivot
         below = np.empty(self.m)
-        above = np.empty(self.m)
         worst = np.empty(self.m)
         shift = np.empty(self.m)
-        push = np.empty(self.nb.size)
-        pushes = np.empty(self.nb.size, dtype=bool)
+        push = np.empty(nb.size)
+        pushes = np.empty(nb.size, dtype=bool)
         price = np.empty(self.m)
         infeasible = np.empty(self.m, dtype=bool)
         # a fresh Devex reference framework at each call
-        self.row_weights.fill(1.0)
+        weights.fill(1.0)
         while True:
-            np.subtract(self.lbb, self.xb, out=below)
-            np.subtract(self.xb, self.ubb, out=above)
-            np.maximum(below, above, out=worst)
-            top = worst.max(initial=0.0)
+            np.subtract(lbb, xb, out=below)
+            np.subtract(xb, ubb, out=worst)
+            np.maximum(below, worst, out=worst)
+            top = np.maximum.reduce(worst, initial=0.0)
             if not math.isfinite(top):
                 return STATUS_ITERATION_LIMIT
             if top <= FEAS_TOL:
                 d = self._reduced_costs()
-                if not np.all(self.move[self.movable] * d[self.movable] >= -OPT_TOL):
+                if not np.all(move[movable] * d[movable] >= -OPT_TOL):
                     return STATUS_ITERATION_LIMIT
                 self._refresh_xb()
                 return STATUS_OPTIMAL
@@ -336,57 +350,58 @@ class _Simplex:
             # dual Devex: the infeasible row with the largest
             # infeasibility^2 / weight leaves
             np.square(worst, out=price)
-            price /= self.row_weights
+            price /= weights
             np.greater(worst, FEAS_TOL, out=infeasible)
             price *= infeasible
             r = _near_max(price)
-            to_upper = bool(above[r] > below[r])
+            to_upper = bool(xb[r] - ubb[r] > below[r])
             full_row = self._row(r)
-            row = full_row[:-1]
             # a nonbasic column moves up from its lower bound, down from its
             # upper one; moving x_j by t moves the leaving variable by
             # -row[j] * t, which must head back toward the violated bound
-            np.multiply(row, self.move, out=push)
+            np.multiply(full_row[:-1], move, out=push)
             if not to_upper:
                 np.negative(push, out=push)
             np.greater(push, PIVOT_TOL, out=pushes)
-            pushes &= self.movable
-            cand = np.flatnonzero(pushes)
+            pushes &= movable
+            cand = pushes.nonzero()[0]
             if cand.size == 0:
                 return STATUS_INFEASIBLE
             # Harris's ratio test. Pass 1: the longest step that keeps every
             # reduced cost within OPT_TOL of its sign (move * d >= -OPT_TOL).
             # Pass 2: among the columns whose own ratio fits in that step,
             # the largest pivot, ties to the lowest variable id.
-            slack = self.move[cand] * d[cand]
+            slack = move[cand] * d[cand]
             pivots = push[cand]
-            t_max = max(float(((slack + OPT_TOL) / pivots).min()), 0.0)
+            t_max = max(float(np.minimum.reduce((slack + OPT_TOL) / pivots)), 0.0)
             if not math.isfinite(t_max):
                 return STATUS_ITERATION_LIMIT
             near = cand[np.maximum(slack, 0.0) / pivots <= t_max]
-            q = int(self.nb[near[_near_max(push[near], self.nb[near])]])
+            q = int(nb[near[_near_max(push[near], nb[near])]])
             col = self._col(q)
-            if not abs(col[r]) > PIVOT_TOL:
+            pivot = float(col[r])
+            if not abs(pivot) > PIVOT_TOL:
                 return STATUS_ITERATION_LIMIT
             self.iterations += 1
             since_refresh += 1
-            step = (self.xb[r] - (self.ubb[r] if to_upper else self.lbb[r])) / col[r]
+            step = (xb[r] - (ubb[r] if to_upper else lbb[r])) / pivot
             np.multiply(col, step, out=shift)
-            self.xb -= shift
+            xb -= shift
             entering_val = (self.u[q] if self.at_upper[q] else self.l[q]) + step
             self._pivot(r, q, col, entering_val, to_upper, d, full_row)
             # Devex update from the pivot column divided by the pivot:
             # w_i = max(w_i, (col_i / pivot)^2 w_r), and the entering
             # column's row gets max(w_r / pivot^2, 1)
-            w_r = self.row_weights[r]
-            np.divide(col, col[r], out=price)
+            w_r = weights[r]
+            np.divide(col, pivot, out=price)
             np.square(price, out=price)
             price *= w_r
-            np.maximum(self.row_weights, price, out=self.row_weights)
-            self.row_weights[r] = max(w_r / (col[r] * col[r]), 1.0)
+            np.maximum(weights, price, out=weights)
+            weights[r] = max(w_r / (pivot * pivot), 1.0)
             if since_refresh >= _REFRESH:
                 since_refresh = 0
                 self._refresh_xb()
+                xb = self.xb
                 d = self._reduced_costs()
 
     def _pivot(

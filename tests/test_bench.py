@@ -1,10 +1,14 @@
 import csv
 import json
 import math
+import multiprocessing
+import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from fcndp import bench
 from fcndp.bench import (
     batch,
     run_ttt,
@@ -186,6 +190,35 @@ def test_batch_records_failed_run(jobs):
     assert by_name["split"]["ok"] is False
     assert "unreached" in by_name["split"]["error"]
     assert by_name[good.name]["ok"] is True
+
+
+@pytest.mark.skipif(
+    multiprocessing.get_context().get_start_method() != "fork",
+    reason="the patched run reaches the workers only when they fork",
+)
+def test_batch_survives_a_dead_worker(monkeypatch):
+    """A worker process that dies breaks its pool; its run is recorded as
+    failed and every other run of the batch still comes back."""
+    run = bench.vfhlb
+
+    def doomed(inst, cfg):
+        if inst.name == "doomed":
+            os._exit(1)
+        return run(inst, cfg)
+
+    monkeypatch.setattr(bench, "vfhlb", doomed)
+    good = [generate_instance(5, 0.7, 2, seed) for seed in range(4)]
+    dead = replace(generate_instance(5, 0.7, 2, 9), name="doomed")
+    _, records = batch([good[0], dead, *good[1:]], [("vfhlb", SolverConfig())], 2, jobs=2)
+    assert len(records) == 10
+    failed = [r for r in records if not r["ok"]]
+    assert failed == [
+        {"instance": "doomed", "method": "vfhlb", "repetition": rep, "ok": False, "error": "worker process died"}
+        for rep in (0, 1)
+    ]
+    assert sorted((r["instance"], r["repetition"]) for r in records if r["ok"]) == sorted(
+        (inst.name, rep) for inst in good for rep in (0, 1)
+    )
 
 
 def test_batch_validation():

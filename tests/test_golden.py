@@ -1,17 +1,19 @@
 """Golden outputs of full solver runs and of the search loop.
 
 Each ``tests/golden/<case>.json`` holds the solution and run record of one
-``vfhlb`` run with every timing field left out, and each
+``vfhlb`` run with every timing field left out, each
 ``tests/golden/search-<case>.json`` the design and per-round costs of the
 search loop alone (construction, then ejection-cycle + local-branching
-rounds), so a refactor that claims "same behaviour" must reproduce them
-byte for byte. Regenerate (only when a behaviour change is intended) with::
+rounds), and ``tests/golden/models.json`` the SHA-256 digests of the MIP
+models ``build_model`` makes, so a refactor that claims "same behaviour"
+must reproduce them byte for byte. Regenerate (only when a behaviour change is intended) with::
 
     PYTHONPATH=src python tests/test_golden.py
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import subprocess
@@ -46,6 +48,10 @@ SEARCH_CASES = [(8, 0.6, 4, 1), (6, 0.8, 3, 0)]
 # cold root LPs whose pivot path the BLAS settings must not change: the two
 # the benchmark solves and the one of the size a full solve aims at
 ROOT_CASES = [(12, 0.3, 6, 1), (15, 0.25, 8, 1), (20, 0.2, 10, 1)]
+# models whose every row, cost and bound is pinned: the golden runs', the
+# search workload's and the root LPs'
+MODEL_CASES = [(8, 0.5, 4, 2), (8, 0.6, 4, 1), (9, 0.4, 4, 4), (12, 0.3, 6, 1), (15, 0.25, 8, 1),
+               (20, 0.2, 10, 1), (6, 0.8, 3, 0)]
 
 
 def case_name(case) -> str:
@@ -86,6 +92,42 @@ def search_text(case) -> str:
         del solution[unbounded]
     payload = {"solution": solution, "trajectory_costs": costs}
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def _sha256(*parts) -> str:
+    digest = hashlib.sha256()
+    for part in parts:
+        if isinstance(part, np.ndarray):
+            digest.update(part.dtype.str.encode() + b"\0" + np.ascontiguousarray(part).tobytes())
+        else:
+            digest.update(repr(part).encode())
+        digest.update(b"\0")
+    return digest.hexdigest()
+
+
+def model_digests(case) -> dict:
+    """SHA-256 of the model ``build_model`` makes for ``case``: one over the
+    digests of its rows, each of cols and coefs (bytes and dtype), sense,
+    ``float(rhs)`` and name, and one each of ``obj``, ``lb`` and ``ub``."""
+    inst = generate_instance(*case)
+    model = build_model(inst, compute_big_m(inst))
+    rows = [_sha256(r.cols, r.coefs, r.sense, float(r.rhs), r.name) for r in model.rows]
+    return {
+        "num_rows": len(rows),
+        "rows": _sha256(*rows),
+        "obj": _sha256(model.obj),
+        "lb": _sha256(model.lb),
+        "ub": _sha256(model.ub),
+    }
+
+
+def models_text() -> str:
+    payload = {case_name(case): model_digests(case) for case in MODEL_CASES}
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def test_models_match_golden():
+    assert models_text() == (GOLDEN_DIR / "models.json").read_text(encoding="utf-8")
 
 
 @pytest.mark.parametrize("case", CASES, ids=case_name)
@@ -197,3 +239,6 @@ if __name__ == "__main__":
         path = GOLDEN_DIR / f"search-{case_name(case)}.json"
         path.write_text(search_text(case), encoding="utf-8")
         print(path)
+    path = GOLDEN_DIR / "models.json"
+    path.write_text(models_text(), encoding="utf-8")
+    print(path)

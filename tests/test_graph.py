@@ -1,10 +1,15 @@
+import heapq
 import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.sparse.csgraph import csgraph_from_dense
+from scipy.sparse.csgraph import dijkstra as scipy_dijkstra
 
-from fcndp.graph import Adjacency, arc_endpoints, dijkstra, extract_path, shortest_path_dag
+from fcndp.graph import NO_ARC, Adjacency, PathResult, arc_endpoints, dijkstra, extract_path, shortest_path_dag
 from fcndp.instance import Commodity, Edge, Instance, generate_instance
 
 
@@ -57,6 +62,67 @@ def test_dijkstra_matches_bellman_ford():
         expected = bellman_ford(inst, 0, w)
         pr = dijkstra(adj, 0, w)
         assert np.allclose(pr.dist, expected)
+
+
+def numpy_dijkstra(adj: Adjacency, source: int, weights) -> PathResult:
+    """Reference: ``dijkstra`` as it was on numpy arrays, whose trees and
+    tie-breaks the list-based one keeps."""
+    w = np.asarray(weights, dtype=float)
+    dist = np.full(adj.nodes, math.inf)
+    pred_arc = np.full(adj.nodes, NO_ARC, dtype=int)
+    pred_node = np.full(adj.nodes, -1, dtype=int)
+    done = np.zeros(adj.nodes, dtype=bool)
+    dist[source] = 0.0
+    heap: list[tuple[float, int]] = [(0.0, source)]
+    while heap:
+        d, node = heapq.heappop(heap)
+        if done[node]:
+            continue
+        done[node] = True
+        for arc, head in adj.out[node]:
+            nd = d + w[arc >> 1]
+            if nd < dist[head]:
+                dist[head] = nd
+                pred_arc[head] = arc
+                pred_node[head] = node
+                heapq.heappush(heap, (nd, head))
+    return PathResult(source, dist, pred_arc, pred_node, done)
+
+
+@st.composite
+def weighted_graphs(draw):
+    """A generated instance with some edges closed, so that some nodes may
+    be unreached, and nonnegative weights that are multiples of 1/8, so
+    that every path length is exact and equal lengths tie exactly; small
+    integers and zeros make ties common."""
+    n = draw(st.integers(5, 12))
+    inst = generate_instance(n, draw(st.sampled_from([0.4, 0.6, 1.0])), 1, seed=draw(st.integers(0, 10_000)))
+    E = inst.num_edges
+    open_mask = draw(st.lists(st.booleans(), min_size=E, max_size=E))
+    eighths = st.one_of(st.integers(0, 3), st.integers(0, 800)).map(lambda k: k / 8)
+    weights = np.array(draw(st.lists(eighths, min_size=E, max_size=E)))
+    return inst, open_mask, weights, draw(st.integers(0, n - 1))
+
+
+@settings(max_examples=60)
+@given(case=weighted_graphs())
+def test_dijkstra_matches_scipy_and_the_numpy_reference(case):
+    """Distances equal scipy's; distances, predecessor arcs and nodes and
+    the reached flags equal the numpy reference's, ties included."""
+    inst, open_mask, w, source = case
+    adj = Adjacency.from_instance(inst, open_mask)
+    pr = dijkstra(adj, source, w)
+    dense = np.full((inst.nodes, inst.nodes), np.inf)
+    for e, edge in enumerate(inst.edges):
+        if open_mask[e]:
+            dense[edge.u, edge.v] = dense[edge.v, edge.u] = w[e]
+    expected = scipy_dijkstra(csgraph_from_dense(dense, null_value=np.inf), indices=source)
+    assert np.array_equal(pr.dist, expected)
+    ref = numpy_dijkstra(adj, source, w)
+    for name in ("dist", "pred_arc", "pred_node", "reached"):
+        got, want = getattr(pr, name), getattr(ref, name)
+        assert got.dtype == want.dtype and np.array_equal(got, want), name
+    assert np.array_equal(pr.reached, np.isfinite(expected))
 
 
 def test_dijkstra_bellman_optimality():

@@ -15,9 +15,9 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from fcndp import milp
-from fcndp.instance import compute_big_m, generate_instance
+from fcndp.instance import Instance, compute_big_m, generate_instance
 from fcndp.milp import solve_bnb, solve_lp
-from fcndp.model import SENSE_EQ, SENSE_GE, SENSE_LE, MipModel, Row, build_model
+from fcndp.model import SENSE_EQ, SENSE_GE, SENSE_LE, MipModel, Row, add_local_branching_cut, build_model
 
 
 def tiny_model(obj, lb, ub, rows=(), integer=None) -> MipModel:
@@ -517,14 +517,33 @@ def exchanged(model: MipModel, picks: list[int]):
         a_i_b[i, row.cols] = row.coefs
         a_i_b[i, n + i] = 1.0
         a_i_b[i, -1] = row.rhs
-    # the starting tableau is [A | b]: every slack basic, every structural
-    # nonbasic in the slot of its own id
-    assert np.array_equal(sx.tableau, np.delete(a_i_b, np.s_[n : n + m], axis=1))
+    # the starting tableau is [A | b], bit for bit as filled row by row:
+    # every slack basic, every structural nonbasic in the slot of its own id
+    start = np.delete(a_i_b, np.s_[n : n + m], axis=1)
+    assert sx.tableau.shape == start.shape and sx.tableau.tobytes() == start.tobytes()
     assert np.array_equal(sx.basis, np.arange(n, n + m))
     assert np.array_equal(sx.nb, np.arange(n))
     check_slots(sx)
     exchange(sx, picks)
     return sx, a_i_b
+
+
+def test_starting_tableau_without_rows_and_with_a_cut():
+    """A model with no rows starts from an empty tableau, and the model
+    ``add_local_branching_cut`` makes from its dense row of every opening
+    variable; both solve."""
+    inst = generate_instance(7, 0.6, 2, 3)
+    model = build_model(inst, compute_big_m(inst))
+    ybar = np.ones(inst.num_edges, dtype=int)
+    ybar[0] = 0  # one flip from the all-open design, within the radius
+    rowless = [
+        tiny_model([1.0, -2.0, 0.0], [0.0, -1.0, 0.0], [1.0, 1.0, 0.0]),
+        build_model(Instance(inst.nodes, inst.edges, ()), np.ones(inst.num_edges)),
+    ]
+    for case in (*rowless, add_local_branching_cut(model, ybar, 2)):
+        sx, _ = exchanged(case, [])
+        assert sx.tableau.shape == (len(case.rows), case.num_vars + 1)
+        assert solve_lp(case).status == "optimal"
 
 
 def check_slots(sx) -> None:
