@@ -160,19 +160,21 @@ class ComparisonRow:
     gap: float
 
 
-def _failed(task, error: str) -> dict:
+def _head(task) -> dict:
+    """The fields that name a run in its record."""
     inst, name, _, rep = task
-    return {"instance": inst.name or "unnamed", "method": name, "repetition": rep, "ok": False, "error": error}
+    return {"instance": inst.name or "unnamed", "method": name, "repetition": rep}
 
 
 def _run_one(task) -> dict:
     """One seeded run as a record; a run that raises is recorded as failed."""
-    inst, name, cfg, rep = task
+    inst, _, cfg, rep = task
+    out = _head(task)
     try:
         _, rec = vfhlb(inst, replace(cfg, seed=cfg.seed + rep))
     except Exception as exc:  # per-run failures recorded, not fatal
-        return _failed(task, str(exc))
-    return {**rec.to_dict(), "instance": inst.name or "unnamed", "method": name, "repetition": rep, "ok": True}
+        return {**out, "ok": False, "error": str(exc)}
+    return {**rec.to_dict(), **out, "ok": True}
 
 
 def _run_pool(tasks: list, jobs: int) -> list[dict]:
@@ -189,7 +191,7 @@ def _run_pool(tasks: list, jobs: int) -> list[dict]:
         alone = bool(lost)
         for i in _run_until_broken(tasks, lost if alone else waiting, 1 if alone else jobs, records):
             if alone:
-                records[i] = _failed(tasks[i], "worker process died")
+                records[i] = {**_head(tasks[i]), "ok": False, "error": "worker process died"}
             else:
                 lost.append(i)
     return records

@@ -3,6 +3,7 @@ import json
 import math
 import multiprocessing
 import os
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -197,28 +198,26 @@ def test_batch_records_failed_run(jobs):
     reason="the patched run reaches the workers only when they fork",
 )
 def test_batch_survives_a_dead_worker(monkeypatch):
-    """A worker process that dies breaks its pool; its run is recorded as
-    failed and every other run of the batch still comes back."""
+    """A worker process that dies breaks its pool and loses the run in the
+    other worker with it; the dead run is recorded as failed, and every
+    other run of the batch, the lost one included, comes back."""
     run = bench.vfhlb
 
     def doomed(inst, cfg):
         if inst.name == "doomed":
             os._exit(1)
+        time.sleep(0.5)  # so that the first run is still in flight when its neighbour dies
         return run(inst, cfg)
 
     monkeypatch.setattr(bench, "vfhlb", doomed)
-    good = [generate_instance(5, 0.7, 2, seed) for seed in range(4)]
+    good = [generate_instance(5, 0.7, 2, seed) for seed in range(3)]
     dead = replace(generate_instance(5, 0.7, 2, 9), name="doomed")
-    _, records = batch([good[0], dead, *good[1:]], [("vfhlb", SolverConfig())], 2, jobs=2)
-    assert len(records) == 10
-    failed = [r for r in records if not r["ok"]]
-    assert failed == [
-        {"instance": "doomed", "method": "vfhlb", "repetition": rep, "ok": False, "error": "worker process died"}
-        for rep in (0, 1)
-    ]
-    assert sorted((r["instance"], r["repetition"]) for r in records if r["ok"]) == sorted(
-        (inst.name, rep) for inst in good for rep in (0, 1)
-    )
+    _, records = batch([good[0], dead, *good[1:]], [("vfhlb", SolverConfig())], 1, jobs=2)
+    assert [r["instance"] for r in records if not r["ok"]] == ["doomed"]
+    assert records[[r["instance"] for r in records].index("doomed")] == {
+        "instance": "doomed", "method": "vfhlb", "repetition": 0, "ok": False, "error": "worker process died"
+    }
+    assert sorted(r["instance"] for r in records if r["ok"]) == sorted(inst.name for inst in good)
 
 
 def test_batch_validation():

@@ -6,7 +6,8 @@ Each ``tests/golden/<case>.json`` holds the solution and run record of one
 search loop alone (construction, then ejection-cycle + local-branching
 rounds), and ``tests/golden/models.json`` the SHA-256 digests of the MIP
 models ``build_model`` makes, so a refactor that claims "same behaviour"
-must reproduce them byte for byte. Regenerate (only when a behaviour change is intended) with::
+must reproduce them byte for byte. Regenerate (only when a behaviour
+change is intended) with::
 
     PYTHONPATH=src python tests/test_golden.py
 """

@@ -528,6 +528,18 @@ def exchanged(model: MipModel, picks: list[int]):
     return sx, a_i_b
 
 
+def test_near_max_ties():
+    """Values within a relative 1e-9 of the largest tie: with no ids the
+    first of them wins, with ids the one with the lowest id; a lone near
+    value wins whatever its id, and a NaN wins outright."""
+    values = np.array([1.0, 3.0, 3.0 * (1 - 5e-10), 2.0, 3.0])
+    assert milp._near_max(values) == 1
+    assert milp._near_max(values, np.array([0, 7, 5, 1, 8])) == 2
+    assert milp._near_max(values, np.array([0, 7, 9, 1, 6])) == 4
+    assert milp._near_max(np.array([3.0 * (1 - 2e-9), 3.0]), np.array([0, 1])) == 1
+    assert milp._near_max(np.array([1.0, np.nan, 5.0]), np.array([0, 1, 2])) == 1
+
+
 def test_starting_tableau_without_rows_and_with_a_cut():
     """A model with no rows starts from an empty tableau, and the model
     ``add_local_branching_cut`` makes from its dense row of every opening
