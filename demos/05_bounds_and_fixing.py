@@ -17,7 +17,7 @@ from fcndp import (
     solve_exact,
     solve_lp,
 )
-from fcndp.heuristics import lbound, partial_decoupling, vfh
+from fcndp.heuristics import lbound, partial_decoupling, proves_optimal, vfh
 
 inst = generate_instance(6, 0.7, 3, seed=69)
 exact = solve_exact(inst)
@@ -30,14 +30,14 @@ print(f"LP relaxation {lp.objective:.2f} "
 
 lb = lbound(inst)
 print(f"progressive bound {lb.value} after {lb.iterations} passes, "
-      f"proven optimal: {lb.opt_found}")
+      f"proven optimal: {lb.solution is not None}")
 
 construction = partial_decoupling(inst, 0.85, rng=69)
 print("construction cost:", construction.cost)
 
 res = vfh(inst, 0.85, rng=69)
 print(f"relax-and-fix: cost {res.solution.cost}, bound {res.lower_bound}, "
-      f"proven {res.proven}, edges closed by reduced cost: {res.fixed_edges}")
+      f"proven {proves_optimal(inst, res.solution.cost, res.lower_bound)}, edges closed by reduced cost: {res.fixed_edges}")
 
-bb = solve_bnb(model, model.integer_ok)
+bb = solve_bnb(model, model.integer_ok, lp)
 print("full branch-and-bound agrees:", bb.objective == exact.cost)

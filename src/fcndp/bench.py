@@ -80,20 +80,11 @@ class WilcoxonResult:
 
 
 def _midranks(pooled: np.ndarray) -> np.ndarray:
-    order = np.argsort(pooled, kind="stable")
-    ranks = np.empty(len(pooled))
-    i = 0
-    pos = 1
-    sorted_vals = pooled[order]
-    while i < len(pooled):
-        j = i
-        while j + 1 < len(pooled) and sorted_vals[j + 1] == sorted_vals[i]:
-            j += 1
-        avg = (pos + pos + (j - i)) / 2.0
-        ranks[order[i : j + 1]] = avg
-        pos += j - i + 1
-        i = j + 1
-    return ranks
+    """1-based ranks; a tie group's is the mean of the ranks it spans, its
+    last rank less (size - 1) / 2."""
+    _, inverse, counts = np.unique(pooled, return_inverse=True, return_counts=True)
+    ends = np.cumsum(counts)
+    return (ends - (counts - 1) / 2)[inverse]
 
 
 def wilcoxon_rank_sum(a, b, theta: float = 0.01) -> WilcoxonResult:

@@ -14,15 +14,18 @@ deterministic function of (inputs, seed).
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .graph import Adjacency, dijkstra, extract_path
 from .instance import Instance, compute_big_m
-from .milp import CUTOFF_SLACK, STATUS_ITERATION_LIMIT, STATUS_OPTIMAL, LpResult, solve_bnb, solve_lp
+from .milp import (
+    CUTOFF_SLACK, INTEGRALITY_TOL, STATUS_ITERATION_LIMIT, STATUS_OPTIMAL, LpResult, solve_bnb, solve_lp
+)
 from .model import MipModel, add_local_branching_cut, build_model
-from .solution import Solution, close_unused_edges, evaluate_cost
+from .solution import Solution, close_unused_edges
 
 RCVF_SLACK = 1e-6
 SWEEPS = 10  # construction sweeps, alpha = 1, 0.9, ..., 0.1
@@ -110,26 +113,22 @@ def proves_optimal(inst: Instance, cost: float, bound: float) -> bool:
     return cost - bound <= 1e-6 * (1 + abs(cost))
 
 
-def _is_integral(model: MipModel, values: np.ndarray, tol: float = 1e-6) -> bool:
+def _design(inst: Instance, model: MipModel, values: np.ndarray) -> Solution | None:
+    """The design at a point of ``model`` whose y and x values are integral,
+    with its unused edges closed; None at any other point."""
     marked = values[model.integer_ok]
-    return bool(np.all(np.abs(marked - np.round(marked)) <= tol))
-
-
-def _solution_from_values(inst: Instance, model: MipModel, values: np.ndarray) -> Solution:
+    if np.any(np.abs(marked - np.round(marked)) > INTEGRALITY_TOL):
+        return None
     E, K = inst.num_edges, inst.num_commodities
-    y = np.round(model.y_values(values)).astype(np.int8)
-    x = np.zeros((K, 2 * E), dtype=np.int8)
-    for k in range(K):
-        x[k] = np.round(model.x_values(values, k)).astype(np.int8)
-    cost = evaluate_cost(inst, y, x)
-    return Solution(y, x, cost)
+    # close_unused_edges rounds the flows and opens exactly the edges they use
+    x = values[E : E + 2 * E * K].reshape(K, 2 * E)
+    return close_unused_edges(inst, Solution(values[:E], x, 0.0))
 
 
 @dataclass
 class LboundResult:
     value: float
-    opt_found: bool
-    solution: Solution | None
+    solution: Solution | None  # an integral pass's design, which value proves optimal
     iterations: int
     model: MipModel  # the model the passes solved, bounds untouched; vfh goes on with it
     root: LpResult  # solve_lp(model)
@@ -156,9 +155,9 @@ def lbound(inst: Instance, *, deadline: float | None = None) -> LboundResult:
     root = solve_lp(model)
     if root.status != STATUS_OPTIMAL:
         raise RuntimeError(f"relaxation solve failed: {root.status}")
-    if _is_integral(model, root.values):
-        sol = close_unused_edges(inst, _solution_from_values(inst, model, root.values))
-        return LboundResult(sol.cost, True, sol, 0, model, root)
+    sol = _design(inst, model, root.values)
+    if sol is not None:
+        return LboundResult(sol.cost, sol, 0, model, root)
     E = inst.num_edges
     max_iters = math.ceil(0.2 * E)
     binary = np.zeros(model.num_vars, dtype=bool)
@@ -178,20 +177,19 @@ def lbound(inst: Instance, *, deadline: float | None = None) -> LboundResult:
         iterations += 1
         if res.status != STATUS_OPTIMAL:
             value = _strengthen_bound(last.objective, inst)
-            return LboundResult(value, False, None, iterations, model, root, res.status)
-        if _is_integral(model, res.values):
-            sol = close_unused_edges(inst, _solution_from_values(inst, model, res.values))
-            return LboundResult(sol.cost, True, sol, iterations, model, root)
+            return LboundResult(value, None, iterations, model, root, res.status)
+        sol = _design(inst, model, res.values)
+        if sol is not None:
+            return LboundResult(sol.cost, sol, iterations, model, root)
         if iterations >= max_iters or nvbin > 0.9 * E:
             break
-    return LboundResult(_strengthen_bound(res.objective, inst), False, None, iterations, model, root)
+    return LboundResult(_strengthen_bound(res.objective, inst), None, iterations, model, root)
 
 
 @dataclass
 class VfhResult:
     solution: Solution
     lower_bound: float
-    proven: bool
     fixed_edges: list[int] = field(default_factory=list)
 
 
@@ -207,26 +205,24 @@ def vfh(inst: Instance, gamma: float, rng=0, *, deadline: float | None = None) -
     optimal (``proves_optimal``), a pass finds nothing under the cutoff, or
     a pass runs out of budget or reaches ``deadline``. A pass that finds
     nothing under the cutoff is a proof: the bound rises to the incumbent's
-    cost (less ``CUTOFF_SLACK`` on other than integer data), and the result
-    is ``proven``. When bounding runs out of budget the constructive
-    incumbent is returned with the bound bounding reached.
+    cost (less ``CUTOFF_SLACK`` on other than integer data). When bounding
+    runs out of budget the constructive incumbent is returned with the
+    bound bounding reached.
     """
     rng = np.random.default_rng(rng)
     s_best = partial_decoupling(inst, gamma, rng=rng)
-    if inst.num_commodities == 0:
-        return VfhResult(s_best, 0.0, True)
     try:
         lb_res = lbound(inst, deadline=deadline)
     except RuntimeError:
         # the root relaxation failed: fall back to the constructive
         # incumbent and the trivial bound
-        return VfhResult(s_best, 0.0, False)
-    if lb_res.opt_found:
-        return VfhResult(lb_res.solution, lb_res.value, True)
+        return VfhResult(s_best, 0.0)
+    if lb_res.solution is not None:
+        return VfhResult(lb_res.solution, lb_res.value)
     min_cost = s_best.cost
     bound = lb_res.value
     if lb_res.status != STATUS_OPTIMAL:
-        return VfhResult(s_best, bound, proves_optimal(inst, min_cost, bound))
+        return VfhResult(s_best, bound)
     model, lp = lb_res.model, lb_res.root
     binary = np.zeros(model.num_vars, dtype=bool)
     pending = list(range(inst.num_commodities))
@@ -257,8 +253,8 @@ def vfh(inst: Instance, gamma: float, rng=0, *, deadline: float | None = None) -
         ]
         model.ub[closed] = 0.0
         fixed_edges += closed
-        if _is_integral(model, res.values):
-            sol = close_unused_edges(inst, _solution_from_values(inst, model, res.values))
+        sol = _design(inst, model, res.values)
+        if sol is not None:
             if sol.cost < min_cost:
                 s_best = sol
                 min_cost = sol.cost
@@ -266,21 +262,26 @@ def vfh(inst: Instance, gamma: float, rng=0, *, deadline: float | None = None) -
             bound = _strengthen_bound(res.objective, inst)
         if res.status == STATUS_ITERATION_LIMIT:
             break
-    return VfhResult(s_best, bound, proves_optimal(inst, min_cost, bound), fixed_edges)
+    return VfhResult(s_best, bound, fixed_edges)
 
 
 def local_branching(
     inst: Instance, sol: Solution, delta: int, *, deadline: float | None = None
 ) -> Solution:
     """Branch-and-bound restricted to designs within Hamming distance
-    ``delta`` of the incumbent design, under its cost as cutoff. Returns the
-    improvement or the input unchanged."""
+    ``delta`` of the incumbent design, under its cost as cutoff, from a root
+    relaxation solved until ``deadline``. Returns the improvement with its
+    unused edges closed (which can take it past ``delta``), or the input
+    unchanged, at once if ``deadline`` has passed."""
+    if deadline is not None and time.monotonic() >= deadline:
+        return sol
     model = build_model(inst, compute_big_m(inst))
     model = add_local_branching_cut(model, sol.y, delta)
-    res = solve_bnb(model, model.integer_ok, cutoff=sol.cost, deadline=deadline)
-    if res.objective < math.inf and _is_integral(model, res.values):
-        out = _solution_from_values(inst, model, res.values)
-        if out.cost < sol.cost:
+    root = solve_lp(model, deadline=deadline)
+    res = solve_bnb(model, model.integer_ok, root=root, cutoff=sol.cost, deadline=deadline)
+    if res.objective < math.inf:
+        out = _design(inst, model, res.values)
+        if out is not None and out.cost < sol.cost:
             return out
     return sol
 

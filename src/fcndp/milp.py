@@ -1,9 +1,11 @@
 """Self-contained LP/MIP kernel with two calls:
-``solve_lp(model)`` solves the relaxation with a bounded-variable dual
-simplex, and
-``solve_bnb(model, binary, *, root=None, cutoff=None, deadline=None)``
-runs branch-and-bound over the variables a boolean mask marks binary, until
-the absolute ``time.monotonic()`` value ``deadline`` if one is given.
+``solve_lp(model, *, deadline=None)`` solves the relaxation with a
+bounded-variable dual simplex, and
+``solve_bnb(model, binary, root, *, cutoff=None, deadline=None)`` runs
+branch-and-bound over the variables a boolean mask marks binary, from
+``root``, a ``solve_lp(model)`` result, until the absolute
+``time.monotonic()`` value ``deadline`` if one is given. Every B&B
+branches from a root its caller solved.
 
 The simplex keeps the short dense tableau ``B^-1 [N | b]`` (desk-scale
 models make dense cheap): one column per nonbasic variable and none for
@@ -38,20 +40,20 @@ stable implementation*, PhD thesis, Paderborn 2005). A variable unbounded
 in the direction its cost falls, a free one included, is refused with
 ``ValueError``; every model built in this package bounds every variable,
 so none of its LPs is unbounded. Only the root relaxation starts cold;
-``root=`` hands ``solve_bnb`` a ``solve_lp`` result so that it is solved
-once however many B&B calls start from it, also after the model's bounds
-tightened around the root's point, which leaves its basis optimal. A B&B
-child starts from its parent's optimal basis with its one branched bound
-changed. The parent's tableau is reused in place by the child explored next; the
-other child reaches its parent's basis from whatever tableau is live by a
-basis exchange, so a pending node holds O(rows + columns) state and no
-LU factorization is needed. Rounding builds up over long runs of pivots:
-a solve stops with ``STATUS_ITERATION_LIMIT`` when its point is no longer
-finite, when its pivot, read through the pending pivots, is at most
-``PIVOT_TOL``, or when, once primal feasible, a reduced cost re-derived
-from the tableau is on the wrong side of ``OPT_TOL``; a basis exchange
-that finds no pivot above ``PIVOT_TOL`` is retried from the root's
-tableau, the node dropped if that fails too.
+it is solved once however many B&B calls start from it, also after the
+model's bounds tightened around the root's point, which leaves its basis
+optimal. A B&B child starts from its parent's optimal basis with its one
+branched bound changed. The parent's tableau is reused in place by the
+child explored next; the other child reaches its parent's basis from
+whatever tableau is live by a basis exchange, so a pending node holds
+O(rows + columns) state and no LU factorization is needed. Rounding
+builds up over long runs of pivots: a solve stops with
+``STATUS_ITERATION_LIMIT`` when its point is no longer finite, when its
+pivot, read through the pending pivots, is at most ``PIVOT_TOL``, or
+when, once primal feasible, a reduced cost re-derived from the tableau
+is on the wrong side of ``OPT_TOL``; a basis exchange that finds no
+pivot above ``PIVOT_TOL`` is retried from the root's tableau, the node
+dropped if that fails too.
 
 A pivot reads the tableau twice, each time through the pending block: the
 leaving row (``_row``) and then the entering column (``_col``). Everything
@@ -123,10 +125,10 @@ def _near_max(values: np.ndarray, ids: np.ndarray | None = None) -> int:
 
 @dataclass
 class _Start:
-    """What ``solve_bnb(root=)`` needs from a ``solve_lp`` result: the model
-    and bounds it solved, and its final solver state, tableau included
-    (None unless optimal). A B&B works on a copy, so one result can seed
-    many calls."""
+    """What ``solve_bnb`` needs from its root, a ``solve_lp`` result: the
+    model and bounds it solved, and its final solver state, tableau
+    included (None unless optimal). A B&B works on a copy, so one result
+    can seed many calls."""
 
     model: MipModel
     lb: np.ndarray
@@ -451,22 +453,16 @@ class _Simplex:
         self.xb[r] = entering_val
 
 
-def solve_lp(model: MipModel) -> LpResult:
-    """Optimal basic solution of the LP relaxation, with reduced costs. The
-    result can seed ``solve_bnb(model, ..., root=)`` while the model's
-    bounds stay as they are or tighten around its point."""
-    return _solve_lp(model)
-
-
-def _solve_lp(model: MipModel, deadline: float = math.inf) -> LpResult:
-    """The body of ``solve_lp``; ``solve_bnb`` calls it for a root it solves
-    itself, so that calls of the public name are the callers' own, and with
-    its deadline."""
+def solve_lp(model: MipModel, *, deadline: float | None = None) -> LpResult:
+    """Optimal basic solution of the LP relaxation, with reduced costs,
+    solved until the ``time.monotonic()`` value ``deadline`` if one is
+    given. The result is the root of ``solve_bnb(model, ...)`` calls while
+    the model's bounds stay as they are or tighten around its point."""
     lb = np.asarray(model.lb, dtype=float).copy()
     ub = np.asarray(model.ub, dtype=float).copy()
     limit = max(PIVOT_LIMIT_FLOOR, PIVOT_LIMIT_PER_DIM * (model.num_vars + 2 * len(model.rows)))
     sx = _Simplex(model, lb, ub, limit)
-    sx.deadline = deadline
+    sx.deadline = math.inf if deadline is None else deadline
     status = sx.solve()
     d = np.zeros(sx.ncols)
     d[sx.nb] = sx._reduced_costs()
@@ -500,8 +496,8 @@ def _integral_objective(model: MipModel, binary: np.ndarray) -> bool:
 def solve_bnb(
     model: MipModel,
     binary: np.ndarray,
+    root: LpResult,
     *,
-    root: LpResult | None = None,
     cutoff: float | None = None,
     deadline: float | None = None,
 ) -> LpResult:
@@ -511,16 +507,17 @@ def solve_bnb(
     the open list re-sorted by bound every 100 nodes; branches on the most
     fractional marked variable (ties to the lowest id). Nodes whose bound
     reaches the cutoff are pruned; with no cutoff and no integral point the
-    result is infeasible. With nothing marked this is ``solve_lp``.
+    result is infeasible. With nothing marked the result is ``root``.
 
-    ``root``, a ``solve_lp(model)`` result, stands in for the root
-    relaxation, which is then not solved again. The model's bounds may have
-    moved since, if only by tightening around the root's point: every bound
-    that moved is no wider than before and still holds the root's value.
-    The root's basis then stays primal and dual optimal, and the result
-    has the status and objective of a solve without ``root``. Every other
+    ``root``, a ``solve_lp(model)`` result, is the root relaxation, which
+    is not solved again. The model's bounds may have moved since, if only
+    by tightening around the root's point: every bound that moved is no
+    wider than before and still holds the root's value. The root's basis
+    then stays primal and dual optimal, and the result has the status and
+    objective of a B&B from the tightened model's own root. Every other
     node starts from its parent's optimal basis and re-solves with the dual
-    simplex.
+    simplex. The root's pivots are its own: the result counts those of the
+    other nodes.
 
     ``deadline``, a ``time.monotonic()`` value, stops the search between
     nodes and inside simplex runs, with ``STATUS_ITERATION_LIMIT``.
@@ -529,19 +526,18 @@ def solve_bnb(
     bad = np.flatnonzero(binary & ~model.integer_ok)
     if bad.size:
         v = int(bad[0])
-        raise ValueError(f"variable {v} ({model.kinds[v]}) cannot be made binary")
-    if root is not None:
-        rec = root.start
-        if rec is None or rec.model is not model:
-            raise ValueError("root is not a solve_lp result of this model")
-        # only the bounds that moved are checked: a basic value may sit up
-        # to FEAS_TOL outside bounds that did not
-        moved = (model.lb != rec.lb) | (model.ub != rec.ub)
-        lo, hi, v = model.lb[moved], model.ub[moved], root.values[moved]
-        if np.any((lo < rec.lb[moved]) | (hi > rec.ub[moved]) | (v < lo) | (v > hi)):
-            raise ValueError("root was solved under other bounds, not tightened around its point")
+        raise ValueError(f"variable {v} cannot be made binary")
+    rec = root.start
+    if rec is None or rec.model is not model:
+        raise ValueError("root is not a solve_lp result of this model")
+    # only the bounds that moved are checked: a basic value may sit up
+    # to FEAS_TOL outside bounds that did not
+    moved = (model.lb != rec.lb) | (model.ub != rec.ub)
+    lo, hi, v = model.lb[moved], model.ub[moved], root.values[moved]
+    if np.any((lo < rec.lb[moved]) | (hi > rec.ub[moved]) | (v < lo) | (v > hi)):
+        raise ValueError("root was solved under other bounds, not tightened around its point")
     if not binary.any():
-        return root if root is not None else solve_lp(model)
+        return root
     binary_ids = np.flatnonzero(binary)
     int_obj = _integral_objective(model, binary)
     deadline = math.inf if deadline is None else deadline
@@ -576,9 +572,6 @@ def solve_bnb(
         node = nodes_done
         nodes_done += 1
         if basis is None:  # the root
-            if root is None:
-                root = _solve_lp(model, deadline)
-                total_pivots += root.iterations
             status, values = root.status, root.values
         else:
             if live != parent and age > _RESTART_AFTER:

@@ -37,7 +37,6 @@ class MipModel:
     obj: np.ndarray
     lb: np.ndarray
     ub: np.ndarray
-    kinds: list[str]  # "y" | "x" | "pi"
     integer_ok: np.ndarray  # bool mask: y and x variables
     rows: list[Row]
     num_edges: int
@@ -53,18 +52,10 @@ class MipModel:
     def pi_var(self, k: int, node: int) -> int:
         return self.num_edges * (1 + 2 * self.num_commodities) + self.num_nodes * k + node
 
-    def y_values(self, values: np.ndarray) -> np.ndarray:
-        return np.asarray(values)[: self.num_edges]
-
-    def x_values(self, values: np.ndarray, k: int) -> np.ndarray:
-        start = self.x_var(k, 0)
-        return np.asarray(values)[start : start + 2 * self.num_edges]
-
 
 def build_model(inst: Instance, big_m: np.ndarray) -> MipModel:
     E, K, V = inst.num_edges, inst.num_commodities, inst.nodes
     num_vars = E + 2 * E * K + V * K
-    kinds = ["y"] * E + ["x"] * (2 * E * K) + ["pi"] * (V * K)
     c = inst.edge_array("c")
     big_m = np.asarray(big_m, dtype=float)
     ks = np.arange(K)
@@ -86,8 +77,7 @@ def build_model(inst: Instance, big_m: np.ndarray) -> MipModel:
         obj=obj,
         lb=lb,
         ub=ub,
-        kinds=kinds,
-        integer_ok=np.array([k in ("y", "x") for k in kinds]),
+        integer_ok=np.arange(num_vars) < E + 2 * E * K,
         rows=[],
         num_edges=E,
         num_commodities=K,

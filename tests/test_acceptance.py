@@ -67,7 +67,7 @@ def test_criterion_01_oracle_mip_equivalence(pool):
     for inst in instances:
         exact = oracle_of(inst)
         model = build_model(inst, compute_big_m(inst))
-        res = solve_bnb(model, model.integer_ok)
+        res = solve_bnb(model, model.integer_ok, solve_lp(model))
         assert res.status == "optimal"
         assert res.objective == exact.cost, inst.name
     elapsed = time.monotonic() - t0

@@ -8,6 +8,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from fcndp import bench
 from fcndp.bench import (
@@ -98,6 +100,32 @@ def test_wilcoxon_normal_close_to_exact_sampled():
         exact = wilcoxon_exact_pvalue(a, b)
         approx = wilcoxon_rank_sum(a, b).p_value
         assert abs(approx - exact) <= 0.05, (a, b, exact, approx)
+
+
+def tie_loop_midranks(pooled: np.ndarray) -> np.ndarray:
+    """Midranks by walking the stably sorted values tie group by tie group."""
+    order = np.argsort(pooled, kind="stable")
+    ranks = np.empty(len(pooled))
+    i = 0
+    pos = 1
+    sorted_vals = pooled[order]
+    while i < len(pooled):
+        j = i
+        while j + 1 < len(pooled) and sorted_vals[j + 1] == sorted_vals[i]:
+            j += 1
+        avg = (pos + pos + (j - i)) / 2.0
+        ranks[order[i : j + 1]] = avg
+        pos += j - i + 1
+        i = j + 1
+    return ranks
+
+
+@given(st.lists(st.sampled_from([-1.5, 0.0, -0.0, 2.0, 3.0]) | st.floats(allow_nan=False, allow_infinity=False)))
+def test_midranks_match_the_tie_loop(values):
+    """Finite samples, ties among them more often than not: the midranks
+    are the bytes the tie-group walk gives."""
+    pooled = np.array(values, dtype=float)
+    assert bench._midranks(pooled).tobytes() == tie_loop_midranks(pooled).tobytes()
 
 
 def test_wilcoxon_tied_samples_use_finer_correction():

@@ -105,12 +105,13 @@ def test_gap_below_one_proves_nothing_on_fractional_data(monkeypatch):
     res = heuristics.vfh(scaled, SolverConfig().gamma, rng=1)
     assert res.solution.cost - bounding < 1
     assert not heuristics.proves_optimal(scaled, res.solution.cost, bounding)
-    assert res.proven and bounding < res.lower_bound <= opt
+    assert heuristics.proves_optimal(scaled, res.solution.cost, res.lower_bound)
+    assert bounding < res.lower_bound <= opt
     relax_and_fix = driver.vfh
 
     def stopped_at_bounding(*args, **kwargs):
         # the same draws from the run's generator, with lbound's bound only
-        return replace(relax_and_fix(*args, **kwargs), lower_bound=bounding, proven=False)
+        return replace(relax_and_fix(*args, **kwargs), lower_bound=bounding)
 
     monkeypatch.setattr(driver, "vfh", stopped_at_bounding)
     sol, rec = vfhlb(scaled, SolverConfig(seed=1))
@@ -119,6 +120,39 @@ def test_gap_below_one_proves_nothing_on_fractional_data(monkeypatch):
     assert abs(sol.cost - opt) <= 1e-9
     assert rec.lower_bound <= opt
     assert verify_bilevel(scaled, sol).passed
+
+
+def test_no_commodities_is_proven_empty():
+    """With no commodities the empty design is optimal: vfh returns it at
+    cost 0 with bound 0, and vfhlb stops after vfh."""
+    inst = generate_instance(6, 0.8, 3, 0)
+    empty = replace(inst, commodities=())
+    res = driver.vfh(empty, 0.85, rng=1)
+    assert (res.solution.cost, res.lower_bound) == (0.0, 0.0)
+    assert not res.solution.y.any() and res.solution.x.shape == (0, 2 * inst.num_edges)
+    sol, rec = vfhlb(empty, SolverConfig(seed=1))
+    assert (rec.cost, rec.lower_bound, rec.status) == (0.0, 0.0, "ok")
+    assert len(rec.trajectory) == 1
+
+
+def test_failed_relaxation_falls_back_to_the_construction(monkeypatch):
+    """When lbound raises, its root relaxation having failed, vfh returns
+    the constructive design with the trivial bound 0, and vfhlb searches on
+    from it to a design that passes verify_bilevel."""
+    inst = generate_instance(6, 0.8, 3, 0)
+
+    def failed(*args, **kwargs):
+        raise RuntimeError("relaxation solve failed: iteration-limit")
+
+    monkeypatch.setattr(heuristics, "lbound", failed)
+    construction = heuristics.partial_decoupling(inst, 0.85, rng=1)
+    res = heuristics.vfh(inst, 0.85, rng=1)
+    assert res.lower_bound == 0.0
+    assert res.solution.cost == construction.cost
+    assert np.array_equal(res.solution.y, construction.y) and np.array_equal(res.solution.x, construction.x)
+    sol, rec = vfhlb(inst, SolverConfig(seed=1))
+    assert rec.lower_bound == 0.0 and sol.cost <= construction.cost
+    assert verify_bilevel(inst, sol).passed
 
 
 def test_runs_match_oracle_smoke():
@@ -209,14 +243,20 @@ class Ticks:
         return self.now
 
 
+def ticking(monkeypatch) -> Ticks:
+    """A Ticks clock in place of ``time`` in every module that reads the clock."""
+    clock = Ticks()
+    for module in (driver, heuristics, milp):
+        monkeypatch.setattr(module, "time", clock)
+    return clock
+
+
 def test_bounds_hold_wherever_the_deadline_falls(monkeypatch):
     """A deadline at every one of the run's clock reads in turn: in
     construction, between B&B nodes, inside dual simplex runs.
     The bounds hold wherever it falls."""
     inst = generate_instance(6, 0.8, 2, 335)
-    clock = Ticks()
-    monkeypatch.setattr(driver, "time", clock)
-    monkeypatch.setattr(milp, "time", clock)
+    clock = ticking(monkeypatch)
     vfhlb(inst, SolverConfig(seed=1))
     reads = int(clock.now)
     cut = []  # per dual simplex run: did the deadline end it
@@ -244,9 +284,7 @@ def test_cut_run_without_proof_reports_time_limit(monkeypatch, refused):
     if refused:
         refuse_proofs(monkeypatch)
     inst = generate_instance(6, 0.8, 2, 335)
-    clock = Ticks()
-    monkeypatch.setattr(driver, "time", clock)
-    monkeypatch.setattr(milp, "time", clock)
+    clock = ticking(monkeypatch)
     _, rec = vfhlb(inst, SolverConfig(seed=1))
     assert (rec.gap, rec.status) == (0.0, "ok")
     reads = int(clock.now)
@@ -307,11 +345,37 @@ def test_local_branching_not_repeated_on_unchanged_incumbent(monkeypatch):
     assert len(unchanged) == SolverConfig().iterations
 
 
+def test_local_branching_starts_from_a_changed_perturbation(monkeypatch):
+    """When every ejection cycle returns a new Solution, every round's local
+    branching starts from it. Proofs are refused to make the loop run."""
+    refuse_proofs(monkeypatch)
+    perturbed: list[Solution] = []
+    starts: list[Solution] = []
+
+    def new_solution(inst, sol, gamma, rng=None):
+        perturbed.append(replace(sol, y=sol.y.copy(), x=sol.x.copy()))
+        return perturbed[-1]
+
+    search = driver.local_branching
+
+    def recorded(inst, sol, delta, **kwargs):
+        starts.append(sol)
+        return search(inst, sol, delta, **kwargs)
+
+    monkeypatch.setattr(driver, "ejection_cycle", new_solution)
+    monkeypatch.setattr(driver, "local_branching", recorded)
+    _, rec = vfhlb(generate_instance(6, 0.8, 3, 0), SolverConfig(seed=1))
+    assert len(perturbed) == SolverConfig().iterations == 10
+    assert len(starts) == 1 + len(perturbed)
+    assert all(start is new for start, new in zip(starts[1:], perturbed))
+    assert len(rec.trajectory) == 12
+
+
 def test_cold_starts_counted(monkeypatch):
     """Only a root LP starts cold: B&B children start from their parent's
-    basis, a B&B seeded with root= starts nothing cold, and the unfixed
-    root LP is solved once per run, also after reduced-cost fixing closed
-    edges. Runs on the first candidate with every kind of start: lbound
+    basis, a B&B, always seeded with its root, starts nothing cold, and the
+    unfixed root LP is solved once per run, also after reduced-cost fixing
+    closed edges. Runs on the first candidate with every kind of start: lbound
     passes that do not prove optimality, reduced-cost fixing that closes an
     edge, and local branching, which runs only because proofs are refused:
     vfh proves every candidate."""
@@ -341,9 +405,9 @@ def test_cold_starts_counted(monkeypatch):
     lp_calls = []
     lp = heuristics.solve_lp
 
-    def counted_lp(model):
+    def counted_lp(model, **kwargs):
         lp_calls.append(1)
-        return lp(model)
+        return lp(model, **kwargs)
 
     fixed: list[list[int]] = []  # the edges each vfh run closes
     relax_and_fix = driver.vfh
@@ -380,7 +444,7 @@ def test_cold_starts_counted(monkeypatch):
         fresh = build_model(inst, compute_big_m(inst))
         vfhlb(inst, SolverConfig(seed=1))
         passes = bounding[0].iterations
-        if passes and not bounding[0].opt_found and fixed[0] and searches:
+        if passes and bounding[0].solution is None and fixed[0] and searches:
             break
     else:
         pytest.fail("no candidate has lbound passes, reduced-cost fixing and local branching")
@@ -390,11 +454,11 @@ def test_cold_starts_counted(monkeypatch):
     assert (passes, len(searches), fixed) == (1, 1, [[2]])
     # one lbound pass and two vfh passes, all seeded with the root LP,
     # the second after reduced-cost fixing, then the one local-branching
-    # B&B, which solves its own root
-    assert bnb_starts == [(True, False, 0)] + [(True, True, 0)] * 2 + [(False, True, 1)]
+    # B&B, seeded with the root local branching solved
+    assert bnb_starts == [(True, False, 0)] + [(True, True, 0)] * 3
     # the unfixed root once, then the local-branching root
     assert cold == [True, False]
-    assert len(lp_calls) == 1
+    assert len(lp_calls) == 2
 
 
 def test_record_round_trip():

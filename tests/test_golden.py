@@ -168,7 +168,7 @@ def test_optimal_exit_check_refuses_nothing(monkeypatch):
     for i in range(30):
         inst = pool_instance(i)
         model = build_model(inst, compute_big_m(inst))
-        solve_bnb(model, model.integer_ok)
+        solve_bnb(model, model.integer_ok, solve_lp(model))
     # 413 solves reach a primal feasible point here
     assert len(feasible_ends) > 300 and sum(feasible_ends) == 0
 

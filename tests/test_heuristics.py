@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -134,7 +135,7 @@ def tree_instance() -> Instance:
 
 def test_lbound_immediate_integral_guard():
     res = lbound(tree_instance())
-    assert res.opt_found
+    assert res.solution is not None
     assert res.iterations == 0
     assert res.value == 8 + 2 * 2
     assert verify_bilevel(tree_instance(), res.solution).passed
@@ -212,7 +213,7 @@ def test_bound_kept_when_bounding_runs_out(monkeypatch):
     monkeypatch.setattr(heuristics, "solve_bnb", out_of_budget)
     res = lbound(inst)
     assert abs(res.root.objective - 497.5) < 1e-6
-    assert (res.value, res.status, res.iterations, res.opt_found) == (498.0, "iteration-limit", 1, False)
+    assert (res.value, res.status, res.iterations, res.solution) == (498.0, "iteration-limit", 1, None)
     assert vfh(inst, 0.85, rng=1).lower_bound == 498.0
 
 
@@ -234,7 +235,7 @@ def test_vfh_worked_proves_optimum(worked):
     res = vfh(worked, 0.85, rng=0)
     assert res.solution.cost == 10.0
     assert abs(res.solution.cost - res.lower_bound) < 1
-    assert res.proven
+    assert proves_optimal(worked, res.solution.cost, res.lower_bound)
 
 
 def test_vfh_keeps_the_proof_of_a_pass_that_ends_at_its_cutoff():
@@ -244,7 +245,7 @@ def test_vfh_keeps_the_proof_of_a_pass_that_ends_at_its_cutoff():
     inst = generate_instance(6, 0.8, 3, 0)
     assert lbound(inst).value == 384.0
     res = vfh(inst, 0.85, rng=1)
-    assert (res.solution.cost, res.lower_bound, res.proven) == (422.0, 422.0, True)
+    assert (res.solution.cost, res.lower_bound) == (422.0, 422.0)
     assert solve_exact(inst).cost == 422.0
 
 
@@ -262,15 +263,34 @@ def test_pass_out_of_budget_proves_nothing(monkeypatch):
 
     monkeypatch.setattr(heuristics, "solve_bnb", out_of_budget)
     res = vfh(inst, 0.85, rng=1)
-    assert (res.solution.cost, res.lower_bound, res.proven) == (422.0, 384.0, False)
+    assert (res.solution.cost, res.lower_bound) == (422.0, 384.0)
+    assert not proves_optimal(inst, res.solution.cost, res.lower_bound)
 
 
 def test_vfh_returns_lbound_solution_when_integral():
     inst = tree_instance()
     res = vfh(inst, 0.85, rng=0)
-    assert res.proven
     assert res.solution.cost == res.lower_bound == 12.0
     assert res.fixed_edges == []
+
+
+@pytest.mark.parametrize(
+    "case, seed, construction, optimum",
+    [((6, 0.8, 3, 6), 6, 465.0, 414.0), ((8, 0.6, 4, 0), 0, 571.0, 528.0)],
+    ids=["6-0.8-3-6", "8-0.6-4-0"],
+)
+def test_relax_and_fix_improves_the_incumbent(case, seed, construction, optimum):
+    """Bounding proves nothing here and the construction is not optimal: a
+    relax-and-fix pass finds a cheaper design, the optimum, which vfh
+    returns proven. Runs where a pass improves on the construction are
+    rare; these two were found by scanning instances and seeds."""
+    inst = generate_instance(*case)
+    assert partial_decoupling(inst, 0.85, rng=seed).cost == construction
+    assert lbound(inst).solution is None
+    res = vfh(inst, 0.85, rng=seed)
+    assert (res.solution.cost, res.lower_bound) == (optimum, optimum)
+    assert solve_exact(inst).cost == optimum
+    assert verify_bilevel(inst, res.solution).passed
 
 
 def test_vfh_sandwich_and_rcvf_safety_smoke():
@@ -322,6 +342,25 @@ def test_local_branching_reaches_optimum_within_radius(worked):
     assert out.cost == 10.0
     assert int(np.abs(out.y - start.y).sum()) <= 3
     assert verify_bilevel(worked, out).passed
+
+
+def test_local_branching_past_its_deadline_returns_its_input(monkeypatch):
+    """Once its deadline has passed, local branching returns its input and
+    builds no simplex tableau; with time left it builds one."""
+    inst = generate_instance(6, 0.8, 3, 0)
+    start = partial_decoupling(inst, 0.85, rng=1)
+    built = []
+    init = milp._Simplex.__init__
+
+    def counted(self, *args):
+        built.append(1)
+        init(self, *args)
+
+    monkeypatch.setattr(milp._Simplex, "__init__", counted)
+    assert local_branching(inst, start, 6, deadline=time.monotonic()) is start
+    assert built == []
+    local_branching(inst, start, 6, deadline=time.monotonic() + 60.0)
+    assert built
 
 
 def test_local_branching_contracts_random():

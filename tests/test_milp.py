@@ -28,7 +28,6 @@ def tiny_model(obj, lb, ub, rows=(), integer=None) -> MipModel:
         obj=np.array(obj, dtype=float),
         lb=np.array(lb, dtype=float),
         ub=np.array(ub, dtype=float),
-        kinds=["y" if b else "pi" for b in integer],
         integer_ok=np.array(integer, dtype=bool),
         rows=[
             Row(np.array(cols, dtype=int), np.array(coefs, dtype=float), sense, float(rhs))
@@ -120,7 +119,7 @@ def test_reduced_cost_free_standing_min():
 
 def test_reduced_cost_refused_on_bnb_result(worked):
     model = build_model(worked, compute_big_m(worked))
-    res = solve_bnb(model, model.integer_ok)
+    res = solve_bnb(model, model.integer_ok, solve_lp(model))
     assert res.reduced_costs is None
 
 
@@ -220,17 +219,14 @@ def test_reduced_cost_bound_property(worked):
 def test_bnb_empty_plan_reduces_to_lp(worked):
     model = build_model(worked, compute_big_m(worked))
     lp = solve_lp(model)
-    bb = solve_bnb(model, np.zeros(model.num_vars, dtype=bool))
-    assert bb.status == lp.status
-    assert bb.objective == lp.objective
-    assert bb.reduced_costs is not None
+    assert solve_bnb(model, np.zeros(model.num_vars, dtype=bool), lp) is lp
 
 
 def test_bnb_cutoff_below_optimum(worked):
     model = build_model(worked, compute_big_m(worked))
-    res = solve_bnb(model, model.integer_ok, cutoff=9.5)
+    res = solve_bnb(model, model.integer_ok, solve_lp(model), cutoff=9.5)
     assert res.status == "cutoff"
-    res2 = solve_bnb(model, model.integer_ok, cutoff=10.5)
+    res2 = solve_bnb(model, model.integer_ok, solve_lp(model), cutoff=10.5)
     assert res2.status == "optimal" and res2.objective == 10.0
 
 
@@ -238,7 +234,7 @@ def test_bnb_integral_objective_on_integer_instances():
     for seed in (0, 1):
         inst = generate_instance(6, 0.7, 2, seed=seed)
         model = build_model(inst, compute_big_m(inst))
-        res = solve_bnb(model, model.integer_ok)
+        res = solve_bnb(model, model.integer_ok, solve_lp(model))
         assert res.status == "optimal"
         assert abs(res.objective - round(res.objective)) <= 1e-6
 
@@ -252,7 +248,7 @@ def test_bnb_bound_monotonicity():
     for seed in (12, 3):
         inst = generate_instance(6, 0.8, 3, seed=seed)
         model = build_model(inst, compute_big_m(inst))
-        assert solve_bnb(model, model.integer_ok).status == "optimal"
+        assert solve_bnb(model, model.integer_ok, solve_lp(model)).status == "optimal"
         marked = np.flatnonzero(model.integer_ok)
         level = [(model, solve_lp(model))]
         depth = 0
@@ -279,7 +275,7 @@ def test_bnb_bound_monotonicity():
 def test_bnb_node_limit_flags_partial(worked, monkeypatch):
     monkeypatch.setattr(milp, "NODE_LIMIT", 0)
     model = build_model(worked, compute_big_m(worked))
-    res = solve_bnb(model, model.integer_ok)
+    res = solve_bnb(model, model.integer_ok, solve_lp(model))
     assert res.status == "iteration-limit"
 
 
@@ -293,9 +289,9 @@ def test_iteration_limit_status(worked, monkeypatch):
 
 def test_bnb_stops_at_a_passed_deadline(worked):
     """A deadline that has passed stops the search before its first node,
-    the root relaxation included."""
+    the root's included."""
     model = build_model(worked, compute_big_m(worked))
-    res = solve_bnb(model, model.integer_ok, deadline=time.monotonic())
+    res = solve_bnb(model, model.integer_ok, solve_lp(model), deadline=time.monotonic())
     assert res.status == "iteration-limit"
     assert res.nodes == 0
 
@@ -441,39 +437,42 @@ def test_restart_from_root_tableau_same_result(monkeypatch):
     for case in ((6, 0.8, 3, 3), (8, 0.5, 4, 2)):
         inst = generate_instance(*case)
         model = build_model(inst, compute_big_m(inst))
-        default = solve_bnb(model, model.integer_ok)
+        default = solve_bnb(model, model.integer_ok, solve_lp(model))
         with monkeypatch.context() as patch:
             patch.setattr(milp, "_RESTART_AFTER", -1)
             patch.setattr(milp._Simplex, "copy", counted)
-            restarted = solve_bnb(model, model.integer_ok)
+            restarted = solve_bnb(model, model.integer_ok, solve_lp(model))
         assert restarted.status == default.status == "optimal"
         assert abs(restarted.objective - default.objective) <= 1e-9
     assert len(copies) > 2
 
 
 def test_root_seed_gives_same_result():
-    """A solve_lp result passed as root= replaces the root solve and changes
-    nothing else; one from other bounds or another model is refused."""
+    """One solve_lp result seeds any number of B&B calls: each call from a
+    root that seeded the calls before it finds the bytes a call from a
+    fresh root finds. A root from other bounds or another model is
+    refused."""
     for case in ((6, 0.8, 3, 3), (8, 0.5, 4, 2)):
         inst = generate_instance(*case)
         model = build_model(inst, compute_big_m(inst))
         y_only = model.integer_ok & (np.arange(model.num_vars) < model.num_edges)
-        optimum = solve_bnb(model, model.integer_ok).objective
+        shared = solve_lp(model)
+        optimum = solve_bnb(model, model.integer_ok, shared).objective
         for binary, cutoff in ((model.integer_ok, None), (y_only, None), (model.integer_ok, optimum)):
-            cold = solve_bnb(model, binary, cutoff=cutoff)
-            seeded = solve_bnb(model, binary, root=solve_lp(model), cutoff=cutoff)
-            assert cold.nodes > 1
-            assert seeded.status == cold.status
-            assert seeded.objective == cold.objective
-            assert seeded.values.tobytes() == cold.values.tobytes()
-            assert seeded.nodes == cold.nodes
+            fresh = solve_bnb(model, binary, solve_lp(model), cutoff=cutoff)
+            seeded = solve_bnb(model, binary, shared, cutoff=cutoff)
+            assert fresh.nodes > 1
+            assert seeded.status == fresh.status
+            assert seeded.objective == fresh.objective
+            assert seeded.values.tobytes() == fresh.values.tobytes()
+            assert seeded.nodes == fresh.nodes
     inst = generate_instance(6, 0.8, 3, 3)
     model = build_model(inst, compute_big_m(inst))
     lp = solve_lp(model)
     with pytest.raises(ValueError, match="this model"):
         solve_bnb(build_model(inst, compute_big_m(inst)), model.integer_ok, root=lp)
     with pytest.raises(ValueError, match="this model"):
-        solve_bnb(model, model.integer_ok, root=solve_bnb(model, model.integer_ok))
+        solve_bnb(model, model.integer_ok, root=solve_bnb(model, model.integer_ok, lp))
     # closing the first variable the root's point uses cuts that point off
     model.ub[int(np.flatnonzero(lp.values > 0.0)[0])] = 0.0
     with pytest.raises(ValueError, match="other bounds"):
@@ -873,7 +872,7 @@ def test_failed_exchange_retried_from_root(monkeypatch, fail):
     error and nothing better than the optimum."""
     inst = generate_instance(6, 0.8, 3, 3)
     model = build_model(inst, compute_big_m(inst))
-    default = solve_bnb(model, model.integer_ok)
+    default = solve_bnb(model, model.integer_ok, solve_lp(model))
     col, rebase = milp._Simplex._col, milp._Simplex.rebase
     noise = [False]
     tries: list[bool] = []
@@ -893,7 +892,7 @@ def test_failed_exchange_retried_from_root(monkeypatch, fail):
 
     monkeypatch.setattr(milp._Simplex, "_col", noisy_col)
     monkeypatch.setattr(milp._Simplex, "rebase", noisy_rebase)
-    res = solve_bnb(model, model.integer_ok)
+    res = solve_bnb(model, model.integer_ok, solve_lp(model))
     assert default.status == "optimal" and len(tries) >= 2
     if fail == "first-try":
         # every failed exchange is followed by a retry that works
@@ -951,9 +950,10 @@ def test_root_seed_after_bounds_tighten_around_its_point():
     model.ub[closed] = 0.0
     y_only = model.integer_ok & (np.arange(model.num_vars) < model.num_edges)
     tight = replace(model, lb=model.lb.copy(), ub=model.ub.copy())
-    optimum = solve_bnb(tight, model.integer_ok).objective
+    tight_root = solve_lp(tight)
+    optimum = solve_bnb(tight, model.integer_ok, tight_root).objective
     for binary, cutoff in ((model.integer_ok, None), (y_only, None), (model.integer_ok, optimum)):
-        cold = solve_bnb(tight, binary, cutoff=cutoff)
+        cold = solve_bnb(tight, binary, tight_root, cutoff=cutoff)
         seeded = solve_bnb(model, binary, root=root, cutoff=cutoff)
         assert seeded.status == cold.status
         assert seeded.objective == pytest.approx(cold.objective, rel=1e-9, abs=1e-9)

@@ -11,9 +11,8 @@ def test_worked_model_shape(worked):
     model = build_model(worked, compute_big_m(worked))
     E, K, V = 3, 1, 3
     assert model.num_vars == E + 2 * E * K + V * K == 12
-    assert model.kinds.count("y") == 3
-    assert model.kinds.count("x") == 6
-    assert model.kinds.count("pi") == 3
+    # y and x variables, in that order, may be made binary; pi may not
+    assert model.integer_ok.tolist() == [True] * (3 + 6) + [False] * 3
     # destination potential pinned through its bounds
     pinned = model.pi_var(0, worked.commodities[0].destination)
     assert model.lb[pinned] == model.ub[pinned] == 0.0
@@ -32,7 +31,7 @@ def test_empty_commodity_model(worked):
 
 def test_full_bnb_matches_oracle(worked):
     model = build_model(worked, compute_big_m(worked))
-    res = solve_bnb(model, model.integer_ok)
+    res = solve_bnb(model, model.integer_ok, solve_lp(model))
     assert res.status == "optimal"
     assert res.objective == 10.0
 
@@ -41,7 +40,7 @@ def test_lb_cut_zero_radius_forces_design(worked):
     model = build_model(worked, compute_big_m(worked))
     ybar = np.array([1, 1, 0])
     cut = add_local_branching_cut(model, ybar, 0)
-    res = solve_bnb(cut, cut.integer_ok)
+    res = solve_bnb(cut, cut.integer_ok, solve_lp(cut))
     assert res.status == "optimal"
     assert np.allclose(np.round(res.values[:3]), ybar)
 
@@ -91,7 +90,7 @@ def test_lb_cut_leaves_input_model_unchanged(worked):
 def test_fix_opening_variable_zero(worked):
     model = build_model(worked, compute_big_m(worked))
     model.ub[model.y_var(2)] = 0.0
-    res = solve_bnb(model, model.integer_ok)
+    res = solve_bnb(model, model.integer_ok, solve_lp(model))
     assert res.status == "optimal"
     assert res.objective == 14.0  # forced onto the two-edge route
     assert round(res.values[2]) == 0
@@ -100,7 +99,7 @@ def test_fix_opening_variable_zero(worked):
 def test_fix_all_infeasible(worked):
     model = build_model(worked, compute_big_m(worked))
     model.ub[:3] = 0.0
-    res = solve_bnb(model, model.integer_ok)
+    res = solve_bnb(model, model.integer_ok, solve_lp(model))
     assert res.status == "infeasible"
 
 
@@ -108,17 +107,17 @@ def test_plan_split_and_validation(worked):
     model = build_model(worked, compute_big_m(worked))
     binary = np.zeros(model.num_vars, dtype=bool)
     binary[[model.y_var(0), model.x_var(0, 0)]] = True
-    assert solve_bnb(model, binary).status == "optimal"
+    assert solve_bnb(model, binary, solve_lp(model)).status == "optimal"
     binary[model.pi_var(0, 0)] = True
     with pytest.raises(ValueError, match="cannot be made binary"):
-        solve_bnb(model, binary)
+        solve_bnb(model, binary, solve_lp(model))
 
 
 def test_model_oracle_equivalence_small_batch():
     for seed in range(10):
         inst = generate_instance(5 + seed % 3, 0.7, 2, seed=seed)
         model = build_model(inst, compute_big_m(inst))
-        res = solve_bnb(model, model.integer_ok)
+        res = solve_bnb(model, model.integer_ok, solve_lp(model))
         exact = solve_exact(inst)
         assert res.objective == exact.cost, inst.name
 
@@ -126,5 +125,5 @@ def test_model_oracle_equivalence_small_batch():
 def test_lp_relaxation_below_integral(worked):
     model = build_model(worked, compute_big_m(worked))
     lp = solve_lp(model)
-    bb = solve_bnb(model, model.integer_ok)
+    bb = solve_bnb(model, model.integer_ok, lp)
     assert lp.objective <= bb.objective + 1e-9
