@@ -17,7 +17,7 @@ from .solution import Solution
 @dataclass
 class SolverConfig:
     """``time_limit`` (seconds, > 0) is a deadline for the whole ``vfhlb``
-    run; only the root relaxation can overrun it."""
+    run; only the construction and the model builds do not read it."""
 
     gamma: float = 0.85
     delta: int | None = None  # None resolves to ceil(E / 2)
@@ -80,9 +80,10 @@ def vfhlb(inst: Instance, cfg: SolverConfig | None = None) -> tuple[Solution, Ru
     perturbation returns the solution local branching last started from
     skips that search. The trajectory holds one entry per stage that ran,
     so a run that ``vfh`` proves has one. ``cfg.time_limit`` sets one
-    deadline that every stage reads, down to the simplex pivot loops; only
-    the root relaxation can overrun it. A run that ends past its deadline
-    without a proof has status ``time-limit``.
+    deadline that every stage reads, down to the simplex pivot loops, those
+    of the root relaxations included; only the construction and the model
+    builds do not read it. A run that ends past its deadline without a
+    proof has status ``time-limit``.
     """
     cfg = cfg or SolverConfig()
     delta = cfg.resolve_delta(inst)

@@ -22,7 +22,7 @@ import numpy as np
 from .graph import Adjacency, dijkstra, extract_path
 from .instance import Instance, compute_big_m
 from .milp import (
-    CUTOFF_SLACK, INTEGRALITY_TOL, STATUS_ITERATION_LIMIT, STATUS_OPTIMAL, LpResult, solve_bnb, solve_lp
+    CUTOFF_SLACK, INTEGRALITY_TOL, STATUS_ITERATION_LIMIT, STATUS_OPTIMAL, solve_bnb, solve_lp
 )
 from .model import MipModel, add_local_branching_cut, build_model
 from .solution import Solution, close_unused_edges
@@ -62,11 +62,14 @@ def _sweeps(inst: Instance, gamma: float, rng, leaders, base_y: np.ndarray, open
     variable cost, plus 1 - alpha times its length. Then every commodity is
     re-routed by length on the opened network and unused edges close, so
     the yielded cost never includes ``opening``, only the instance's ``f``.
+    Sweeps that lay down the same design yield the same ``Solution``, routed
+    and closed once.
     """
     E, K = inst.num_edges, inst.num_commodities
     c = inst.edge_array("c")
     beta = inst.edge_array("beta")
     full_adj = Adjacency.from_instance(inst)
+    routed: dict[bytes, Solution] = {}  # by the leaders' design
     for step in range(SWEEPS):
         alpha = 1.0 - step / SWEEPS
         y = base_y.copy()
@@ -79,11 +82,14 @@ def _sweeps(inst: Instance, gamma: float, rng, leaders, base_y: np.ndarray, open
             cost = np.where(y == 0, opening, 0.0) + alpha * com.quantity * beta + (1.0 - alpha) * c
             for arc in extract_path(dijkstra(full_adj, com.origin, cost), com.destination):
                 y[arc >> 1] = 1
-        x = np.zeros((K, 2 * E), dtype=np.int8)
-        open_adj = Adjacency.from_instance(inst, open_mask=y.astype(bool))
-        for k, com in enumerate(inst.commodities):
-            x[k, extract_path(dijkstra(open_adj, com.origin, c), com.destination)] = 1
-        yield close_unused_edges(inst, Solution(y, x, 0.0))
+        key = y.tobytes()
+        if key not in routed:
+            x = np.zeros((K, 2 * E), dtype=np.int8)
+            open_adj = Adjacency.from_instance(inst, open_mask=y.astype(bool))
+            for k, com in enumerate(inst.commodities):
+                x[k, extract_path(dijkstra(open_adj, com.origin, c), com.destination)] = 1
+            routed[key] = close_unused_edges(inst, Solution(y, x, 0.0))
+        yield routed[key]
 
 
 def partial_decoupling(inst: Instance, gamma: float, rng=0) -> Solution:
@@ -125,39 +131,56 @@ def _design(inst: Instance, model: MipModel, values: np.ndarray) -> Solution | N
     return close_unused_edges(inst, Solution(values[:E], x, 0.0))
 
 
+def _routes_shortest(inst: Instance, sol: Solution) -> bool:
+    """True when every commodity's route in the integral design ``sol`` is
+    a shortest path by length in the design's open network, which makes a
+    design of the high-point relaxation bilevel feasible."""
+    c = inst.edge_array("c")
+    arc_c = np.repeat(c, 2)
+    open_adj = Adjacency.from_instance(inst, open_mask=sol.y.astype(bool))
+    for k, com in enumerate(inst.commodities):
+        best = float(dijkstra(open_adj, com.origin, c).dist[com.destination])
+        if float(arc_c @ sol.x[k]) > best + 1e-9 * (1.0 + abs(best)):
+            return False
+    return True
+
+
 @dataclass
 class LboundResult:
     value: float
     solution: Solution | None  # an integral pass's design, which value proves optimal
     iterations: int
-    model: MipModel  # the model the passes solved, bounds untouched; vfh goes on with it
-    root: LpResult  # solve_lp(model)
     status: str = STATUS_OPTIMAL  # else the status of the pass that stopped early
 
 
 def lbound(inst: Instance, *, deadline: float | None = None) -> LboundResult:
-    """Progressive-integrality lower bound.
+    """Progressive-integrality lower bound on the high-point relaxation.
 
     Re-solves the relaxation while promoting every opening variable at value
     >= 0.5 to binary (within 1e-9, so that a value one half up to rounding
     is promoted whichever way its last bits fall), for at most ceil(0.2 E)
-    passes, stopping early on an integral solution (then the bound is the
-    proven optimum) or once more than 90% of the opening variables are
-    binary, or when a pass promotes nothing new. The root relaxation is
-    solved once and seeds every pass.
+    passes, stopping early on an integral solution, or once more than 90%
+    of the opening variables are binary, or when a pass promotes nothing
+    new. The root relaxation is solved once, until ``deadline`` (a
+    ``time.monotonic()`` value), and seeds every pass.
 
-    A pass that ends without a proven optimum (budget, or ``deadline``, a
-    ``time.monotonic()`` value) stops the bounding: the result keeps the last
-    valid bound, the ceil-rounded root or the last completed pass, with that
-    pass's status. Raises only when the root relaxation itself fails.
+    The model is the HPR (``build_model(..., optimality=False)``), so every
+    pass is a relaxation of the bilevel problem and its objective a valid
+    bound. An integral solution, at the root or after a pass, proves its
+    design optimal (the result's ``solution``) only when every commodity's
+    route is shortest in the design's open network; otherwise bounding stops
+    there with that pass's bound and no solution.
+
+    A pass that ends without a proven optimum (budget, or ``deadline``)
+    stops the bounding: the result keeps the last valid bound, the
+    ceil-rounded root or the last completed pass, with that pass's status.
+    Raises only when the root relaxation itself fails or is cut by
+    ``deadline``.
     """
-    model = build_model(inst, compute_big_m(inst))
-    root = solve_lp(model)
+    model = build_model(inst, compute_big_m(inst), optimality=False)
+    root = solve_lp(model, deadline=deadline)
     if root.status != STATUS_OPTIMAL:
         raise RuntimeError(f"relaxation solve failed: {root.status}")
-    sol = _design(inst, model, root.values)
-    if sol is not None:
-        return LboundResult(sol.cost, sol, 0, model, root)
     E = inst.num_edges
     max_iters = math.ceil(0.2 * E)
     binary = np.zeros(model.num_vars, dtype=bool)
@@ -166,6 +189,13 @@ def lbound(inst: Instance, *, deadline: float | None = None) -> LboundResult:
     iterations = 0
     res = root
     while True:
+        sol = _design(inst, model, res.values)
+        if sol is not None:
+            if _routes_shortest(inst, sol):
+                return LboundResult(sol.cost, sol, iterations)
+            break  # a bound, but no design of the bilevel problem
+        if iterations >= max_iters or nvbin > 0.9 * E:
+            break
         promote = [e for e in sorted(remaining) if res.values[e] >= 0.5 - 1e-9]
         if not promote:
             break  # the same model, mask and root would give the same result
@@ -176,14 +206,8 @@ def lbound(inst: Instance, *, deadline: float | None = None) -> LboundResult:
         res = solve_bnb(model, binary, root=root, deadline=deadline)
         iterations += 1
         if res.status != STATUS_OPTIMAL:
-            value = _strengthen_bound(last.objective, inst)
-            return LboundResult(value, None, iterations, model, root, res.status)
-        sol = _design(inst, model, res.values)
-        if sol is not None:
-            return LboundResult(sol.cost, sol, iterations, model, root)
-        if iterations >= max_iters or nvbin > 0.9 * E:
-            break
-    return LboundResult(_strengthen_bound(res.objective, inst), None, iterations, model, root)
+            return LboundResult(_strengthen_bound(last.objective, inst), None, iterations, res.status)
+    return LboundResult(_strengthen_bound(res.objective, inst), None, iterations)
 
 
 @dataclass
@@ -198,24 +222,27 @@ def vfh(inst: Instance, gamma: float, rng=0, *, deadline: float | None = None) -
     flow block turns binary per pass under the incumbent cutoff, with
     reduced-cost fixing of closed opening variables after each success.
 
-    Works on the model ``lbound`` built and seeds every pass with its root
-    relaxation. Reduced-cost fixing closes only edges that sit at 0 in that
-    root, so its basis stays optimal under the closed bounds and it is never
-    re-solved. Stops when every block moved, the bound proves the incumbent
-    optimal (``proves_optimal``), a pass finds nothing under the cutoff, or
-    a pass runs out of budget or reaches ``deadline``. A pass that finds
-    nothing under the cutoff is a proof: the bound rises to the incumbent's
-    cost (less ``CUTOFF_SLACK`` on other than integer data). When bounding
-    runs out of budget the constructive incumbent is returned with the
-    bound bounding reached.
+    Bounding (``lbound``) runs on the high-point relaxation. When it does
+    not prove the instance, ``vfh`` builds the full model, whose integral
+    points are bilevel feasible, solves its root relaxation once until
+    ``deadline`` and seeds every pass with it. Reduced-cost fixing closes
+    only edges that sit at 0 in that root, so its basis stays optimal under
+    the closed bounds and it is never re-solved. Stops when every block moved, the bound proves the
+    incumbent optimal (``proves_optimal``), a pass finds nothing under the
+    cutoff, or a pass runs out of budget or reaches ``deadline``. A pass
+    that finds nothing under the cutoff is a proof: the bound rises to the
+    incumbent's cost (less ``CUTOFF_SLACK`` on other than integer data).
+    When bounding or the full root runs out of budget the constructive
+    incumbent is returned with the bound bounding reached; when the HPR
+    root itself fails or is cut, with the trivial bound 0.
     """
     rng = np.random.default_rng(rng)
     s_best = partial_decoupling(inst, gamma, rng=rng)
     try:
         lb_res = lbound(inst, deadline=deadline)
     except RuntimeError:
-        # the root relaxation failed: fall back to the constructive
-        # incumbent and the trivial bound
+        # the root relaxation failed or ran out of time: fall back to the
+        # constructive incumbent and the trivial bound
         return VfhResult(s_best, 0.0)
     if lb_res.solution is not None:
         return VfhResult(lb_res.solution, lb_res.value)
@@ -223,7 +250,10 @@ def vfh(inst: Instance, gamma: float, rng=0, *, deadline: float | None = None) -
     bound = lb_res.value
     if lb_res.status != STATUS_OPTIMAL:
         return VfhResult(s_best, bound)
-    model, lp = lb_res.model, lb_res.root
+    model = build_model(inst, compute_big_m(inst))
+    lp = solve_lp(model, deadline=deadline)
+    if lp.status != STATUS_OPTIMAL:
+        return VfhResult(s_best, bound)
     binary = np.zeros(model.num_vars, dtype=bool)
     pending = list(range(inst.num_commodities))
     fixed_edges: list[int] = []

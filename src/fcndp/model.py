@@ -6,6 +6,14 @@ indicator ``x`` per commodity and arc, and one shortest-distance potential
 through its bounds). Rows: per-commodity flow conservation (equalities),
 flow/opening coupling, and the lifted big-M optimality rows that force every
 routed path to be shortest in the open network, one per arc direction.
+
+Without the ``pi`` columns and the optimality rows the model is the
+high-point relaxation (HPR; Moore & Bard, *The mixed integer linear bilevel
+programming problem*, Oper. Res. 38, 1990): the leader's design and routing
+with no follower optimality. Every bilevel feasible point projects onto one
+of its points, so its optimum, and that of any relaxation of it, bounds the
+bilevel optimum from below; an integral HPR point is bilevel feasible only
+when each commodity's route is shortest in its open network.
 """
 
 from __future__ import annotations
@@ -53,9 +61,13 @@ class MipModel:
         return self.num_edges * (1 + 2 * self.num_commodities) + self.num_nodes * k + node
 
 
-def build_model(inst: Instance, big_m: np.ndarray) -> MipModel:
+def build_model(inst: Instance, big_m: np.ndarray, *, optimality: bool = True) -> MipModel:
+    """The one-level MIP with big-M values ``big_m`` per edge, or with
+    ``optimality=False`` the high-point relaxation: the same y and x
+    columns, flow and coupling rows, and no ``pi`` columns or optimality
+    rows."""
     E, K, V = inst.num_edges, inst.num_commodities, inst.nodes
-    num_vars = E + 2 * E * K + V * K
+    num_vars = E + 2 * E * K + (V * K if optimality else 0)
     c = inst.edge_array("c")
     big_m = np.asarray(big_m, dtype=float)
     ks = np.arange(K)
@@ -70,8 +82,9 @@ def build_model(inst: Instance, big_m: np.ndarray) -> MipModel:
     obj[E : E + 2 * E * K] = np.repeat(np.outer(inst.quantity_array(), inst.edge_array("beta")), 2)
     lb = np.zeros(num_vars)
     ub = np.ones(num_vars)
-    ub[E + 2 * E * K :] = float(c.sum())
-    ub[pi_0 + np.array([com.destination for com in inst.commodities], dtype=int)] = 0.0
+    if optimality:
+        ub[E + 2 * E * K :] = float(c.sum())
+        ub[pi_0 + np.array([com.destination for com in inst.commodities], dtype=int)] = 0.0
     model = MipModel(
         num_vars=num_vars,
         obj=obj,
@@ -110,6 +123,8 @@ def build_model(inst: Instance, big_m: np.ndarray) -> MipModel:
     couple_coefs = np.tile([1.0, 1.0, -1.0], (K * E, 1))
     for i, (k, e) in enumerate(itertools.product(range(K), range(E))):
         rows.append(Row(couple_cols[i], couple_coefs[i], SENSE_LE, 0.0, f"couple_{k}_{e}"))
+    if not optimality:
+        return model
 
     # optimality, one row per commodity and arc, arc 2e running u -> v and
     # arc 2e + 1 v -> u: pi_k,tail - pi_k,head + (M_e - c_e) y_e

@@ -197,8 +197,7 @@ def test_time_limit_returns_feasible_flagged():
 
 def test_time_limit_is_one_deadline_for_the_whole_run():
     """Bounding, relax-and-fix and local branching all stop at the deadline,
-    inside their simplex runs too; only the root relaxation (about 0.1 s
-    here) runs to its end regardless."""
+    inside their simplex runs too, root relaxations included."""
     inst = generate_instance(15, 0.25, 8, 1)
     t0 = time.monotonic()
     sol, rec = vfhlb(inst, SolverConfig(seed=1, time_limit=0.5))
@@ -218,11 +217,15 @@ def oracle_instances(draw):
 
 def check_bounds(inst, limit):
     """The bound lies between the root relaxation and the optimum, and the
-    design is feasible and no cheaper than the optimum."""
+    design is feasible and no cheaper than the optimum. Only a deadline
+    that cuts the root relaxation itself leaves the bound below the root:
+    then it is the trivial 0 and the run is flagged."""
     root = solve_lp(build_model(inst, compute_big_m(inst)))
     opt = solve_exact(inst).cost
     sol, rec = vfhlb(inst, SolverConfig(seed=1, time_limit=limit))
-    assert root.objective - 1e-6 <= rec.lower_bound <= opt <= sol.cost
+    assert rec.lower_bound <= opt <= sol.cost
+    if rec.lower_bound < root.objective - 1e-6:
+        assert (rec.lower_bound, rec.status) == (0.0, "time-limit")
     assert verify_bilevel(inst, sol).passed
 
 
@@ -373,23 +376,27 @@ def test_local_branching_starts_from_a_changed_perturbation(monkeypatch):
 
 def test_cold_starts_counted(monkeypatch):
     """Only a root LP starts cold: B&B children start from their parent's
-    basis, a B&B, always seeded with its root, starts nothing cold, and the
-    unfixed root LP is solved once per run, also after reduced-cost fixing
-    closed edges. Runs on the first candidate with every kind of start: lbound
-    passes that do not prove optimality, reduced-cost fixing that closes an
-    edge, and local branching, which runs only because proofs are refused:
-    vfh proves every candidate."""
+    basis, a B&B, always seeded with its root, starts nothing cold, the
+    high-point relaxation's root is solved once for bounding and the
+    unfixed full root once for relax-and-fix, also after reduced-cost
+    fixing closed edges. Runs on the first candidate with every kind of
+    start: lbound passes that do not prove optimality, reduced-cost fixing
+    that closes an edge, and local branching, which runs only because
+    proofs are refused: vfh proves every candidate."""
     refuse_proofs(monkeypatch)
-    fresh = None
-    cold: list[bool] = []  # one entry per cold start: is it the unfixed root LP?
+    roots = {}  # the unfixed high-point relaxation and full model
+    cold: list[str] = []  # one entry per cold start: which unfixed root, or "other"
     init = milp._Simplex.__init__
 
     def counted_init(self, model, lb, ub, iter_limit):
-        cold.append(
-            len(model.rows) == len(fresh.rows)
+        unfixed = [
+            name
+            for name, fresh in roots.items()
+            if len(model.rows) == len(fresh.rows)
             and np.array_equal(lb, fresh.lb)
             and np.array_equal(ub, fresh.ub)
-        )
+        ]
+        cold.append(unfixed[0] if unfixed else "other")
         init(self, model, lb, ub, iter_limit)
 
     # (seeded with root=, given a cutoff, cold starts inside)
@@ -441,7 +448,8 @@ def test_cold_starts_counted(monkeypatch):
         for seen in (cold, bnb_starts, lp_calls, bounding, searches, fixed):
             seen.clear()
         inst = generate_instance(*case)
-        fresh = build_model(inst, compute_big_m(inst))
+        roots["hpr"] = build_model(inst, compute_big_m(inst), optimality=False)
+        roots["full"] = build_model(inst, compute_big_m(inst))
         vfhlb(inst, SolverConfig(seed=1))
         passes = bounding[0].iterations
         if passes and bounding[0].solution is None and fixed[0] and searches:
@@ -452,13 +460,13 @@ def test_cold_starts_counted(monkeypatch):
     # that picks another candidate must re-derive them, not loosen them
     assert case == (6, 0.8, 3, 0)
     assert (passes, len(searches), fixed) == (1, 1, [[2]])
-    # one lbound pass and two vfh passes, all seeded with the root LP,
-    # the second after reduced-cost fixing, then the one local-branching
-    # B&B, seeded with the root local branching solved
+    # one lbound pass, seeded with the HPR root, and two vfh passes, seeded
+    # with the full root, the second after reduced-cost fixing, then the
+    # one local-branching B&B, seeded with the root local branching solved
     assert bnb_starts == [(True, False, 0)] + [(True, True, 0)] * 3
-    # the unfixed root once, then the local-branching root
-    assert cold == [True, False]
-    assert len(lp_calls) == 2
+    # the HPR root and the full root once each, then the local-branching root
+    assert cold == ["hpr", "full", "other"]
+    assert len(lp_calls) == 3
 
 
 def test_record_round_trip():

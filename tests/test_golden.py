@@ -131,6 +131,27 @@ def test_models_match_golden():
     assert models_text() == (GOLDEN_DIR / "models.json").read_text(encoding="utf-8")
 
 
+@pytest.mark.parametrize("case", MODEL_CASES, ids=case_name)
+def test_high_point_relaxation_is_the_golden_model_cut_short(case):
+    """Without the optimality rows the model has the bits of the pinned
+    full model's y and x columns and its flow and coupling rows."""
+    inst = generate_instance(*case)
+    full = build_model(inst, compute_big_m(inst))
+    hpr = build_model(inst, compute_big_m(inst), optimality=False)
+    E, K, V = inst.num_edges, inst.num_commodities, inst.nodes
+    n = E + 2 * E * K
+    assert hpr.num_vars == n and len(hpr.rows) == K * V + K * E
+    for name in ("obj", "lb", "ub", "integer_ok"):
+        mine, theirs = getattr(hpr, name), getattr(full, name)[:n]
+        assert mine.dtype == theirs.dtype and mine.tobytes() == theirs.tobytes()
+    for mine, theirs in zip(hpr.rows, full.rows):
+        assert (mine.sense, float(mine.rhs), mine.name) == (theirs.sense, float(theirs.rhs), theirs.name)
+        for arr in ("cols", "coefs"):
+            a, b = getattr(mine, arr), getattr(theirs, arr)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    assert all(row.name.startswith("opt_") for row in full.rows[len(hpr.rows):])
+
+
 @pytest.mark.parametrize("case", CASES, ids=case_name)
 def test_matches_golden(case):
     path = GOLDEN_DIR / f"{case_name(case)}.json"

@@ -6,6 +6,7 @@ import pytest
 
 from conftest import make_solution
 from fcndp import heuristics, milp
+from fcndp.driver import SolverConfig, vfhlb
 from fcndp.instance import Commodity, Edge, Instance, generate_instance
 from fcndp.heuristics import (
     SWEEPS,
@@ -124,6 +125,26 @@ def test_partial_decoupling_running_min_over_rounds():
     assert np.array_equal(sol.x, sweeps[first].x)
 
 
+def test_sweeps_route_each_design_once(monkeypatch):
+    """The ten sweeps on 8-0.5-4-2 lay down two designs. Every sweep routes
+    its four leaders (40 shortest-path calls), but the length re-route of
+    every commodity and the closing of unused edges run once per design
+    (8 calls, not 40), and sweeps of one design yield one Solution."""
+    inst = generate_instance(8, 0.5, 4, seed=2)
+    calls = []
+    real = heuristics.dijkstra
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(heuristics, "dijkstra", counted)
+    empty = np.zeros(inst.num_edges, dtype=np.int8)
+    sweeps = list(_sweeps(inst, 0.85, np.random.default_rng(2), range(4), empty, inst.edge_array("f")))
+    assert len({s.cost for s in sweeps}) == len({id(s) for s in sweeps}) == 2
+    assert len(calls) == SWEEPS * 4 + 2 * 4
+
+
 def tree_instance() -> Instance:
     # unique paths everywhere: the relaxation is integral immediately
     return Instance(
@@ -185,8 +206,8 @@ def test_lbound_promotes_a_half_up_to_rounding(monkeypatch):
     masks = []
     below = []
 
-    def nudged_lp(model):
-        root = real_lp(model)
+    def nudged_lp(model, **kwargs):
+        root = real_lp(model, **kwargs)
         below.extend(int(e) for e in np.flatnonzero(root.values[: model.num_edges] < 0.25)[:2])
         root.values[below] = [0.5 - 5e-15, 0.5 - 1e-6]
         return root
@@ -206,13 +227,15 @@ def test_bound_kept_when_bounding_runs_out(monkeypatch):
     """A bounding pass that runs out of budget keeps the bound already proved:
     the root LP of 8-0.5-4-2 is 497.5, so 498 on integer data, not 0."""
     inst = generate_instance(8, 0.5, 4, 2)
+    roots = []
 
     def out_of_budget(model, binary, **kwargs):
+        roots.append(kwargs["root"])
         return milp.LpResult(milp.STATUS_ITERATION_LIMIT, math.inf, model.lb.copy())
 
     monkeypatch.setattr(heuristics, "solve_bnb", out_of_budget)
     res = lbound(inst)
-    assert abs(res.root.objective - 497.5) < 1e-6
+    assert abs(roots[0].objective - 497.5) < 1e-6
     assert (res.value, res.status, res.iterations, res.solution) == (498.0, "iteration-limit", 1, None)
     assert vfh(inst, 0.85, rng=1).lower_bound == 498.0
 
@@ -301,6 +324,66 @@ def test_vfh_sandwich_and_rcvf_safety_smoke():
         assert res.lower_bound <= exact.cost <= res.solution.cost
         for e in res.fixed_edges:
             assert exact.y[e] == 0, f"RCVF closed edge {e} open in the optimum"
+
+
+def test_high_point_relaxation_trap():
+    """Shipping is cheap on the long route 0-2-3 (length 10, beta 1) and
+    dear on the short 0-1-3 (length 2, beta 5). The high-point relaxation
+    opens all four edges and sends the 0 -> 3 commodity along 0-2-3, at
+    160, where the follower would take 0-1-3. The bilevel optimum, 170,
+    closes edge 1-3 and sends 1 -> 3 round by 0 and 2. lbound's integral
+    root is no proof, and vfh's full model reaches 170."""
+    inst = Instance(
+        4,
+        (Edge(0, 1, 1, 10, 5), Edge(1, 3, 1, 10, 5), Edge(0, 2, 5, 10, 1), Edge(2, 3, 5, 10, 1)),
+        (Commodity(0, 3, 10), Commodity(0, 1, 10), Commodity(1, 3, 10)),
+    )
+    assert solve_exact(inst).cost == 170.0
+    res = lbound(inst)
+    assert (res.value, res.solution, res.iterations) == (160.0, None, 0)
+    sol, rec = vfhlb(inst, SolverConfig(seed=1))
+    assert (rec.cost, rec.lower_bound) == (170.0, 170.0)
+    assert verify_bilevel(inst, sol).passed
+
+
+def test_past_deadline_solves_no_root(monkeypatch):
+    """With the deadline already past, lbound's root relaxation stops
+    before its first pivot and vfh falls back to the construction and the
+    trivial bound; when bounding has a bound, the full root is cut the same
+    way and the bound is kept."""
+    inst = generate_instance(6, 0.8, 3, 0)
+    ends = []  # per simplex run: (status, pivots)
+    solve = milp._Simplex.solve
+
+    def watched(self):
+        status = solve(self)
+        ends.append((status, self.iterations))
+        return status
+
+    monkeypatch.setattr(milp._Simplex, "solve", watched)
+    construction = partial_decoupling(inst, 0.85, rng=1)
+    res = vfh(inst, 0.85, rng=1, deadline=time.monotonic() - 1.0)
+    assert (res.solution.cost, res.lower_bound) == (construction.cost, 0.0)
+    assert ends == [(milp.STATUS_ITERATION_LIMIT, 0)]
+    ends.clear()
+    monkeypatch.setattr(heuristics, "lbound", lambda *args, **kwargs: heuristics.LboundResult(384.0, None, 1))
+    res = vfh(inst, 0.85, rng=1, deadline=time.monotonic() - 1.0)
+    assert (res.solution.cost, res.lower_bound, res.fixed_edges) == (construction.cost, 384.0, [])
+    assert ends == [(milp.STATUS_ITERATION_LIMIT, 0)]
+
+
+def test_reduced_cost_fixing_on_the_full_root():
+    """On 6-0.7-3-257 bounding proves nothing, so vfh solves the full
+    model's root itself; a relax-and-fix pass then closes edge 8 by its
+    reduced cost at that root. The edge is closed in the optimum, and vfh
+    proves the oracle optimum."""
+    inst = generate_instance(6, 0.7, 3, 257)
+    assert lbound(inst).solution is None
+    res = vfh(inst, 0.85, rng=257)
+    exact = solve_exact(inst)
+    assert res.fixed_edges == [8] and exact.y[8] == 0
+    assert (res.solution.cost, res.lower_bound) == (exact.cost, exact.cost) == (503.0, 503.0)
+    assert verify_bilevel(inst, res.solution).passed
 
 
 def test_vfh_rcvf_fires_and_stays_safe():
