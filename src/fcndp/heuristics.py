@@ -174,11 +174,15 @@ def lbound(inst: Instance, *, deadline: float | None = None) -> LboundResult:
     A pass that ends without a proven optimum (budget, or ``deadline``)
     stops the bounding: the result keeps the last valid bound, the
     ceil-rounded root or the last completed pass, with that pass's status.
-    Raises only when the root relaxation itself fails or is cut by
-    ``deadline``.
+    A root relaxation cut by the budget or ``deadline`` stopped on a dual
+    feasible basis, so the result is its bound (``LpResult.bound``, at
+    least the trivial 0, since no cost is negative) with the root's status.
+    Raises only when the root relaxation is infeasible.
     """
     model = build_model(inst, compute_big_m(inst), optimality=False)
     root = solve_lp(model, deadline=deadline)
+    if root.status == STATUS_ITERATION_LIMIT:
+        return LboundResult(_strengthen_bound(max(root.bound, 0.0), inst), None, 0, root.status)
     if root.status != STATUS_OPTIMAL:
         raise RuntimeError(f"relaxation solve failed: {root.status}")
     E = inst.num_edges
@@ -233,16 +237,17 @@ def vfh(inst: Instance, gamma: float, rng=0, *, deadline: float | None = None) -
     that finds nothing under the cutoff is a proof: the bound rises to the
     incumbent's cost (less ``CUTOFF_SLACK`` on other than integer data).
     When bounding or the full root runs out of budget the constructive
-    incumbent is returned with the bound bounding reached; when the HPR
-    root itself fails or is cut, with the trivial bound 0.
+    incumbent is returned with the best bound reached, a cut full root's
+    own bound included; when the HPR root is infeasible, with the trivial
+    bound 0.
     """
     rng = np.random.default_rng(rng)
     s_best = partial_decoupling(inst, gamma, rng=rng)
     try:
         lb_res = lbound(inst, deadline=deadline)
     except RuntimeError:
-        # the root relaxation failed or ran out of time: fall back to the
-        # constructive incumbent and the trivial bound
+        # the root relaxation failed: fall back to the constructive
+        # incumbent and the trivial bound
         return VfhResult(s_best, 0.0)
     if lb_res.solution is not None:
         return VfhResult(lb_res.solution, lb_res.value)
@@ -253,7 +258,7 @@ def vfh(inst: Instance, gamma: float, rng=0, *, deadline: float | None = None) -
     model = build_model(inst, compute_big_m(inst))
     lp = solve_lp(model, deadline=deadline)
     if lp.status != STATUS_OPTIMAL:
-        return VfhResult(s_best, bound)
+        return VfhResult(s_best, max(bound, _strengthen_bound(max(lp.bound, 0.0), inst)))
     binary = np.zeros(model.num_vars, dtype=bool)
     pending = list(range(inst.num_commodities))
     fixed_edges: list[int] = []

@@ -8,12 +8,14 @@ branch-and-bound over the variables a boolean mask marks binary, from
 branches from a root its caller solved.
 
 The simplex keeps the short dense tableau ``B^-1 [N | b]`` (desk-scale
-models make dense cheap): one column per nonbasic variable and none for
-the basic ones, whose columns are unit vectors. With one slack per row it
-is m x (n + 1) for n structural variables, where the full tableau
-``B^-1 [A | I | b]`` would be m x (n + m + 1). A cold start fills it
-straight from ``MipModel.rows`` as ``[A | b]``, every slack basic, so it
-is the only dense copy of the model; numpy is all it needs.
+models make dense cheap): one column, or slot, per nonbasic variable and
+none for the basic ones, whose columns are unit vectors. There is one
+slack per row, and the slack of each row of the model's start basis
+(``MipModel.start``) has no slot either: that row is an equality, so its
+slack is fixed at 0, never enters, and is in no basis a solve reaches.
+With t start rows the tableau is m x (n - t + 1) for n structural
+variables, where the full tableau ``B^-1 [A | I | b]`` would be
+m x (n + m + 1); on 15-0.25-8-1 that is 744 x 451, not 744 x 1,307.
 It is a bounded dual simplex, the kernel's only algorithm, and prices by
 dual Devex (Harris, *Pivot selection methods of the Devex LP code*, Math.
 Prog. 5, 1973): among the rows whose basic variable is out of its bounds
@@ -32,14 +34,28 @@ read (every ``_REFRESH`` pivots, when ``xb`` and the reduced costs are
 re-derived, and on a copy) or when it holds ``_REFRESH`` pivots.
 
 Every solve takes one path: the dual simplex back to primal feasibility
-from a dual feasible basis. A cold start is the slack basis with each
-structural variable nonbasic at the bound its cost points to (lower for a
-cost >= 0, upper for one < 0), which is dual feasible, so there is no
-phase 1 (Koberstein, *The dual simplex method, techniques for a fast and
-stable implementation*, PhD thesis, Paderborn 2005). A variable unbounded
-in the direction its cost falls, a free one included, is refused with
-``ValueError``; every model built in this package bounds every variable,
-so none of its LPs is unbounded. Only the root relaxation starts cold;
+from a dual feasible basis, so there is no phase 1 (Koberstein, *The dual
+simplex method, techniques for a fast and stable implementation*, PhD
+thesis, Paderborn 2005). A cold start is the model's start basis: each
+start column basic in its start row, every other row's slack basic, and
+each other structural variable nonbasic at the bound its cost points to
+(lower for a cost >= 0, upper for one < 0). ``build_model`` starts from
+each commodity's shortest-path in-tree toward its destination, a crash
+basis in the sense of Bixby (*Implementing the simplex method: the
+initial basis*, ORSA J. Comput. 4, 1992) that routes every commodity
+before the first pivot; an empty start is the slack basis. The cold
+tableau is built without pivots or LAPACK: ``[N | b]`` is filled straight
+from ``MipModel.rows``, and the start block, unit lower triangular, is
+eliminated row by row, which is exact on these models' 0/+-1 entries, so
+the tableau is the only dense copy of the model and numpy is all it
+needs. A start that is not of distinct columns in distinct equality rows,
+not unit lower triangular or not dual feasible (up to ``OPT_TOL``) is
+refused with ``ValueError``, and so is a variable unbounded in the
+direction its cost falls, a free one included; every model built in this
+package bounds every variable, so none of its LPs is unbounded. Every
+basis the dual visits is dual feasible, so a solve cut at the deadline or
+the pivot budget still bounds the LP from below (``LpResult.bound``).
+Only the root relaxation starts cold;
 it is solved once however many B&B calls start from it, also after the
 model's bounds tightened around the root's point, which leaves its basis
 optimal. A B&B child starts from its parent's optimal basis with its one
@@ -123,6 +139,13 @@ def _near_max(values: np.ndarray, ids: np.ndarray | None = None) -> int:
     return int(near[0] if near.size == 1 else near[np.argmin(ids[near])])
 
 
+def _entries(rows) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The entries of a nonempty list of rows: their rows, columns and
+    coefficients."""
+    at_row = np.repeat(np.arange(len(rows)), [row.cols.size for row in rows])
+    return at_row, np.concatenate([row.cols for row in rows]), np.concatenate([row.coefs for row in rows])
+
+
 @dataclass
 class _Start:
     """What ``solve_bnb`` needs from its root, a ``solve_lp`` result: the
@@ -145,22 +168,29 @@ class LpResult:
     iterations: int = 0
     nodes: int = 0
     start: _Start | None = field(default=None, repr=False, compare=False)  # LP results only
+    # LP results only: a lower bound on the LP optimum, the objective when
+    # optimal, else one from the dual feasible basis the solve stopped on
+    # (_dual_bound)
+    bound: float = -math.inf
 
 
 class _Simplex:
     """One solver state, solved by ``solve``, the dual simplex. The
-    constructor builds the cold start, the slack basis of ``[A | I]``
-    with each structural variable nonbasic at the bound its cost points
-    to; it refuses a variable unbounded in that direction.
+    constructor builds the cold start, the model's start basis of
+    ``[A | I]`` with each nonbasic structural variable at the bound its
+    cost points to; it refuses a start that is not a dual feasible, unit
+    lower triangular basis of equality rows, and a variable unbounded in
+    the direction its cost falls.
     A warm start puts new bounds on a solved state, after a ``rebase`` to
     another basis if need be.
 
     The tableau is the short one, ``B^-1 [N | b]``: one column, or slot,
     per nonbasic variable and none for the basic ones, whose columns are
     unit vectors. ``nb[s]`` is the variable in slot ``s`` and ``slot[j]``
-    the slot of variable ``j``, -1 while ``j`` is basic; at a pivot the
-    leaving variable takes the entering one's slot. The reduced costs ``d``
-    and the pricing state ``move`` and ``movable`` are kept by slot."""
+    the slot of variable ``j``, -1 while ``j`` is basic and always for a
+    start row's slack; at a pivot the leaving variable takes the entering
+    one's slot. The reduced costs ``d`` and the pricing state ``move`` and
+    ``movable`` are kept by slot."""
 
     def __init__(self, model: MipModel, lb: np.ndarray, ub: np.ndarray, iter_limit: int):
         rows = model.rows
@@ -177,37 +207,85 @@ class _Simplex:
             elif row.sense != SENSE_EQ:
                 raise ValueError(f"unknown row sense {row.sense!r}")
         self.c = np.concatenate([model.obj, np.zeros(m)])
-        # each structural starts nonbasic at the bound its cost points to,
-        # which makes the slack basis dual feasible; a slack starts basic
+        start_rows, start_cols = (np.asarray(a, dtype=int) for a in model.start)
+        if (
+            np.any((start_rows < 0) | (start_rows >= m))
+            or np.any((start_cols < 0) | (start_cols >= n))
+            or np.bincount(start_rows, minlength=m).max(initial=0) > 1
+            or np.bincount(start_cols, minlength=n).max(initial=0) > 1
+            or any(rows[i].sense != SENSE_EQ for i in start_rows.tolist())
+        ):
+            raise ValueError("the start basis needs distinct structural columns in distinct equality rows")
+        # the start basis: each start column basic in its start row, every
+        # other row's slack basic; a start row's slack is fixed at 0, so it
+        # never enters and gets no slot
+        self.basis = np.arange(n, n + m)
+        self.basis[start_rows] = start_cols
+        nonbasic = np.ones(n, dtype=bool)
+        nonbasic[start_cols] = False
+        self.nb = np.flatnonzero(nonbasic)
+        self.slot = np.full(n + m, -1)
+        self.slot[self.nb] = np.arange(self.nb.size)
+        # each nonbasic structural sits at the bound its cost points to
+        # (lower for a cost >= 0, upper for one < 0)
         self.at_upper = self.c < 0.0
-        unbounded = np.flatnonzero(~np.isfinite(np.where(self.at_upper, self.u, self.l)[:n]))
+        unbounded = self.nb[~np.isfinite(np.where(self.at_upper, self.u, self.l)[self.nb])]
         if unbounded.size:
             raise ValueError(f"variable {int(unbounded[0])} is unbounded in the direction its cost falls")
         self.iter_limit = iter_limit
         self.deadline = math.inf  # in time.monotonic(); a solve stops there as at iter_limit
         self.iterations = 0
         self.ncols = n + m
-        # the starting tableau [A | b], every structural nonbasic in the
-        # slot of its own id, filled by one assignment of all the rows'
-        # entries
-        self.tableau = np.zeros((m, n + 1))
+        # the starting tableau B^-1 [N | b], N the nonbasic structurals in
+        # id order: [N | b] filled by one assignment of the rows' entries,
+        # then the start columns eliminated
+        self.tableau = np.zeros((m, self.nb.size + 1))
         if m:
-            at_row = np.repeat(np.arange(m), [row.cols.size for row in rows])
-            cols = np.concatenate([row.cols for row in rows])
-            self.tableau[at_row, cols] = np.concatenate([row.coefs for row in rows])
+            at_row, cols, coefs = _entries(rows)
+            slots = self.slot[cols]
+            own = slots >= 0
+            self.tableau[at_row[own], slots[own]] = coefs[own]
             self.tableau[:, -1] = [row.rhs for row in rows]
+            self._eliminate_start(start_rows, start_cols, at_row[~own], cols[~own], coefs[~own])
         # pivots held back from the tableau: the live tableau is
         # tableau - pend_c[:, :pend_k] @ pend_r[:pend_k]
         self.pend_c = np.empty((m, _REFRESH))
-        self.pend_r = np.empty((_REFRESH, n + 1))
+        self.pend_r = np.empty((_REFRESH, self.nb.size + 1))
         self.pend_k = 0
-        self.basis = np.arange(n, n + m)
-        self.nb = np.arange(n)
-        self.slot = np.concatenate([self.nb, np.full(m, -1)])
         # Devex reference weights of the dual pricing, one per row
         self.row_weights = np.ones(m)
         self._sync()
         self._refresh_xb()
+        d = self._reduced_costs()
+        if not np.all(self.move[self.movable] * d[self.movable] >= -OPT_TOL):
+            raise ValueError("the start basis is not dual feasible")
+
+    def _eliminate_start(self, start_rows, start_cols, at_row, cols, coefs) -> None:
+        """Turns the tableau ``[N | b]`` into ``B^-1 [N | b]`` for the start
+        basis, given the start columns' entries (``at_row``, ``cols``,
+        ``coefs``): start column i, in start order, is eliminated from
+        every other row it meets with start row i, which is then final,
+        since the start block is unit lower triangular. On the models
+        ``build_model`` makes every entry is 0 or +-1 but one 2c per
+        optimality row, so this is exact."""
+        col_pos = np.full(self.ncols, -1)
+        col_pos[start_cols] = np.arange(start_cols.size)
+        col_pos = col_pos[cols]
+        row_pos = np.full(self.m, -1)
+        row_pos[start_rows] = np.arange(start_rows.size)
+        row_pos = row_pos[at_row]
+        diagonal = row_pos == col_pos
+        if (
+            np.any((row_pos >= 0) & (row_pos < col_pos))
+            or np.count_nonzero(diagonal) != start_cols.size
+            or np.any(coefs[diagonal] != 1.0)
+        ):
+            raise ValueError("the start basis is not unit lower triangular")
+        tableau, pivot_rows = self.tableau, start_rows.tolist()
+        order = np.lexsort((at_row, col_pos))
+        order = order[~diagonal[order]]
+        for i, r, a in zip(col_pos[order].tolist(), at_row[order].tolist(), coefs[order].tolist()):
+            tableau[r] -= a * tableau[pivot_rows[i]]
 
     def _sync(self) -> None:
         """Derives the pricing state that pivots keep up to date from the
@@ -236,7 +314,7 @@ class _Simplex:
             if self.slot[q] < 0:
                 continue
             rows = np.flatnonzero(~wanted[self.basis])
-            col = self._col(q)
+            col = self._col(self.slot[q])
             r = int(rows[_near_max(np.abs(col[rows]), rows)])
             if not abs(col[r]) > PIVOT_TOL:
                 return False
@@ -266,9 +344,9 @@ class _Simplex:
         self.u[:n] = ub
         self._sync()
 
-    def _col(self, q: int) -> np.ndarray:
-        """Column of the nonbasic variable ``q`` in the live tableau."""
-        k, s = self.pend_k, self.slot[q]
+    def _col(self, s: int) -> np.ndarray:
+        """Column of slot ``s`` in the live tableau."""
+        k = self.pend_k
         return self.tableau[:, s] - self.pend_c[:, :k] @ self.pend_r[:k, s]
 
     def _row(self, r: int) -> np.ndarray:
@@ -355,7 +433,11 @@ class _Simplex:
             price /= weights
             np.greater(worst, FEAS_TOL, out=infeasible)
             price *= infeasible
-            r = _near_max(price)
+            # the first row within a relative 1e-9 of the best, as _near_max
+            # picks it: argmax finds the best, and only rows before it can tie
+            r = int(price.argmax())
+            if r:
+                r = int((price[: r + 1] >= float(price[r]) * (1.0 - 1e-9)).argmax())
             to_upper = bool(xb[r] - ubb[r] > below[r])
             full_row = self._row(r)
             # a nonbasic column moves up from its lower bound, down from its
@@ -372,15 +454,22 @@ class _Simplex:
             # Harris's ratio test. Pass 1: the longest step that keeps every
             # reduced cost within OPT_TOL of its sign (move * d >= -OPT_TOL).
             # Pass 2: among the columns whose own ratio fits in that step,
-            # the largest pivot, ties to the lowest variable id.
-            slack = move[cand] * d[cand]
-            pivots = push[cand]
-            t_max = max(float(np.minimum.reduce((slack + OPT_TOL) / pivots)), 0.0)
+            # the largest pivot, ties to the lowest variable id. A lone
+            # candidate passes both.
+            if cand.size == 1:
+                s = int(cand[0])
+                t_max = max(float((move[s] * d[s] + OPT_TOL) / push[s]), 0.0)
+            else:
+                slack = move[cand] * d[cand]
+                pivots = push[cand]
+                t_max = max(float(np.minimum.reduce((slack + OPT_TOL) / pivots)), 0.0)
             if not math.isfinite(t_max):
                 return STATUS_ITERATION_LIMIT
-            near = cand[np.maximum(slack, 0.0) / pivots <= t_max]
-            q = int(nb[near[_near_max(push[near], nb[near])]])
-            col = self._col(q)
+            if cand.size > 1:
+                near = cand[np.maximum(slack, 0.0) / pivots <= t_max]
+                s = int(near[_near_max(push[near], nb[near])])
+            q = int(nb[s])
+            col = self._col(s)
             pivot = float(col[r])
             if not abs(pivot) > PIVOT_TOL:
                 return STATUS_ITERATION_LIMIT
@@ -464,17 +553,56 @@ def solve_lp(model: MipModel, *, deadline: float | None = None) -> LpResult:
     sx = _Simplex(model, lb, ub, limit)
     sx.deadline = math.inf if deadline is None else deadline
     status = sx.solve()
+    if status != STATUS_OPTIMAL:
+        sx._refresh_xb()  # the point of the basis the solve stopped on
     d = np.zeros(sx.ncols)
     d[sx.nb] = sx._reduced_costs()
     primal = sx.values[: model.num_vars]
+    objective = float(model.obj @ primal)
     return LpResult(
         status=status,
-        objective=float(model.obj @ primal),
+        objective=objective,
         values=primal.copy(),
         reduced_costs=d[: model.num_vars],
         iterations=sx.iterations,
         start=_Start(model, lb, ub, sx if status == STATUS_OPTIMAL else None),
+        bound=objective if status == STATUS_OPTIMAL else _dual_bound(model, sx, objective, d[sx.nb]),
     )
+
+
+def _dual_bound(model: MipModel, sx: _Simplex, objective: float, d: np.ndarray) -> float:
+    """A lower bound on the LP optimum from a dual feasible basis that is
+    not primal feasible, with point objective ``objective`` and reduced
+    costs ``d`` by slot. Any feasible point costs ``objective`` plus, for
+    each nonbasic variable, its reduced cost times its move off its bound,
+    and the ratio test keeps every reduced cost within ``OPT_TOL`` of the
+    sign its move needs. So the bound is the objective less, per nonbasic
+    variable, its range times the larger of ``OPT_TOL`` and its reduced
+    cost's wrong-signed part. A slack's range is its bounds cut to what its
+    row reaches within the variable bounds. The bound is -inf when a
+    wrong-signed reduced cost sits on a variable of infinite range, or when
+    it is not finite."""
+    n, m = model.num_vars, sx.m
+    ranges = sx.u - sx.l
+    if m:
+        at_row, cols, coefs = _entries(model.rows)
+        with np.errstate(invalid="ignore"):
+            ends = np.stack([coefs * sx.l[cols], coefs * sx.u[cols]])
+        ends[:, coefs == 0.0] = 0.0
+        reach_lo = np.bincount(at_row, ends.min(axis=0), minlength=m)
+        reach_hi = np.bincount(at_row, ends.max(axis=0), minlength=m)
+        rhs = np.array([row.rhs for row in model.rows])
+        # the slack of row i is rhs_i - (row activity)
+        lo = np.maximum(sx.l[n:], rhs - reach_hi)
+        hi = np.minimum(sx.u[n:], rhs - reach_lo)
+        ranges[n:] = np.maximum(hi - lo, 0.0)
+    ranges = ranges[sx.nb]
+    signed = sx.move * d
+    finite = np.isfinite(ranges)
+    if np.any(~finite & (signed < 0.0)):
+        return -math.inf
+    bound = objective - float(np.maximum(-signed[finite], OPT_TOL) @ ranges[finite])
+    return bound if math.isfinite(bound) else -math.inf
 
 
 def _integral_objective(model: MipModel, binary: np.ndarray) -> bool:

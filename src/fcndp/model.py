@@ -14,15 +14,29 @@ with no follower optimality. Every bilevel feasible point projects onto one
 of its points, so its optimum, and that of any relaxation of it, bounds the
 bilevel optimum from below; an integral HPR point is bilevel feasible only
 when each commodity's route is shortest in its open network.
+
+``build_model`` also hands the LP kernel a start basis, ``MipModel.start``:
+per commodity k, the shortest-path in-tree toward its destination d_k by
+``beta`` (the network simplex's classic start; one Dijkstra per distinct
+destination, since the weights q_k beta give the same tree). Each node v
+that reaches d_k, d_k itself excepted, has the x column of its tree arc
+basic in its flow row (k, v); every other row keeps its slack basic. The
+nodes are listed children before parents, so the block of these rows and
+columns is unit lower triangular. The basis is dual feasible: with the
+flow rows' duals q_k dist(v -> d_k) and every other dual 0, a nonbasic x
+of arc (tail, head) has reduced cost q_k (beta_e + dist(head) - dist(tail))
+>= 0, a y its opening cost f_e >= 0 and a pi 0. A model built any other way
+has an empty start, which is the slack basis.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .graph import Adjacency, dijkstra
 from .instance import Instance
 
 SENSE_LE = "<="
@@ -50,6 +64,12 @@ class MipModel:
     num_edges: int
     num_commodities: int
     num_nodes: int
+    # a dual feasible start basis: column start[1][i] basic in row
+    # start[0][i]; the rows are equalities and the block unit lower
+    # triangular. Empty: the slack basis.
+    start: tuple[np.ndarray, np.ndarray] = field(
+        default_factory=lambda: (np.empty(0, dtype=int), np.empty(0, dtype=int))
+    )
 
     def y_var(self, e: int) -> int:
         return e
@@ -65,7 +85,7 @@ def build_model(inst: Instance, big_m: np.ndarray, *, optimality: bool = True) -
     """The one-level MIP with big-M values ``big_m`` per edge, or with
     ``optimality=False`` the high-point relaxation: the same y and x
     columns, flow and coupling rows, and no ``pi`` columns or optimality
-    rows."""
+    rows. Both start from the shortest-path-tree basis (``start``)."""
     E, K, V = inst.num_edges, inst.num_commodities, inst.nodes
     num_vars = E + 2 * E * K + (V * K if optimality else 0)
     c = inst.edge_array("c")
@@ -95,6 +115,7 @@ def build_model(inst: Instance, big_m: np.ndarray, *, optimality: bool = True) -
         num_edges=E,
         num_commodities=K,
         num_nodes=V,
+        start=_tree_start(inst),
     )
     rows = model.rows
     # Every row's cols and coefs are views of one row, or one slice, of an
@@ -147,6 +168,37 @@ def build_model(inst: Instance, big_m: np.ndarray, *, optimality: bool = True) -
     for i, (k, tail, head) in enumerate(names):
         rows.append(Row(opt_cols[i], opt_coefs[i], SENSE_LE, rhs[i], f"opt_{k}_{tail}_{head}"))
     return model
+
+
+def _tree_start(inst: Instance) -> tuple[np.ndarray, np.ndarray]:
+    """Per commodity, each node's arc toward the destination in the
+    shortest-path tree by ``beta``, basic in the node's flow row, every
+    node listed before its parent."""
+    E, V = inst.num_edges, inst.nodes
+    adj = Adjacency.from_instance(inst)
+    beta = inst.edge_array("beta")
+    trees: dict[int, list[tuple[int, int]]] = {}  # by destination: (node, arc toward it)
+    start_rows: list[int] = []
+    start_cols: list[int] = []
+    for k, com in enumerate(inst.commodities):
+        dest = com.destination
+        if dest not in trees:
+            tree = dijkstra(adj, dest, beta)
+            children: list[list[int]] = [[] for _ in range(V)]
+            for v in np.flatnonzero(tree.reached).tolist():
+                if v != dest:
+                    children[int(tree.pred_node[v])].append(v)
+            # breadth first from the destination, then reversed
+            nodes = [dest]
+            for v in nodes:
+                nodes.extend(children[v])
+            # the tree reaches v by the arc into v, so v's arc toward the
+            # destination is its reverse
+            trees[dest] = [(v, int(tree.pred_arc[v]) ^ 1) for v in reversed(nodes[1:])]
+        for v, arc in trees[dest]:
+            start_rows.append(V * k + v)
+            start_cols.append(E + 2 * E * k + arc)
+    return np.array(start_rows, dtype=int), np.array(start_cols, dtype=int)
 
 
 def add_local_branching_cut(model: MipModel, ybar, delta: int) -> MipModel:

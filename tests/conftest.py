@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
+from fcndp.graph import Adjacency, dijkstra
 from fcndp.instance import Commodity, Edge, Instance
 from fcndp.solution import Solution
 
@@ -43,3 +44,12 @@ def make_solution(inst: Instance, open_edges, arcs_by_commodity) -> Solution:
     from fcndp.solution import evaluate_cost
 
     return Solution(y, x, evaluate_cost(inst, y, x))
+
+
+def tree_bound(inst: Instance) -> float:
+    """sum_k q_k dist_beta(o_k, d_k), every commodity routed alone along a
+    shortest path by unit cost: the objective of ``build_model``'s start
+    basis, and a lower bound on the bilevel optimum."""
+    adj = Adjacency.from_instance(inst)
+    beta = inst.edge_array("beta")
+    return float(sum(com.quantity * dijkstra(adj, com.origin, beta).dist[com.destination] for com in inst.commodities))

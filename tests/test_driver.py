@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
+from conftest import tree_bound
 from fcndp import driver, heuristics, milp
 from fcndp.driver import RunRecord, SolverConfig, update_best, vfhlb
 from fcndp.instance import compute_big_m, generate_instance
@@ -219,13 +220,31 @@ def check_bounds(inst, limit):
     """The bound lies between the root relaxation and the optimum, and the
     design is feasible and no cheaper than the optimum. Only a deadline
     that cuts the root relaxation itself leaves the bound below the root:
-    then it is the trivial 0 and the run is flagged."""
+    then the run is flagged, and the bound is still at least that of the
+    start basis the cut root's dual simplex began from."""
     root = solve_lp(build_model(inst, compute_big_m(inst)))
     opt = solve_exact(inst).cost
     sol, rec = vfhlb(inst, SolverConfig(seed=1, time_limit=limit))
     assert rec.lower_bound <= opt <= sol.cost
     if rec.lower_bound < root.objective - 1e-6:
-        assert (rec.lower_bound, rec.status) == (0.0, "time-limit")
+        assert rec.status == "time-limit"
+        assert rec.lower_bound >= tree_bound(inst)
+    assert verify_bilevel(inst, sol).passed
+
+
+def test_cut_root_keeps_its_bound():
+    """A limit that has passed before bounding starts cuts lbound's root
+    relaxation at its first pivot, on the start basis. That basis is dual
+    feasible, so its bound, every commodity on its shortest path by unit
+    cost, is kept: on 8-0.6-4-1 lbound returns 220 with the root's status
+    instead of raising, and vfhlb reports it, below the oracle optimum
+    801, on a run flagged time-limit."""
+    inst = generate_instance(8, 0.6, 4, 1)
+    cut = heuristics.lbound(inst, deadline=time.monotonic() - 1.0)
+    assert (cut.value, cut.solution, cut.iterations, cut.status) == (220.0, None, 0, "iteration-limit")
+    sol, rec = vfhlb(inst, SolverConfig(seed=1, time_limit=1e-6))
+    assert tree_bound(inst) == 220.0 <= rec.lower_bound <= solve_exact(inst).cost == 801.0 <= sol.cost
+    assert rec.status == "time-limit"
     assert verify_bilevel(inst, sol).passed
 
 

@@ -245,9 +245,10 @@ def test_same_output_across_blas_threads_and_kernels():
     cutoffs = len(SEARCH_CASES) * SolverConfig().iterations
     golden = [(GOLDEN_DIR / f"{case_name(case)}.json").read_text(encoding="utf-8") for case in SEARCH_CASES]
     golden += [(GOLDEN_DIR / f"search-{case_name(case)}.json").read_text(encoding="utf-8") for case in SEARCH_CASES]
-    # the dual simplex from the slack basis takes 124, 285 and 647 pivots
+    # the dual simplex from the shortest-path-tree start takes 72, 163 and
+    # 544 pivots (124, 285 and 647 from the slack basis)
     roots = outputs[0]["roots"]
-    assert [pivots for pivots, _ in roots] == [124, 285, 647]
+    assert [pivots for pivots, _ in roots] == [72, 163, 544]
     assert outputs == [{"texts": golden, "cutoffs": cutoffs, "roots": roots}] * 3
 
 

@@ -4,7 +4,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import make_solution
+from conftest import make_solution, tree_bound
 from fcndp import heuristics, milp
 from fcndp.driver import SolverConfig, vfhlb
 from fcndp.instance import Commodity, Edge, Instance, generate_instance
@@ -349,8 +349,9 @@ def test_high_point_relaxation_trap():
 def test_past_deadline_solves_no_root(monkeypatch):
     """With the deadline already past, lbound's root relaxation stops
     before its first pivot and vfh falls back to the construction and the
-    trivial bound; when bounding has a bound, the full root is cut the same
-    way and the bound is kept."""
+    bound of the start basis, every commodity on its shortest path by unit
+    cost. When bounding proves nothing, the full root is cut the same way,
+    and vfh keeps the better of its bound and bounding's."""
     inst = generate_instance(6, 0.8, 3, 0)
     ends = []  # per simplex run: (status, pivots)
     solve = milp._Simplex.solve
@@ -363,13 +364,16 @@ def test_past_deadline_solves_no_root(monkeypatch):
     monkeypatch.setattr(milp._Simplex, "solve", watched)
     construction = partial_decoupling(inst, 0.85, rng=1)
     res = vfh(inst, 0.85, rng=1, deadline=time.monotonic() - 1.0)
-    assert (res.solution.cost, res.lower_bound) == (construction.cost, 0.0)
+    assert (res.solution.cost, res.lower_bound) == (construction.cost, tree_bound(inst))
+    assert 0.0 < tree_bound(inst) < 384.0
     assert ends == [(milp.STATUS_ITERATION_LIMIT, 0)]
-    ends.clear()
-    monkeypatch.setattr(heuristics, "lbound", lambda *args, **kwargs: heuristics.LboundResult(384.0, None, 1))
-    res = vfh(inst, 0.85, rng=1, deadline=time.monotonic() - 1.0)
-    assert (res.solution.cost, res.lower_bound, res.fixed_edges) == (construction.cost, 384.0, [])
-    assert ends == [(milp.STATUS_ITERATION_LIMIT, 0)]
+    for bounding, kept in ((384.0, 384.0), (0.0, tree_bound(inst))):
+        ends.clear()
+        result = heuristics.LboundResult(bounding, None, 1)
+        monkeypatch.setattr(heuristics, "lbound", lambda *args, **kwargs: result)
+        res = vfh(inst, 0.85, rng=1, deadline=time.monotonic() - 1.0)
+        assert (res.solution.cost, res.lower_bound, res.fixed_edges) == (construction.cost, kept, [])
+        assert ends == [(milp.STATUS_ITERATION_LIMIT, 0)]
 
 
 def test_reduced_cost_fixing_on_the_full_root():

@@ -15,7 +15,8 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from fcndp import milp
-from fcndp.instance import Instance, compute_big_m, generate_instance
+from conftest import tree_bound
+from fcndp.instance import Commodity, Edge, Instance, compute_big_m, generate_instance
 from fcndp.milp import solve_bnb, solve_lp
 from fcndp.model import SENSE_EQ, SENSE_GE, SENSE_LE, MipModel, Row, add_local_branching_cut, build_model
 
@@ -372,7 +373,7 @@ def check_warm_child(model: MipModel, root, j: int, value: float, other: float) 
     ref = scipy_solve(child)
     for sx in warm_children(root, child, fixed(model, j, other)):
         status = sx.solve()
-        check_slots(sx)
+        check_slots(sx, model)
         if status == "optimal":
             # the dual ratio test kept the basis dual feasible: every slot
             # whose variable may move has a reduced cost of the sign its
@@ -500,7 +501,7 @@ def exchange(sx, picks: list[int]) -> None:
     for pick in picks:
         nonbasic = np.flatnonzero(sx.slot >= 0)
         q = int(nonbasic[pick % nonbasic.size])
-        col = sx._col(q)
+        col = sx._col(sx.slot[q])
         r = int(np.argmax(np.abs(col)))
         if abs(col[r]) > 1e-6:
             sx._pivot(r, q, col, 0.0, False, d)
@@ -516,13 +517,23 @@ def exchanged(model: MipModel, picks: list[int]):
         a_i_b[i, row.cols] = row.coefs
         a_i_b[i, n + i] = 1.0
         a_i_b[i, -1] = row.rhs
-    # the starting tableau is [A | b], bit for bit as filled row by row:
-    # every slack basic, every structural nonbasic in the slot of its own id
-    start = np.delete(a_i_b, np.s_[n : n + m], axis=1)
-    assert sx.tableau.shape == start.shape and sx.tableau.tobytes() == start.tobytes()
-    assert np.array_equal(sx.basis, np.arange(n, n + m))
-    assert np.array_equal(sx.nb, np.arange(n))
-    check_slots(sx)
+    start_rows, start_cols = model.start
+    # the start basis: each start column basic in its start row, every
+    # other slack basic, every other structural nonbasic, in id order
+    basis = np.arange(n, n + m)
+    basis[start_rows] = start_cols
+    assert np.array_equal(sx.basis, basis)
+    assert np.array_equal(sx.nb, np.setdiff1d(np.arange(n), start_cols))
+    check_slots(sx, model)
+    if len(start_rows):
+        # B^-1 [N | b]; every entry of these models' start is an integer
+        # but in the optimality rows, so the elimination rounds no further
+        # than np.linalg.solve does
+        assert_basis_inverse_times_start(sx, a_i_b, model, rtol=1e-12)
+    else:
+        # the slack start is [A | b], bit for bit as filled row by row
+        start = np.delete(a_i_b, np.s_[n : n + m], axis=1)
+        assert sx.tableau.shape == start.shape and sx.tableau.tobytes() == start.tobytes()
     exchange(sx, picks)
     return sx, a_i_b
 
@@ -553,26 +564,32 @@ def test_starting_tableau_without_rows_and_with_a_cut():
     ]
     for case in (*rowless, add_local_branching_cut(model, ybar, 2)):
         sx, _ = exchanged(case, [])
-        assert sx.tableau.shape == (len(case.rows), case.num_vars + 1)
+        assert sx.tableau.shape == (len(case.rows), case.num_vars - len(case.start[1]) + 1)
         assert solve_lp(case).status == "optimal"
 
 
-def check_slots(sx) -> None:
+def check_slots(sx, model: MipModel) -> None:
     """``nb`` and ``slot`` are inverse maps over the nonbasic variables:
-    every nonbasic variable has exactly one slot, and a basic one none."""
+    every nonbasic variable has exactly one slot, and a basic one none. The
+    variables that are neither basic nor in a slot are exactly the slacks
+    of ``model``'s start rows, each fixed at 0."""
     assert sx.tableau.shape == (sx.m, sx.nb.size + 1)
-    assert np.array_equal(np.sort(np.concatenate([sx.nb, sx.basis])), np.arange(sx.ncols))
+    slotless = model.num_vars + np.asarray(model.start[0], dtype=int)
+    assert np.array_equal(np.sort(np.concatenate([sx.nb, sx.basis, slotless])), np.arange(sx.ncols))
     assert np.array_equal(sx.slot[sx.nb], np.arange(sx.nb.size))
     assert np.all(sx.slot[sx.basis] == -1)
+    assert np.all(sx.slot[slotless] == -1)
+    assert np.all(sx.l[slotless] == 0.0) and np.all(sx.u[slotless] == 0.0)
 
 
-def assert_basis_inverse_times_start(sx, a_i_b: np.ndarray) -> None:
+def assert_basis_inverse_times_start(sx, a_i_b: np.ndarray, model: MipModel, rtol: float = 1e-7) -> None:
     """The flushed tableau is B^-1 [N | b], with B the basic and N the
-    nonbasic columns of ``[A | I | b]``, the latter in slot order."""
+    nonbasic columns of ``[A | I | b]``, the latter in slot order, up to
+    ``rtol`` of its largest entry."""
     sx._flush()
-    check_slots(sx)
+    check_slots(sx, model)
     expected = np.linalg.solve(a_i_b[:, sx.basis], a_i_b[:, np.append(sx.nb, -1)])
-    np.testing.assert_allclose(sx.tableau, expected, rtol=0, atol=1e-7 * (1 + np.abs(expected).max()))
+    np.testing.assert_allclose(sx.tableau, expected, rtol=0, atol=rtol * (1 + np.abs(expected).max()))
 
 
 exchanges = st.lists(st.integers(0, 10_000), min_size=1, max_size=150)
@@ -589,10 +606,10 @@ def test_held_back_reads_match_a_flush(model, picks):
         flushed._flush()
         assert flushed.pend_k == 0
         for q in sx.nb:
-            np.testing.assert_allclose(sx._col(q), flushed.tableau[:, flushed.slot[q]], rtol=0, atol=1e-9)
+            np.testing.assert_allclose(sx._col(sx.slot[q]), flushed.tableau[:, flushed.slot[q]], rtol=0, atol=1e-9)
         for r in range(sx.m):
             np.testing.assert_allclose(sx._row(r), flushed.tableau[r], rtol=0, atol=1e-9)
-    assert_basis_inverse_times_start(sx, a_i_b)
+    assert_basis_inverse_times_start(sx, a_i_b, model)
 
 
 few = st.lists(st.integers(0, 10_000), min_size=1, max_size=8)
@@ -612,10 +629,10 @@ def test_copy_is_independent_of_its_original(model, picks, mine, theirs):
             exchange(sx, [a])
         if b is not None:
             exchange(twin, [b])
-    assert_basis_inverse_times_start(sx, a_i_b)
-    assert_basis_inverse_times_start(twin, a_i_b)
-    check_kept_state(sx)
-    check_kept_state(twin)
+    assert_basis_inverse_times_start(sx, a_i_b, model)
+    assert_basis_inverse_times_start(twin, a_i_b, model)
+    check_kept_state(sx, model)
+    check_kept_state(twin, model)
 
 
 @given(model=st.one_of(oracle_models(), random_lps()))
@@ -642,9 +659,9 @@ def test_block_of_one_solves_the_same(model):
 
 def test_rebase_past_a_full_block(monkeypatch):
     """A basis exchange from a cold start to the optimal basis changes more
-    columns than one block holds, so the block fills and is flushed midway;
-    it ends on the optimal tableau and point."""
-    inst = generate_instance(12, 0.3, 6, 1)
+    columns than one block holds (95 on 15-0.25-8-1), so the block fills
+    and is flushed midway; it ends on the optimal tableau and point."""
+    inst = generate_instance(15, 0.25, 8, 1)
     model = build_model(inst, compute_big_m(inst))
     root = solve_lp(model)
     target = root.start.sx
@@ -676,10 +693,10 @@ def test_rebase_past_a_full_block(monkeypatch):
 def test_root_lp_at_size(case, optimum, most_pivots):
     """Cold root LPs of the sizes the benchmark solves, and of the size a
     full solve aims at, checked against HiGHS and against every row and
-    bound of the model. The dual simplex from the slack basis takes 124,
-    285 and 647 pivots under every BLAS kernel tried; a primal phase 1
-    with artificials took 238, 571 and 1,205, and Dantzig's rule 1,601 on
-    15-0.25-8-1."""
+    bound of the model. The dual simplex from the shortest-path-tree start
+    takes 72, 163 and 544 pivots under every BLAS kernel tried; from the
+    slack basis it took 124, 285 and 647, a primal phase 1 with artificials
+    238, 571 and 1,205, and Dantzig's rule 1,601 on 15-0.25-8-1."""
     inst = generate_instance(*case)
     model = build_model(inst, compute_big_m(inst))
     res = solve_lp(model)
@@ -695,11 +712,11 @@ def test_root_lp_at_size(case, optimum, most_pivots):
 # the dual and the basis exchange against pivots on rounding noise.
 
 
-def check_kept_state(sx) -> None:
+def check_kept_state(sx, model: MipModel) -> None:
     """Each array the simplex keeps from pivot to pivot equals its
     from-scratch definition, the slots map the nonbasic variables one to
     one, and every Devex row weight is finite and at least 1."""
-    check_slots(sx)
+    check_slots(sx, model)
     assert np.array_equal(sx.lbb, sx.l[sx.basis])
     assert np.array_equal(sx.ubb, sx.u[sx.basis])
     assert np.array_equal(sx.move, np.where(sx.at_upper[sx.nb], -1.0, 1.0))
@@ -716,7 +733,7 @@ def test_kept_state_matches_its_definition(model, pick, value):
     reached by basis exchange, and at the end of every solve, the kept
     pricing state is what it stands for."""
     start = milp._Simplex(model, model.lb.copy(), model.ub.copy(), 0)
-    check_kept_state(start)
+    check_kept_state(start, model)
     d = start._reduced_costs()
     assert np.all(start.move[start.movable] * d[start.movable] >= -milp.OPT_TOL)
     checks = []
@@ -724,12 +741,12 @@ def test_kept_state_matches_its_definition(model, pick, value):
 
     def checked_pivot(self, *args):
         pivot(self, *args)
-        check_kept_state(self)
+        check_kept_state(self, model)
         checks.append(1)
 
     def checked_solve(self):
         status = solve(self)
-        check_kept_state(self)
+        check_kept_state(self, model)
         return status
 
     with pytest.MonkeyPatch.context() as patch:
@@ -742,7 +759,7 @@ def test_kept_state_matches_its_definition(model, pick, value):
         assume(frac.size)
         j = int(frac[pick % frac.size])
         for sx in warm_children(root, fixed(model, j, value), fixed(model, j, 1.0 - value)):
-            check_kept_state(sx)
+            check_kept_state(sx, model)
             if sx.solve() == "optimal":
                 # each solve starts a fresh Devex reference framework: one
                 # with nothing to do leaves every row weight at 1
@@ -912,8 +929,9 @@ def test_dual_reoptimizes_children_at_size():
     """Every child of 10-0.3-5-1's root LP (each of its 49 fractional y/x
     variables fixed to 0 and to 1) re-solved from the root's tableau, as
     B&B does, agrees with a cold solve. Dual Devex pricing takes at most
-    2,000 pivots over all of them (1,301 under every BLAS kernel tried);
-    choosing the most infeasible row took 5,082."""
+    2,000 pivots over all of them (1,062 with one BLAS thread from the root
+    the tree start reaches, 1,301 from the slack basis's); choosing the
+    most infeasible row took 5,082."""
     inst = generate_instance(10, 0.3, 5, 1)
     model = build_model(inst, compute_big_m(inst))
     root = solve_lp(model)
@@ -968,9 +986,10 @@ def test_root_seed_after_bounds_tighten_around_its_point():
 
 
 def test_cold_start_holds_one_dense_copy():
-    """A cold solve keeps one dense m x (n + 1) array, the short tableau:
-    its peak allocation stays below 1.75 tableaux (a second dense copy of
-    the model would take it past 2)."""
+    """A cold solve keeps one dense array, the short tableau, m x (n - t +
+    1) with t start columns, which are basic and have no slot: its peak
+    allocation stays below 1.75 tableaux (a second dense copy of the model
+    would take it past 2)."""
     inst = generate_instance(15, 0.25, 8, 1)
     model = build_model(inst, compute_big_m(inst))
     tracemalloc.start()
@@ -980,8 +999,174 @@ def test_cold_start_holds_one_dense_copy():
     finally:
         tracemalloc.stop()
     assert res.status == "optimal"
-    assert res.start.sx.tableau.shape == (len(model.rows), model.num_vars + 1)
+    assert res.start.sx.tableau.shape == (len(model.rows), model.num_vars - len(model.start[1]) + 1)
     assert peak < 1.75 * res.start.sx.tableau.nbytes
+
+
+# build_model hands the kernel a start basis, each commodity's
+# shortest-path in-tree toward its destination; these tests pin the start
+# to its definition and the kernel's cold tableau to the algebra.
+
+
+@st.composite
+def generated_models(draw):
+    """An instance of 5-9 nodes with its high-point relaxation, its full
+    model, or its full model with a local-branching cut."""
+    n = draw(st.integers(5, 9))
+    density = draw(st.sampled_from([0.4, 0.5, 0.6, 0.8]))
+    inst = generate_instance(n, density, draw(st.integers(1, 4)), seed=draw(st.integers(0, 10_000)))
+    kind = draw(st.sampled_from(["hpr", "full", "cut"]))
+    model = build_model(inst, compute_big_m(inst), optimality=kind != "hpr")
+    if kind == "cut":
+        ybar = draw(st.lists(st.integers(0, 1), min_size=inst.num_edges, max_size=inst.num_edges))
+        model = add_local_branching_cut(model, ybar, draw(st.integers(0, inst.num_edges)))
+    return inst, model
+
+
+@given(case=generated_models())
+def test_tree_start_is_dual_feasible_and_exact(case):
+    """One start column per commodity and node but its destination (a
+    generated instance is connected), an x of that commodity on an arc out
+    of that node. At pivot 0 the start is dual feasible: every nonbasic
+    variable sits at its lower bound with a reduced cost >= 0, the point
+    costs sum_k q_k dist_beta(o_k, d_k), and a solve stopped there bounds
+    the LP by that cost, less its rounding margin. The starting tableau is
+    B^-1 [N | b] of ``[A | I | b]``, as np.linalg.solve gives it."""
+    inst, model = case
+    E, V = inst.num_edges, inst.nodes
+    rows, cols = model.start
+    assert len(rows) == inst.num_commodities * (V - 1)
+    k, node = np.divmod(rows, V)
+    arc = cols - E - 2 * E * k
+    assert np.all((arc >= 0) & (arc < 2 * E))
+    tails = [inst.edges[a >> 1].u if a % 2 == 0 else inst.edges[a >> 1].v for a in arc.tolist()]
+    assert tails == node.tolist()
+    sx, _ = exchanged(model, [])  # checks the basis and B^-1 [N | b]
+    assert not sx.at_upper.any()
+    assert np.all(sx._reduced_costs() >= -1e-9)
+    assert float(model.obj @ sx.values[: model.num_vars]) == pytest.approx(tree_bound(inst), rel=1e-12)
+    cut = solve_lp(model, deadline=time.monotonic() - 1.0)
+    assert (cut.status, cut.iterations) == ("iteration-limit", 0)
+    assert tree_bound(inst) - 1e-3 < cut.bound <= tree_bound(inst)
+
+
+def test_tree_start_without_a_route_to_every_node_and_with_free_edges():
+    """Two hand-built instances. In the first the graph has two components,
+    so each destination is reached from only some nodes, and the flow rows
+    of the others keep their slacks basic. In the second, edges of unit
+    cost 0 tie shortest paths, and the tree is still listed children first.
+    Both relaxations of each solve from the tree start to HiGHS's
+    optimum."""
+    split = Instance(
+        6,
+        (Edge(0, 1, 2, 50, 1), Edge(1, 2, 3, 60, 2), Edge(0, 2, 4, 70, 3),
+         Edge(3, 4, 1, 40, 1), Edge(4, 5, 2, 30, 2), Edge(3, 5, 5, 20, 1)),
+        (Commodity(0, 2, 3), Commodity(5, 3, 2), Commodity(1, 0, 1)),
+    )
+    free = Instance(
+        5,
+        (Edge(0, 1, 1, 50, 0), Edge(1, 2, 1, 50, 0), Edge(0, 2, 2, 60, 0), Edge(2, 3, 3, 40, 1),
+         Edge(1, 3, 2, 70, 0), Edge(3, 4, 1, 30, 0), Edge(2, 4, 4, 20, 2)),
+        (Commodity(0, 4, 2), Commodity(4, 1, 3)),
+    )
+    for inst, starts in ((split, 6), (free, 8)):
+        for optimality in (False, True):
+            model = build_model(inst, compute_big_m(inst), optimality=optimality)
+            assert len(model.start[0]) == starts
+            sx, _ = exchanged(model, [])
+            assert np.all(sx._reduced_costs() >= 0.0)
+            res = solve_lp(model)
+            ref = scipy_solve(model)
+            assert res.status == "optimal" and ref.status == 0
+            assert abs(res.objective - ref.fun) <= 1e-9 * (1 + abs(ref.fun))
+            assert residuals_ok(model, res.values)
+
+
+def test_empty_start_is_the_slack_basis():
+    """A model with an empty start, as a model not made by build_model has,
+    starts from the slack basis: the tableau is [A | b] bit for bit, every
+    slack basic (``exchanged`` checks both). On 12-0.3-6-1 the dual simplex
+    takes the 124 pivots it took from there before the tree start, which
+    takes 72, to the same optimum."""
+    inst = generate_instance(12, 0.3, 6, 1)
+    model = build_model(inst, compute_big_m(inst))
+    slack = replace(model, start=(np.empty(0, dtype=int), np.empty(0, dtype=int)))
+    exchanged(slack, [])
+    tree, cold = solve_lp(model), solve_lp(slack)
+    assert (tree.iterations, cold.iterations) == (72, 124)
+    assert cold.objective == pytest.approx(tree.objective, rel=1e-12)
+
+
+def test_start_refused_unless_a_dual_feasible_triangular_basis_of_equalities(worked):
+    """The worked instance's start: node 1 on edge (1, 2) and node 0 on
+    edge (0, 2), each on its direct arc to the destination. Routing node 0
+    over node 1 instead (length 2 by unit cost, not 1) is not dual
+    feasible; listing node 1 before node 0 then is not lower triangular; a
+    coupling row is not an equality. Each is refused, as an unbounded
+    variable is."""
+    model = build_model(worked, compute_big_m(worked))
+    x = model.x_var
+    assert [a.tolist() for a in model.start] == [[1, 0], [x(0, 2), x(0, 4)]]
+    refused = {
+        "not dual feasible": ([0, 1], [x(0, 0), x(0, 2)]),
+        "not unit lower triangular": ([1, 0], [x(0, 2), x(0, 0)]),
+        "distinct structural columns in distinct equality rows": ([3], [x(0, 0)]),
+    }
+    for match, start in refused.items():
+        with pytest.raises(ValueError, match=match):
+            solve_lp(replace(model, start=tuple(np.array(a) for a in start)))
+
+
+def test_cut_solve_bounds_with_a_margin():
+    """A solve cut before its optimum bounds the LP from below by its
+    point's objective, less each nonbasic variable's range times the larger
+    of OPT_TOL and the wrong-signed part of its reduced cost. A slack's
+    range is its bounds cut to what its row reaches within the variable
+    bounds. A wrong-signed reduced cost on a variable of infinite range
+    leaves no bound."""
+    # min x0 + 2 x1 s.t. x0 + x1 >= 2, x0 <= 3, 0 <= x0 <= 4, 0 <= x1 <= 5
+    model = tiny_model(
+        [1.0, 2.0], [0.0, 0.0], [4.0, 5.0], rows=[([0, 1], [1.0, 1.0], SENSE_GE, 2.0), ([0], [1.0], SENSE_LE, 3.0)]
+    )
+    cut = solve_lp(model, deadline=time.monotonic() - 1.0)
+    assert (cut.status, cut.iterations, cut.objective) == ("iteration-limit", 0, 0.0)
+    assert cut.bound == pytest.approx(-9 * milp.OPT_TOL, rel=1e-12)  # x0 and x1 at 0, ranges 4 and 5
+    sx = solve_lp(model).start.sx
+    assert sorted(sx.nb.tolist()) == [1, 2]  # x1 at 0 and the first row's slack at 0
+    d = sx._reduced_costs()
+    # the slack 2 - x0 - x1 reaches [-7, 2] within the bounds, and at most 0
+    # by its row's sense: range 7
+    assert milp._dual_bound(model, sx, 2.0, d) == pytest.approx(2.0 - 12 * milp.OPT_TOL, rel=1e-12)
+    wrong = np.where(sx.nb == 1, -0.5, d)
+    assert milp._dual_bound(model, sx, 2.0, wrong) == pytest.approx(2.0 - 2.5 - 7 * milp.OPT_TOL, rel=1e-12)
+    model.ub[1] = math.inf
+    sx = solve_lp(model).start.sx
+    assert milp._dual_bound(model, sx, 2.0, np.where(sx.nb == 1, -0.5, sx._reduced_costs())) == -math.inf
+
+
+def test_integral_objective_reads_fixed_variables():
+    """Pruning rounds bounds up only when every feasible point's objective
+    is an integer: the marked variables' costs must be integers, and an
+    unmarked variable with a cost counts only when fixed to a value that
+    makes its cost an integer."""
+    binary = np.array([True, False])
+    for cost, lb, ub, integral in ((3.0, 1.0, 1.0, True), (2.5, 1.0, 1.0, False), (1.0, 0.5, 0.5, False),
+                                   (1.0, 0.0, 1.0, False)):
+        assert milp._integral_objective(tiny_model([2.0, cost], [0.0, lb], [1.0, ub]), binary) is integral
+    assert milp._integral_objective(tiny_model([0.5, 0.0], [0.0, 0.0], [1.0, 1.0]), binary) is False
+
+
+@pytest.mark.parametrize("cols", [[0], [0, 1]], ids=["one-candidate", "two-candidates"])
+def test_dual_stops_on_a_reduced_cost_that_is_not_finite(monkeypatch, cols):
+    """A reduced cost spoilt by NaN makes the ratio test's longest step NaN;
+    the dual stops there, before its first pivot, instead of pivoting on
+    it, whether one column or several can enter."""
+    model = tiny_model([1.0, 1.0], [0.0, 0.0], [5.0, 5.0], rows=[(cols, [1.0] * len(cols), SENSE_GE, 1.0)])
+    assert solve_lp(model).iterations == 1
+    sx = milp._Simplex(model, model.lb.copy(), model.ub.copy(), 100)
+    monkeypatch.setattr(milp._Simplex, "_reduced_costs", lambda self: np.full(self.nb.size, math.nan))
+    assert sx.solve() == "iteration-limit"
+    assert sx.iterations == 0
 
 
 def test_runtime_needs_numpy_only():
