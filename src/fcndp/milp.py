@@ -129,13 +129,18 @@ def _near_max(values: np.ndarray, ids: np.ndarray | None = None) -> int:
     wins outright); ``ids`` defaults to the positions. Entries that only
     rounding tells apart tie, so the choice does not turn on how a BLAS
     kernel rounds."""
+    if ids is None:
+        # argmax finds the best, or the first NaN, and only entries before
+        # it can tie
+        best = int(values.argmax())
+        top = float(values[best])
+        if best == 0 or math.isnan(top):
+            return best
+        return int((values[: best + 1] >= top * (1.0 - 1e-9)).argmax())
     top = np.maximum.reduce(values)
     if math.isnan(top):
         return int(np.argmax(values))
-    near = values >= top * (1.0 - 1e-9)
-    if ids is None:
-        return int(near.argmax())  # the first near entry
-    near = near.nonzero()[0]
+    near = (values >= top * (1.0 - 1e-9)).nonzero()[0]
     return int(near[0] if near.size == 1 else near[np.argmin(ids[near])])
 
 
@@ -433,11 +438,7 @@ class _Simplex:
             price /= weights
             np.greater(worst, FEAS_TOL, out=infeasible)
             price *= infeasible
-            # the first row within a relative 1e-9 of the best, as _near_max
-            # picks it: argmax finds the best, and only rows before it can tie
-            r = int(price.argmax())
-            if r:
-                r = int((price[: r + 1] >= float(price[r]) * (1.0 - 1e-9)).argmax())
+            r = _near_max(price)
             to_upper = bool(xb[r] - ubb[r] > below[r])
             full_row = self._row(r)
             # a nonbasic column moves up from its lower bound, down from its
@@ -454,20 +455,14 @@ class _Simplex:
             # Harris's ratio test. Pass 1: the longest step that keeps every
             # reduced cost within OPT_TOL of its sign (move * d >= -OPT_TOL).
             # Pass 2: among the columns whose own ratio fits in that step,
-            # the largest pivot, ties to the lowest variable id. A lone
-            # candidate passes both.
-            if cand.size == 1:
-                s = int(cand[0])
-                t_max = max(float((move[s] * d[s] + OPT_TOL) / push[s]), 0.0)
-            else:
-                slack = move[cand] * d[cand]
-                pivots = push[cand]
-                t_max = max(float(np.minimum.reduce((slack + OPT_TOL) / pivots)), 0.0)
+            # the largest pivot, ties to the lowest variable id.
+            slack = move[cand] * d[cand]
+            pivots = push[cand]
+            t_max = max(float(np.minimum.reduce((slack + OPT_TOL) / pivots)), 0.0)
             if not math.isfinite(t_max):
                 return STATUS_ITERATION_LIMIT
-            if cand.size > 1:
-                near = cand[np.maximum(slack, 0.0) / pivots <= t_max]
-                s = int(near[_near_max(push[near], nb[near])])
+            near = cand[np.maximum(slack, 0.0) / pivots <= t_max]
+            s = int(near[_near_max(push[near], nb[near])])
             q = int(nb[s])
             col = self._col(s)
             pivot = float(col[r])
@@ -578,10 +573,10 @@ def _dual_bound(model: MipModel, sx: _Simplex, objective: float, d: np.ndarray) 
     and the ratio test keeps every reduced cost within ``OPT_TOL`` of the
     sign its move needs. So the bound is the objective less, per nonbasic
     variable, its range times the larger of ``OPT_TOL`` and its reduced
-    cost's wrong-signed part. A slack's range is its bounds cut to what its
-    row reaches within the variable bounds. The bound is -inf when a
-    wrong-signed reduced cost sits on a variable of infinite range, or when
-    it is not finite."""
+    cost's wrong-signed part. A slack's range runs from the bound it sits at
+    to the far end of what its row reaches within the variable bounds and
+    its own bounds. The bound is -inf when a wrong-signed reduced cost sits
+    on a variable of infinite range, or when it is not finite."""
     n, m = model.num_vars, sx.m
     ranges = sx.u - sx.l
     if m:
@@ -595,7 +590,9 @@ def _dual_bound(model: MipModel, sx: _Simplex, objective: float, d: np.ndarray) 
         # the slack of row i is rhs_i - (row activity)
         lo = np.maximum(sx.l[n:], rhs - reach_hi)
         hi = np.minimum(sx.u[n:], rhs - reach_lo)
-        ranges[n:] = np.maximum(hi - lo, 0.0)
+        # a nonbasic slack moves from the bound it sits at, which its row
+        # need not reach, to the far end of what the row reaches
+        ranges[n:] = np.maximum(np.where(sx.at_upper[n:], sx.u[n:] - lo, hi - sx.l[n:]), 0.0)
     ranges = ranges[sx.nb]
     signed = sx.move * d
     finite = np.isfinite(ranges)

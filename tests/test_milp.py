@@ -548,6 +548,9 @@ def test_near_max_ties():
     assert milp._near_max(values, np.array([0, 7, 9, 1, 6])) == 4
     assert milp._near_max(np.array([3.0 * (1 - 2e-9), 3.0]), np.array([0, 1])) == 1
     assert milp._near_max(np.array([1.0, np.nan, 5.0]), np.array([0, 1, 2])) == 1
+    # with no ids, a near value before the largest wins over it
+    assert milp._near_max(np.array([1.0, 3.0 * (1 - 5e-10), 2.0, 3.0])) == 1
+    assert milp._near_max(np.array([1.0, np.nan, 5.0, np.nan])) == 1
 
 
 def test_starting_tableau_without_rows_and_with_a_cut():
@@ -1122,7 +1125,8 @@ def test_cut_solve_bounds_with_a_margin():
     point's objective, less each nonbasic variable's range times the larger
     of OPT_TOL and the wrong-signed part of its reduced cost. A slack's
     range is its bounds cut to what its row reaches within the variable
-    bounds. A wrong-signed reduced cost on a variable of infinite range
+    bounds and its own, from the bound it sits at, which its row need not
+    reach. A wrong-signed reduced cost on a variable of infinite range
     leaves no bound."""
     # min x0 + 2 x1 s.t. x0 + x1 >= 2, x0 <= 3, 0 <= x0 <= 4, 0 <= x1 <= 5
     model = tiny_model(
@@ -1139,6 +1143,18 @@ def test_cut_solve_bounds_with_a_margin():
     assert milp._dual_bound(model, sx, 2.0, d) == pytest.approx(2.0 - 12 * milp.OPT_TOL, rel=1e-12)
     wrong = np.where(sx.nb == 1, -0.5, d)
     assert milp._dual_bound(model, sx, 2.0, wrong) == pytest.approx(2.0 - 2.5 - 7 * milp.OPT_TOL, rel=1e-12)
+    # a row that is never tight: x0 <= 10 with x0 at most 4. With x0 basic
+    # in it, its slack sits at 0 but reaches only [6, 10], so its range is
+    # 10, not 4; the point (x0 = 10) costs 10 and the slack's reduced cost
+    # is -1, wrong-signed
+    model.rows[1] = replace(model.rows[1], rhs=10.0)
+    sx = milp._Simplex(model, model.lb.copy(), model.ub.copy(), 10)
+    assert sx.rebase(np.array([2, 0]), sx.at_upper.copy())
+    d = sx._reduced_costs()
+    assert sx.values[0] == 10.0 and d[sx.slot[3]] == -1.0
+    bound = milp._dual_bound(model, sx, 10.0, d)
+    assert bound == pytest.approx(-5 * milp.OPT_TOL, abs=1e-12)  # x1's range 5 at OPT_TOL
+    assert bound <= solve_lp(model).objective == 2.0
     model.ub[1] = math.inf
     sx = solve_lp(model).start.sx
     assert milp._dual_bound(model, sx, 2.0, np.where(sx.nb == 1, -0.5, sx._reduced_costs())) == -math.inf
@@ -1156,12 +1172,11 @@ def test_integral_objective_reads_fixed_variables():
     assert milp._integral_objective(tiny_model([0.5, 0.0], [0.0, 0.0], [1.0, 1.0]), binary) is False
 
 
-@pytest.mark.parametrize("cols", [[0], [0, 1]], ids=["one-candidate", "two-candidates"])
-def test_dual_stops_on_a_reduced_cost_that_is_not_finite(monkeypatch, cols):
+def test_dual_stops_on_a_reduced_cost_that_is_not_finite(monkeypatch):
     """A reduced cost spoilt by NaN makes the ratio test's longest step NaN;
     the dual stops there, before its first pivot, instead of pivoting on
-    it, whether one column or several can enter."""
-    model = tiny_model([1.0, 1.0], [0.0, 0.0], [5.0, 5.0], rows=[(cols, [1.0] * len(cols), SENSE_GE, 1.0)])
+    it."""
+    model = tiny_model([1.0, 1.0], [0.0, 0.0], [5.0, 5.0], rows=[([0, 1], [1.0, 1.0], SENSE_GE, 1.0)])
     assert solve_lp(model).iterations == 1
     sx = milp._Simplex(model, model.lb.copy(), model.ub.copy(), 100)
     monkeypatch.setattr(milp._Simplex, "_reduced_costs", lambda self: np.full(self.nb.size, math.nan))
