@@ -14,8 +14,17 @@ slack per row, and the slack of each row of the model's start basis
 (``MipModel.start``) has no slot either: that row is an equality, so its
 slack is fixed at 0, never enters, and is in no basis a solve reaches.
 With t start rows the tableau is m x (n - t + 1) for n structural
-variables, where the full tableau ``B^-1 [A | I | b]`` would be
-m x (n + m + 1); on 15-0.25-8-1 that is 744 x 451, not 744 x 1,307.
+variables and m live rows, where the full tableau ``B^-1 [A | I | b]``
+would be m x (n + m + 1). The rows a model lets the kernel hold back
+(``MipModel.lazy``: the optimality rows of ``build_model``) are not live
+at a cold start: each has no tableau row, and its slack is in no basis
+and no slot. At each primal feasible point the dual evaluates them and
+adds every one the point violates by more than ``FEAS_TOL`` to the live
+tableau, its slack basic, and goes on pivoting (``_Simplex.add_rows``);
+``solve_bnb`` adds those still held back to its root, so every B&B node
+works on every row. On 15-0.25-8-1 the cold tableau is 328 x 451 and
+the optimal one 329 x 451, where every row from the start takes
+744 x 451, and the full tableau 744 x 1,307.
 It is a bounded dual simplex, the kernel's only algorithm, and prices by
 dual Devex (Harris, *Pivot selection methods of the Devex LP code*, Math.
 Prog. 5, 1973): among the rows whose basic variable is out of its bounds
@@ -52,9 +61,12 @@ needs. A start that is not of distinct columns in distinct equality rows,
 not unit lower triangular or not dual feasible (up to ``OPT_TOL``) is
 refused with ``ValueError``, and so is a variable unbounded in the
 direction its cost falls, a free one included; every model built in this
-package bounds every variable, so none of its LPs is unbounded. Every
-basis the dual visits is dual feasible, so a solve cut at the deadline or
-the pivot budget still bounds the LP from below (``LpResult.bound``).
+package bounds every variable, so none of its LPs is unbounded. A held-back
+row's slack is basic and costs 0, so adding the row leaves the basis dual
+feasible and the reduced costs as they are. Every basis the dual visits is
+dual feasible for the live rows, a relaxation, so a solve cut at the
+deadline or the pivot budget still bounds the LP from below
+(``LpResult.bound``).
 Only the root relaxation starts cold;
 it is solved once however many B&B calls start from it, also after the
 model's bounds tightened around the root's point, which leaves its basis
@@ -182,25 +194,29 @@ class LpResult:
 class _Simplex:
     """One solver state, solved by ``solve``, the dual simplex. The
     constructor builds the cold start, the model's start basis of
-    ``[A | I]`` with each nonbasic structural variable at the bound its
-    cost points to; it refuses a start that is not a dual feasible, unit
-    lower triangular basis of equality rows, and a variable unbounded in
-    the direction its cost falls.
+    ``[A | I]`` over the rows not held back (``MipModel.lazy``) with each
+    nonbasic structural variable at the bound its cost points to; it
+    refuses a start that is not a dual feasible, unit lower triangular
+    basis of equality rows, a start row held back, and a variable
+    unbounded in the direction its cost falls.
     A warm start puts new bounds on a solved state, after a ``rebase`` to
-    another basis if need be.
+    another basis of the same rows if need be.
 
-    The tableau is the short one, ``B^-1 [N | b]``: one column, or slot,
-    per nonbasic variable and none for the basic ones, whose columns are
-    unit vectors. ``nb[s]`` is the variable in slot ``s`` and ``slot[j]``
-    the slot of variable ``j``, -1 while ``j`` is basic and always for a
-    start row's slack; at a pivot the leaving variable takes the entering
-    one's slot. The reduced costs ``d`` and the pricing state ``move`` and
-    ``movable`` are kept by slot."""
+    The tableau is the short one, ``B^-1 [N | b]``, over the ``m`` live
+    rows: one column, or slot, per nonbasic variable and none for the
+    basic ones, whose columns are unit vectors. ``nb[s]`` is the variable
+    in slot ``s`` and ``slot[j]`` the slot of variable ``j``, -1 while
+    ``j`` is basic and always for a start row's slack and for the slack of
+    a row still held back (``held``, by model row); at a pivot the leaving
+    variable takes the entering one's slot, and ``add_rows`` appends a row
+    with its slack basic. The reduced costs ``d`` and the pricing state
+    ``move`` and ``movable`` are kept by slot; ``d`` is derived from the
+    tableau again only after a pivot, a rebase or new bounds."""
 
     def __init__(self, model: MipModel, lb: np.ndarray, ub: np.ndarray, iter_limit: int):
         rows = model.rows
         m, n = len(rows), model.num_vars
-        self.m = m
+        self.n = n
         # one slack per row, x_row + s_i = rhs, bounded by the row's sense
         self.l = np.concatenate([lb, np.zeros(m)])
         self.u = np.concatenate([ub, np.zeros(m)])
@@ -221,11 +237,23 @@ class _Simplex:
             or any(rows[i].sense != SENSE_EQ for i in start_rows.tolist())
         ):
             raise ValueError("the start basis needs distinct structural columns in distinct equality rows")
+        held = np.zeros(m, dtype=bool)
+        held[model.lazy] = True
+        if held[start_rows].any():
+            raise ValueError("a start row cannot be held back")
+        # the live rows, by position in the tableau: every row not held
+        # back, in model order, then each held-back row as it is added
+        live = np.flatnonzero(~held)
+        self.held = np.flatnonzero(held)
+        self.m = live.size
+        position = np.full(m, -1)
+        position[live] = np.arange(live.size)
         # the start basis: each start column basic in its start row, every
-        # other row's slack basic; a start row's slack is fixed at 0, so it
-        # never enters and gets no slot
-        self.basis = np.arange(n, n + m)
-        self.basis[start_rows] = start_cols
+        # other live row's slack basic; a start row's slack is fixed at 0,
+        # so it never enters and gets no slot, and a held-back row's slack
+        # is in no basis and no slot until its row is added
+        self.basis = n + live
+        self.basis[position[start_rows]] = start_cols
         nonbasic = np.ones(n, dtype=bool)
         nonbasic[start_cols] = False
         self.nb = np.flatnonzero(nonbasic)
@@ -241,38 +269,57 @@ class _Simplex:
         self.deadline = math.inf  # in time.monotonic(); a solve stops there as at iter_limit
         self.iterations = 0
         self.ncols = n + m
-        # the starting tableau B^-1 [N | b], N the nonbasic structurals in
-        # id order: [N | b] filled by one assignment of the rows' entries,
-        # then the start columns eliminated
-        self.tableau = np.zeros((m, self.nb.size + 1))
+        # the starting tableau B^-1 [N | b] over the live rows, N the
+        # nonbasic structurals in id order: [N | b] filled by one assignment
+        # of the rows' entries, then the start columns eliminated. Its
+        # array, and the pending block's, have room for every row, so that
+        # a row is added in place; the rows past the live ones are left
+        # unwritten until then, so that they take no memory.
+        self._tableau_rows = np.empty((m, self.nb.size + 1))
+        self._pend_c_rows = np.empty((m, _REFRESH))
+        self._view_rows()
+        self.tableau.fill(0.0)
+        # the held-back rows' entries (by index into ``held``), right-hand
+        # sides and slack ids, to evaluate them at a point and add them
+        self._held_at = self._held_cols = np.empty(0, dtype=int)
+        self._held_coefs = self._held_rhs = np.empty(0)
         if m:
             at_row, cols, coefs = _entries(rows)
+            rhs = np.array([row.rhs for row in rows])
+            at = position[at_row]
+            out = at < 0
+            self._held_at = np.searchsorted(self.held, at_row[out])
+            self._held_cols, self._held_coefs, self._held_rhs = cols[out], coefs[out], rhs[self.held]
+            at, cols, coefs = at[~out], cols[~out], coefs[~out]
             slots = self.slot[cols]
             own = slots >= 0
-            self.tableau[at_row[own], slots[own]] = coefs[own]
-            self.tableau[:, -1] = [row.rhs for row in rows]
-            self._eliminate_start(start_rows, start_cols, at_row[~own], cols[~own], coefs[~own])
+            self.tableau[at[own], slots[own]] = coefs[own]
+            self.tableau[:, -1] = rhs[live]
+            self._eliminate_start(position[start_rows], start_cols, at[~own], cols[~own], coefs[~own])
         # pivots held back from the tableau: the live tableau is
         # tableau - pend_c[:, :pend_k] @ pend_r[:pend_k]
-        self.pend_c = np.empty((m, _REFRESH))
         self.pend_r = np.empty((_REFRESH, self.nb.size + 1))
         self.pend_k = 0
         # Devex reference weights of the dual pricing, one per row
-        self.row_weights = np.ones(m)
+        self.row_weights = np.ones(self.m)
         self._sync()
         self._refresh_xb()
-        d = self._reduced_costs()
+        # the reduced costs last derived from the tableau, by slot; None once
+        # a pivot, a rebase or new bounds may have made them stale
+        self._d: np.ndarray | None = None
+        d = self._derived_d()
         if not np.all(self.move[self.movable] * d[self.movable] >= -OPT_TOL):
             raise ValueError("the start basis is not dual feasible")
 
     def _eliminate_start(self, start_rows, start_cols, at_row, cols, coefs) -> None:
         """Turns the tableau ``[N | b]`` into ``B^-1 [N | b]`` for the start
-        basis, given the start columns' entries (``at_row``, ``cols``,
+        basis, given the start rows' positions and the start columns'
+        entries in the live rows (``at_row`` by position, ``cols``,
         ``coefs``): start column i, in start order, is eliminated from
         every other row it meets with start row i, which is then final,
         since the start block is unit lower triangular. On the models
-        ``build_model`` makes every entry is 0 or +-1 but one 2c per
-        optimality row, so this is exact."""
+        ``build_model`` makes every live entry is 0 or +-1, so this is
+        exact."""
         col_pos = np.full(self.ncols, -1)
         col_pos[start_cols] = np.arange(start_cols.size)
         col_pos = col_pos[cols]
@@ -291,6 +338,12 @@ class _Simplex:
         order = order[~diagonal[order]]
         for i, r, a in zip(col_pos[order].tolist(), at_row[order].tolist(), coefs[order].tolist()):
             tableau[r] -= a * tableau[pivot_rows[i]]
+
+    def _view_rows(self) -> None:
+        """Points ``tableau`` and ``pend_c`` at the live rows of the arrays
+        that have room for every row."""
+        self.tableau = self._tableau_rows[: self.m]
+        self.pend_c = self._pend_c_rows[: self.m]
 
     def _sync(self) -> None:
         """Derives the pricing state that pivots keep up to date from the
@@ -314,6 +367,7 @@ class _Simplex:
         column has no entry above ``PIVOT_TOL`` to pivot on."""
         wanted = np.zeros(self.ncols, dtype=bool)
         wanted[basis] = True
+        self._d = None
         d = np.zeros(self.nb.size)  # reduced costs are recomputed by the next solve
         for q in basis:
             if self.slot[q] < 0:
@@ -333,10 +387,13 @@ class _Simplex:
     def copy(self) -> _Simplex:
         self._flush()
         other = copy.copy(self)
-        names = ("l", "u", "at_upper", "tableau", "pend_c", "pend_r", "basis", "nb", "slot", "xb", "values")
-        names += ("lbb", "ubb", "move", "movable", "row_weights")
+        names = ("l", "u", "at_upper", "_tableau_rows", "_pend_c_rows", "pend_r", "basis", "nb", "slot", "xb")
+        names += ("values", "lbb", "ubb", "move", "movable", "row_weights")
         for name in names:
             setattr(other, name, getattr(self, name).copy())
+        other._view_rows()
+        if self._d is not None:
+            other._d = self._d.copy()
         return other
 
     def set_bounds(self, lb: np.ndarray, ub: np.ndarray) -> None:
@@ -347,6 +404,7 @@ class _Simplex:
         n = lb.size
         self.l[:n] = lb
         self.u[:n] = ub
+        self._d = None
         self._sync()
 
     def _col(self, s: int) -> np.ndarray:
@@ -367,24 +425,96 @@ class _Simplex:
                 self.tableau[i : i + _CHUNK] -= self.pend_c[i : i + _CHUNK, :k] @ self.pend_r[:k]
             self.pend_k = 0
 
-    def _refresh_xb(self):
-        """Re-derives ``xb`` and the point ``values`` from the tableau,
-        adding up the nonbasic terms in variable-id order."""
-        self._flush()
+    def _basic_values(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The values of the basic variables of the flushed tableau ``rows``,
+        adding up the nonbasic terms in variable-id order, and every
+        variable at the bound it sits at (0 for an infinite one)."""
         z_n = np.where(self.at_upper, self.u, self.l)
         z_n = np.where(np.isfinite(z_n), z_n, 0.0)
         nz = np.flatnonzero((self.slot >= 0) & (z_n != 0.0))
-        xb = self.tableau[:, -1].copy()
+        xb = rows[:, -1].copy()
         if nz.size:
-            xb -= self.tableau[:, self.slot[nz]] @ z_n[nz]
-        self.xb = xb
-        self.values = z_n
-        self.values[self.basis] = xb
+            xb -= rows[:, self.slot[nz]] @ z_n[nz]
+        return xb, z_n
+
+    def _refresh_xb(self):
+        """Re-derives ``xb`` and the point ``values`` from the tableau."""
+        self._flush()
+        self.xb, self.values = self._basic_values(self.tableau)
+        self.values[self.basis] = self.xb
+
+    def _violated(self) -> np.ndarray:
+        """The held-back rows that the point ``values`` violates by more
+        than ``FEAS_TOL``, by index into ``held``."""
+        terms = self._held_coefs * self.values[self._held_cols]
+        slack = self._held_rhs - np.bincount(self._held_at, terms, minlength=self.held.size)
+        ids = self.n + self.held
+        return np.flatnonzero((slack < self.l[ids] - FEAS_TOL) | (slack > self.u[ids] + FEAS_TOL))
+
+    def add_rows(self, which: np.ndarray | None = None) -> None:
+        """Adds the held-back rows ``which`` (by index into ``held``; all of
+        them by default) to the live tableau, each with its slack basic at
+        its row's value and Devex weight 1. A new row of ``B^-1 [N | b]``
+        is the row's coefficients on the slots and its right-hand side,
+        less, for each basic variable it meets, the coefficient times that
+        variable's row. The slacks cost 0, so the reduced costs stay as
+        they are; no pivot is taken."""
+        which = np.arange(self.held.size) if which is None else np.unique(which)
+        if not which.size:
+            return
+        self._flush()
+        added = np.full(self.held.size, -1)
+        added[which] = np.arange(which.size)
+        at = added[self._held_at]
+        mine = at >= 0
+        at, cols, coefs = at[mine], self._held_cols[mine], self._held_coefs[mine]
+        rows = self._tableau_rows[self.m : self.m + which.size]
+        rows.fill(0.0)
+        rows[:, -1] = self._held_rhs[which]
+        slots = self.slot[cols]
+        own = slots >= 0
+        rows[at[own], slots[own]] = coefs[own]
+        # each basic entry's row, in the order of the row's entries: rank k
+        # takes the k-th basic entry of every new row at once
+        position = np.full(self.ncols, -1)
+        position[self.basis] = np.arange(self.m)
+        at, basic, coefs = at[~own], position[cols[~own]], coefs[~own]
+        rank = np.arange(at.size) - np.searchsorted(at, at)
+        for k in range(int(rank.max(initial=-1)) + 1):
+            take = rank == k
+            rows[at[take]] -= coefs[take, None] * self.tableau[basic[take]]
+        ids = self.n + self.held[which]
+        xb, _ = self._basic_values(rows)
+        self.basis = np.concatenate([self.basis, ids])
+        self.xb = np.concatenate([self.xb, xb])
+        self.values[ids] = xb
+        self.lbb = np.concatenate([self.lbb, self.l[ids]])
+        self.ubb = np.concatenate([self.ubb, self.u[ids]])
+        self.row_weights = np.concatenate([self.row_weights, np.ones(which.size)])
+        self.m += which.size
+        self._view_rows()
+        # the rows still held back, with their entries re-indexed
+        kept = np.ones(self.held.size, dtype=bool)
+        kept[which] = False
+        index = np.cumsum(kept) - 1
+        mine = kept[self._held_at]
+        self._held_at = index[self._held_at[mine]]
+        self._held_cols, self._held_coefs = self._held_cols[mine], self._held_coefs[mine]
+        self.held, self._held_rhs = self.held[kept], self._held_rhs[kept]
 
     def _reduced_costs(self) -> np.ndarray:
         """The reduced costs of the nonbasic variables, by slot."""
         self._flush()
         return self.c[self.nb] - self.c[self.basis] @ self.tableau[:, :-1]
+
+    def _derived_d(self) -> np.ndarray:
+        """The reduced costs derived from the tableau, derived again only
+        when a pivot, a rebase or new bounds came since the last time. A
+        caller that updates them in place must clear ``_d``, as
+        ``_pivot`` does."""
+        if self._d is None:
+            self._d = self._reduced_costs()
+        return self._d
 
     def solve(self) -> str:
         """Bounded dual simplex from a dual feasible basis: a primal
@@ -392,19 +522,21 @@ class _Simplex:
         point is primal feasible. Dual Devex pricing picks the leaving row
         (the largest infeasibility^2 / w_i, with every row weight 1 at the
         start of each call) and Harris's two-pass ratio test the entering
-        column. Once primal feasible, it re-derives the reduced costs and
-        the point from the tableau and returns ``STATUS_OPTIMAL``, however
-        late. Ends with ``STATUS_ITERATION_LIMIT`` at the pivot budget or
-        the deadline, and also when rounding has spoilt the tableau: the
+        column. Once primal feasible, it re-derives the point from the
+        tableau and adds every held-back row the point violates by more
+        than ``FEAS_TOL``, then goes on; with none to add, it re-derives the
+        reduced costs and returns ``STATUS_OPTIMAL``, however late. Ends
+        with ``STATUS_ITERATION_LIMIT`` at the pivot budget or the
+        deadline, and also when rounding has spoilt the tableau: the
         point is no longer finite, the entering column's entry in the pivot
         row, read through the pending block, is noise (at most
         ``PIVOT_TOL``), or a movable column's re-derived reduced cost is on
         the wrong side of its sign by more than ``OPT_TOL``, which the
         ratio test rules out but for rounding."""
-        d = self._reduced_costs()
+        d = self._derived_d()
         since_refresh = 0
-        # the kept state, bound once: pivots update these arrays in place,
-        # and only _refresh_xb replaces one (xb)
+        # the kept state, bound once: pivots update these arrays in place;
+        # _refresh_xb replaces xb, and add_rows all but the slot-sized ones
         xb, lbb, ubb, weights = self.xb, self.lbb, self.ubb, self.row_weights
         move, movable, nb = self.move, self.movable, self.nb
         # work arrays, rewritten in place at every pivot
@@ -425,10 +557,20 @@ class _Simplex:
             if not math.isfinite(top):
                 return STATUS_ITERATION_LIMIT
             if top <= FEAS_TOL:
-                d = self._reduced_costs()
+                self._refresh_xb()
+                if self.held.size:
+                    add = self._violated()
+                    if add.size:
+                        # the new rows' slacks are basic, and infeasible:
+                        # the dual goes on from here over every live row
+                        self.add_rows(add)
+                        xb, lbb, ubb, weights = self.xb, self.lbb, self.ubb, self.row_weights
+                        below, worst, shift, price = (np.empty(self.m) for _ in range(4))
+                        infeasible = np.empty(self.m, dtype=bool)
+                        continue
+                d = self._derived_d()
                 if not np.all(move[movable] * d[movable] >= -OPT_TOL):
                     return STATUS_ITERATION_LIMIT
-                self._refresh_xb()
                 return STATUS_OPTIMAL
             if self.iterations >= self.iter_limit or time.monotonic() >= self.deadline:
                 return STATUS_ITERATION_LIMIT
@@ -488,7 +630,7 @@ class _Simplex:
                 since_refresh = 0
                 self._refresh_xb()
                 xb = self.xb
-                d = self._reduced_costs()
+                d = self._derived_d()
 
     def _pivot(
         self,
@@ -511,6 +653,7 @@ class _Simplex:
         its earlier pending entries 0 and its new one ``1 / col[r]``."""
         leaving = int(self.basis[r])
         s = int(self.slot[q])
+        self._d = None
         self.at_upper[leaving] = leaves_at_upper
         self.move[s] = -1.0 if leaves_at_upper else 1.0
         self.movable[s] = self.l[leaving] != self.u[leaving]
@@ -541,7 +684,14 @@ def solve_lp(model: MipModel, *, deadline: float | None = None) -> LpResult:
     """Optimal basic solution of the LP relaxation, with reduced costs,
     solved until the ``time.monotonic()`` value ``deadline`` if one is
     given. The result is the root of ``solve_bnb(model, ...)`` calls while
-    the model's bounds stay as they are or tighten around its point."""
+    the model's bounds stay as they are or tighten around its point.
+
+    The solve adds a row of ``model.lazy`` only once its point violates
+    it, yet the result covers every row: an optimal point satisfies the
+    rows still held back within ``FEAS_TOL``, whose slacks are basic, so
+    the reduced costs are those of the full LP (0 on a variable that only
+    such rows meet); a cut solve's ``bound`` is one on the LP of the rows
+    it added, a relaxation, and so on the full LP too."""
     lb = np.asarray(model.lb, dtype=float).copy()
     ub = np.asarray(model.ub, dtype=float).copy()
     limit = max(PIVOT_LIMIT_FLOOR, PIVOT_LIMIT_PER_DIM * (model.num_vars + 2 * len(model.rows)))
@@ -551,7 +701,7 @@ def solve_lp(model: MipModel, *, deadline: float | None = None) -> LpResult:
     if status != STATUS_OPTIMAL:
         sx._refresh_xb()  # the point of the basis the solve stopped on
     d = np.zeros(sx.ncols)
-    d[sx.nb] = sx._reduced_costs()
+    d[sx.nb] = sx._derived_d()
     primal = sx.values[: model.num_vars]
     objective = float(model.obj @ primal)
     return LpResult(
@@ -577,7 +727,7 @@ def _dual_bound(model: MipModel, sx: _Simplex, objective: float, d: np.ndarray) 
     to the far end of what its row reaches within the variable bounds and
     its own bounds. The bound is -inf when a wrong-signed reduced cost sits
     on a variable of infinite range, or when it is not finite."""
-    n, m = model.num_vars, sx.m
+    n, m = model.num_vars, len(model.rows)
     ranges = sx.u - sx.l
     if m:
         at_row, cols, coefs = _entries(model.rows)
@@ -635,7 +785,9 @@ def solve_bnb(
     result is infeasible. With nothing marked the result is ``root``.
 
     ``root``, a ``solve_lp(model)`` result, is the root relaxation, which
-    is not solved again. The model's bounds may have moved since, if only
+    is not solved again. The first call from it adds the rows its solve
+    held back to its final tableau, in place; they hold at its point, so
+    its basis stays optimal, and every node works on every row. The model's bounds may have moved since, if only
     by tightening around the root's point: every bound that moved is no
     wider than before and still holds the root's value. The root's basis
     then stays primal and dual optimal, and the result has the status and
@@ -663,6 +815,11 @@ def solve_bnb(
         raise ValueError("root was solved under other bounds, not tightened around its point")
     if not binary.any():
         return root
+    if rec.sx is not None:
+        # every node works on every row: the rows the root's solve still
+        # holds back hold at its point, so their slacks enter basic and
+        # feasible and the root's basis stays optimal
+        rec.sx.add_rows()
     binary_ids = np.flatnonzero(binary)
     int_obj = _integral_objective(model, binary)
     deadline = math.inf if deadline is None else deadline
@@ -691,8 +848,8 @@ def solve_bnb(
         lb, ub, parent_bound, parent, basis, at_upper = stack.pop()
         limit = _prune_limit(cutoff, incumbent_obj, int_obj)
         if parent_bound >= limit:
-            if cutoff is not None and parent_bound >= cutoff - CUTOFF_SLACK:
-                pruned_by_cutoff = True
+            # below the cutoff, since it was branched: only an incumbent
+            # found since prunes it
             continue
         node = nodes_done
         nodes_done += 1

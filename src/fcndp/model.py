@@ -6,6 +6,9 @@ indicator ``x`` per commodity and arc, and one shortest-distance potential
 through its bounds). Rows: per-commodity flow conservation (equalities),
 flow/opening coupling, and the lifted big-M optimality rows that force every
 routed path to be shortest in the open network, one per arc direction.
+The optimality rows, 2KE of the KV + 3KE rows, seldom bind at an LP
+optimum, so ``MipModel.lazy`` lets the LP kernel hold them back: a solve
+adds one to its tableau only once its point violates it.
 
 Without the ``pi`` columns and the optimality rows the model is the
 high-point relaxation (HPR; Moore & Bard, *The mixed integer linear bilevel
@@ -70,6 +73,10 @@ class MipModel:
     start: tuple[np.ndarray, np.ndarray] = field(
         default_factory=lambda: (np.empty(0, dtype=int), np.empty(0, dtype=int))
     )
+    # the indices of the rows the LP kernel may hold back until its point
+    # violates one (build_model: the optimality rows); no start row.
+    # Empty: every row from the start
+    lazy: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=int))
 
     def y_var(self, e: int) -> int:
         return e
@@ -165,6 +172,7 @@ def build_model(inst: Instance, big_m: np.ndarray, *, optimality: bool = True) -
     opt_coefs = np.repeat(np.tile(edge_coefs, (K, 1)), 2, axis=0)
     rhs = np.repeat(np.tile(big_m, K), 2).tolist()
     names = zip(np.repeat(ks, 2 * E).tolist(), tails.reshape(-1).tolist(), heads.reshape(-1).tolist())
+    model.lazy = np.arange(len(rows), len(rows) + 2 * K * E)
     for i, (k, tail, head) in enumerate(names):
         rows.append(Row(opt_cols[i], opt_coefs[i], SENSE_LE, rhs[i], f"opt_{k}_{tail}_{head}"))
     return model

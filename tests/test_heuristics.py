@@ -174,6 +174,38 @@ def test_lbound_iteration_cap():
     assert res.iterations <= math.ceil(0.2 * 13) == 3
 
 
+def test_lbound_stops_at_its_pass_cap(monkeypatch):
+    """lbound runs at most ceil(0.2 E) passes: with every pass stubbed to
+    a fractional point that puts one more opening variable at 1, bounding
+    on 8-0.5-4-2 (E = 14; the root promotes 5) stops after 3 passes with
+    the last pass's bound and no design, short of the 90% rule."""
+    inst = generate_instance(8, 0.5, 4, 2)
+    E = inst.num_edges
+    passes = []
+
+    def fractional(model, binary, *, root, **kwargs):
+        values = root.values.copy()
+        values[:E] = np.where(binary[:E], 1.0, 0.25)
+        values[int(np.flatnonzero(~binary[:E])[0])] = 1.0
+        passes.append(int(binary[:E].sum()))
+        return milp.LpResult(milp.STATUS_OPTIMAL, root.objective + len(passes), values)
+
+    monkeypatch.setattr(heuristics, "solve_bnb", fractional)
+    res = lbound(inst)
+    assert (E, math.ceil(0.2 * E)) == (14, 3)
+    assert passes == [5, 6, 7] and res.iterations == 3
+    assert (res.value, res.solution, res.status) == (math.ceil(497.5 + 3), None, "optimal")
+
+
+def test_lbound_raises_on_an_infeasible_root():
+    """A commodity whose destination its origin does not reach makes the
+    high-point relaxation infeasible, and lbound raises; vfh falls back on
+    that error (``test_failed_relaxation_falls_back_to_the_construction``)."""
+    split = Instance(4, (Edge(0, 1, 1, 10, 1), Edge(2, 3, 1, 10, 1)), (Commodity(0, 3, 1),))
+    with pytest.raises(RuntimeError, match="relaxation solve failed: infeasible"):
+        lbound(split)
+
+
 @pytest.mark.parametrize(
     "case, optimum",
     [((8, 0.5, 4, 2), 524.0), ((8, 0.6, 4, 1), 801.0), ((9, 0.4, 4, 4), 495.0)],
@@ -288,6 +320,31 @@ def test_pass_out_of_budget_proves_nothing(monkeypatch):
     res = vfh(inst, 0.85, rng=1)
     assert (res.solution.cost, res.lower_bound) == (422.0, 384.0)
     assert not proves_optimal(inst, res.solution.cost, res.lower_bound)
+
+
+def test_pass_out_of_budget_with_a_point_stops_relax_and_fix(monkeypatch):
+    """A relax-and-fix pass that runs out of budget after it found a point
+    under the cutoff ends relax-and-fix: on 6-0.8-3-6 (rng 6) the first
+    pass's point, stubbed to an out-of-budget status, stops vfh with the
+    construction's 465 and lbound's 371, where two more passes reach the
+    optimum 414 and prove it."""
+    inst = generate_instance(6, 0.8, 3, 6)
+    bnb = heuristics.solve_bnb
+    passes = []
+
+    def out_of_budget(model, binary, *, cutoff=None, **kwargs):
+        res = bnb(model, binary, cutoff=cutoff, **kwargs)
+        if cutoff is None:  # lbound's passes
+            return res
+        passes.append(res.objective)
+        return milp.LpResult(milp.STATUS_ITERATION_LIMIT, res.objective, res.values)
+
+    assert (vfh(inst, 0.85, rng=6).solution.cost, lbound(inst).value) == (414.0, 371.0)
+    monkeypatch.setattr(heuristics, "solve_bnb", out_of_budget)
+    res = vfh(inst, 0.85, rng=6)
+    assert len(passes) == 1 and passes[0] < 465.0
+    assert (res.solution.cost, res.lower_bound) == (465.0, 371.0)
+    assert verify_bilevel(inst, res.solution).passed
 
 
 def test_vfh_returns_lbound_solution_when_integral():
@@ -469,6 +526,16 @@ def ratio_fixture_single() -> tuple[Instance, float]:
         (Commodity(0, 1, 3), Commodity(0, 1, 5)),
     )
     return inst, 13.0
+
+
+def test_inefficiency_of_a_design_with_no_used_edge():
+    """With no commodity no edge carries flow: no ratio, average 0, and no
+    inefficient edge or chain."""
+    inst = Instance(3, (Edge(0, 1, 1, 4, 1), Edge(1, 2, 1, 4, 1)), ())
+    sol = make_solution(inst, [], {})
+    assert sol.x.shape == (0, 4)
+    report = inefficiency_metrics(inst, sol)
+    assert (report.ratios, report.average, report.inefficient, report.chains) == ({}, 0.0, [], [])
 
 
 def test_inefficiency_ratio_hand_computed():

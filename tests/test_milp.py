@@ -346,7 +346,9 @@ def oracle_models(draw):
 def warm_children(root, child: MipModel, sibling: MipModel):
     """The child re-solved both ways solve_bnb does: in place on a copy of
     the root's final tableau, and by a basis exchange back to the root's
-    basis after its sibling was solved on such a copy."""
+    basis after its sibling was solved on such a copy. As solve_bnb does,
+    the root first takes every row its solve held back."""
+    root.start.sx.add_rows()
     in_place = root.start.sx.copy()
     in_place.set_bounds(child.lb, child.ub)
     exchanged = root.start.sx.copy()
@@ -507,32 +509,45 @@ def exchange(sx, picks: list[int]) -> None:
             sx._pivot(r, q, col, 0.0, False, d)
 
 
-def exchanged(model: MipModel, picks: list[int]):
-    """A cold start after ``exchange(picks)``, with the exchanges the block
-    still holds back, and the model's rows as ``[A | I | b]``."""
-    sx = milp._Simplex(model, model.lb.astype(float), model.ub.astype(float), 0)
+def a_i_b_of(model: MipModel) -> np.ndarray:
+    """Every row of the model as ``[A | I | b]``."""
     m, n = len(model.rows), model.num_vars
     a_i_b = np.zeros((m, n + m + 1))
     for i, row in enumerate(model.rows):
         a_i_b[i, row.cols] = row.coefs
         a_i_b[i, n + i] = 1.0
         a_i_b[i, -1] = row.rhs
+    return a_i_b
+
+
+def exchanged(model: MipModel, picks: list[int]):
+    """A cold start after ``exchange(picks)``, with the exchanges the block
+    still holds back, and the model's rows as ``[A | I | b]``."""
+    sx = milp._Simplex(model, model.lb.astype(float), model.ub.astype(float), 0)
+    m, n = len(model.rows), model.num_vars
+    a_i_b = a_i_b_of(model)
     start_rows, start_cols = model.start
-    # the start basis: each start column basic in its start row, every
-    # other slack basic, every other structural nonbasic, in id order
-    basis = np.arange(n, n + m)
-    basis[start_rows] = start_cols
+    # the start basis: the slacks of the rows not held back, in row order,
+    # each start column in place of its start row's, every other
+    # structural nonbasic, in id order; a held-back row has no tableau row
+    live = np.setdiff1d(np.arange(m), model.lazy)
+    assert np.array_equal(sx.held, np.sort(model.lazy)) and sx.m == live.size
+    position = np.full(m, -1)
+    position[live] = np.arange(live.size)
+    basis = n + live
+    basis[position[start_rows]] = start_cols
     assert np.array_equal(sx.basis, basis)
     assert np.array_equal(sx.nb, np.setdiff1d(np.arange(n), start_cols))
     check_slots(sx, model)
     if len(start_rows):
-        # B^-1 [N | b]; every entry of these models' start is an integer
-        # but in the optimality rows, so the elimination rounds no further
-        # than np.linalg.solve does
+        # B^-1 [N | b]; every entry of these models' live rows is an
+        # integer, so the elimination rounds no further than
+        # np.linalg.solve does
         assert_basis_inverse_times_start(sx, a_i_b, model, rtol=1e-12)
     else:
-        # the slack start is [A | b], bit for bit as filled row by row
-        start = np.delete(a_i_b, np.s_[n : n + m], axis=1)
+        # the slack start is [A | b] over the live rows, bit for bit as
+        # filled row by row
+        start = np.delete(a_i_b[live], np.s_[n : n + m], axis=1)
         assert sx.tableau.shape == start.shape and sx.tableau.tobytes() == start.tobytes()
     exchange(sx, picks)
     return sx, a_i_b
@@ -567,7 +582,8 @@ def test_starting_tableau_without_rows_and_with_a_cut():
     ]
     for case in (*rowless, add_local_branching_cut(model, ybar, 2)):
         sx, _ = exchanged(case, [])
-        assert sx.tableau.shape == (len(case.rows), case.num_vars - len(case.start[1]) + 1)
+        # the optimality rows are held back, the cut row is not
+        assert sx.tableau.shape == (len(case.rows) - len(case.lazy), case.num_vars - len(case.start[1]) + 1)
         assert solve_lp(case).status == "optimal"
 
 
@@ -575,23 +591,27 @@ def check_slots(sx, model: MipModel) -> None:
     """``nb`` and ``slot`` are inverse maps over the nonbasic variables:
     every nonbasic variable has exactly one slot, and a basic one none. The
     variables that are neither basic nor in a slot are exactly the slacks
-    of ``model``'s start rows, each fixed at 0."""
+    of ``model``'s start rows, each fixed at 0, and those of the rows still
+    held back, which are rows of ``model.lazy``."""
     assert sx.tableau.shape == (sx.m, sx.nb.size + 1)
-    slotless = model.num_vars + np.asarray(model.start[0], dtype=int)
+    fixed_slacks = model.num_vars + np.asarray(model.start[0], dtype=int)
+    assert np.all(np.isin(sx.held, model.lazy))
+    slotless = np.concatenate([fixed_slacks, model.num_vars + sx.held])
     assert np.array_equal(np.sort(np.concatenate([sx.nb, sx.basis, slotless])), np.arange(sx.ncols))
     assert np.array_equal(sx.slot[sx.nb], np.arange(sx.nb.size))
     assert np.all(sx.slot[sx.basis] == -1)
     assert np.all(sx.slot[slotless] == -1)
-    assert np.all(sx.l[slotless] == 0.0) and np.all(sx.u[slotless] == 0.0)
+    assert np.all(sx.l[fixed_slacks] == 0.0) and np.all(sx.u[fixed_slacks] == 0.0)
 
 
 def assert_basis_inverse_times_start(sx, a_i_b: np.ndarray, model: MipModel, rtol: float = 1e-7) -> None:
     """The flushed tableau is B^-1 [N | b], with B the basic and N the
-    nonbasic columns of ``[A | I | b]``, the latter in slot order, up to
-    ``rtol`` of its largest entry."""
+    nonbasic columns of ``[A | I | b]`` over the rows not held back, the
+    latter in slot order, up to ``rtol`` of its largest entry."""
     sx._flush()
     check_slots(sx, model)
-    expected = np.linalg.solve(a_i_b[:, sx.basis], a_i_b[:, np.append(sx.nb, -1)])
+    live = a_i_b[np.setdiff1d(np.arange(len(model.rows)), sx.held)]
+    expected = np.linalg.solve(live[:, sx.basis], live[:, np.append(sx.nb, -1)])
     np.testing.assert_allclose(sx.tableau, expected, rtol=0, atol=rtol * (1 + np.abs(expected).max()))
 
 
@@ -663,12 +683,16 @@ def test_block_of_one_solves_the_same(model):
 def test_rebase_past_a_full_block(monkeypatch):
     """A basis exchange from a cold start to the optimal basis changes more
     columns than one block holds (95 on 15-0.25-8-1), so the block fills
-    and is flushed midway; it ends on the optimal tableau and point."""
+    and is flushed midway; it ends on the optimal tableau and point. Both
+    tableaux first take every held-back row, as solve_bnb's root does, so
+    that they have the same rows."""
     inst = generate_instance(15, 0.25, 8, 1)
     model = build_model(inst, compute_big_m(inst))
     root = solve_lp(model)
     target = root.start.sx
+    target.add_rows()
     sx, _ = exchanged(model, [])
+    sx.add_rows()
     full = []
     flush = milp._Simplex._flush
 
@@ -688,20 +712,39 @@ def test_rebase_past_a_full_block(monkeypatch):
     np.testing.assert_allclose(sx.values[: model.num_vars], root.values, rtol=0, atol=1e-7)
 
 
+def rounds_of_rows(monkeypatch) -> list[int]:
+    """Records, per round of rows a solve adds at a primal feasible point,
+    how many it adds."""
+    add_rows = milp._Simplex.add_rows
+    rounds: list[int] = []
+
+    def counted(self, which=None):
+        if which is not None:
+            rounds.append(len(which))
+        add_rows(self, which)
+
+    monkeypatch.setattr(milp._Simplex, "add_rows", counted)
+    return rounds
+
+
 @pytest.mark.parametrize(
-    "case, optimum, most_pivots",
-    [((12, 0.3, 6, 1), 3397 / 3, 150), ((15, 0.25, 8, 1), 1181.5, 350), ((20, 0.2, 10, 1), 2010.2, 800)],
+    "case, optimum, most_pivots, least_rounds",
+    [((12, 0.3, 6, 1), 3397 / 3, 150, 1), ((15, 0.25, 8, 1), 1181.5, 350, 1), ((20, 0.2, 10, 1), 2010.2, 800, 2)],
     ids=["12-0.3-6-1", "15-0.25-8-1", "20-0.2-10-1"],
 )
-def test_root_lp_at_size(case, optimum, most_pivots):
+def test_root_lp_at_size(monkeypatch, case, optimum, most_pivots, least_rounds):
     """Cold root LPs of the sizes the benchmark solves, and of the size a
     full solve aims at, checked against HiGHS and against every row and
-    bound of the model. The dual simplex from the shortest-path-tree start
-    takes 72, 163 and 544 pivots under every BLAS kernel tried; from the
-    slack basis it took 124, 285 and 647, a primal phase 1 with artificials
-    238, 571 and 1,205, and Dantzig's rule 1,601 on 15-0.25-8-1."""
+    bound of the model, the optimality rows the solve held back included.
+    The dual simplex from the shortest-path-tree start, adding an
+    optimality row only once its point violates it, takes 71, 163 and 540
+    pivots under every BLAS kernel tried and adds rows in 1, 1 and 3
+    rounds; with every row from the start it took 72, 163 and 544, from the
+    slack basis 124, 285 and 647, a primal phase 1 with artificials 238, 571
+    and 1,205, and Dantzig's rule 1,601 on 15-0.25-8-1."""
     inst = generate_instance(*case)
     model = build_model(inst, compute_big_m(inst))
+    rounds = rounds_of_rows(monkeypatch)
     res = solve_lp(model)
     ref = scipy_solve(model)
     assert res.status == "optimal" and ref.status == 0
@@ -709,6 +752,7 @@ def test_root_lp_at_size(case, optimum, most_pivots):
     assert abs(ref.fun - optimum) <= 1e-6 * optimum
     assert residuals_ok(model, res.values)
     assert res.iterations <= most_pivots
+    assert len(rounds) >= least_rounds and res.start.sx.held.size
 
 
 # The simplex keeps its pricing state up to date pivot by pivot, and guards
@@ -989,10 +1033,11 @@ def test_root_seed_after_bounds_tighten_around_its_point():
 
 
 def test_cold_start_holds_one_dense_copy():
-    """A cold solve keeps one dense array, the short tableau, m x (n - t +
-    1) with t start columns, which are basic and have no slot: its peak
-    allocation stays below 1.75 tableaux (a second dense copy of the model
-    would take it past 2)."""
+    """A cold solve keeps one dense array, the short tableau, with room for
+    m x (n - t + 1) entries for t start columns, which are basic and have
+    no slot, and uses the rows not held back and those added since: its
+    peak allocation stays below 1.75 tableaux of every row (a second dense
+    copy of the model would take it past 2)."""
     inst = generate_instance(15, 0.25, 8, 1)
     model = build_model(inst, compute_big_m(inst))
     tracemalloc.start()
@@ -1002,8 +1047,10 @@ def test_cold_start_holds_one_dense_copy():
     finally:
         tracemalloc.stop()
     assert res.status == "optimal"
-    assert res.start.sx.tableau.shape == (len(model.rows), model.num_vars - len(model.start[1]) + 1)
-    assert peak < 1.75 * res.start.sx.tableau.nbytes
+    sx = res.start.sx
+    every_row = (len(model.rows), model.num_vars - len(model.start[1]) + 1)
+    assert sx.tableau.shape == (len(model.rows) - sx.held.size, every_row[1]) and sx.held.size
+    assert peak < 1.75 * np.zeros(every_row).nbytes
 
 
 # build_model hands the kernel a start basis, each commodity's
@@ -1087,16 +1134,17 @@ def test_tree_start_without_a_route_to_every_node_and_with_free_edges():
 
 def test_empty_start_is_the_slack_basis():
     """A model with an empty start, as a model not made by build_model has,
-    starts from the slack basis: the tableau is [A | b] bit for bit, every
-    slack basic (``exchanged`` checks both). On 12-0.3-6-1 the dual simplex
-    takes the 124 pivots it took from there before the tree start, which
-    takes 72, to the same optimum."""
+    starts from the slack basis: the tableau is [A | b] of the rows not
+    held back bit for bit, every slack of those basic (``exchanged`` checks
+    both). On 12-0.3-6-1 the dual simplex takes 124 pivots from there
+    (124 too with every row from the start) and 71 from the tree start (72
+    with every row), to the same optimum."""
     inst = generate_instance(12, 0.3, 6, 1)
     model = build_model(inst, compute_big_m(inst))
     slack = replace(model, start=(np.empty(0, dtype=int), np.empty(0, dtype=int)))
     exchanged(slack, [])
     tree, cold = solve_lp(model), solve_lp(slack)
-    assert (tree.iterations, cold.iterations) == (72, 124)
+    assert (tree.iterations, cold.iterations) == (71, 124)
     assert cold.objective == pytest.approx(tree.objective, rel=1e-12)
 
 
@@ -1118,6 +1166,103 @@ def test_start_refused_unless_a_dual_feasible_triangular_basis_of_equalities(wor
     for match, start in refused.items():
         with pytest.raises(ValueError, match=match):
             solve_lp(replace(model, start=tuple(np.array(a) for a in start)))
+
+
+# build_model holds its optimality rows back (MipModel.lazy): a solve adds
+# one to the live tableau only once its point violates it, and solve_bnb
+# adds the rest to its root. These tests pin the result to every row and
+# the rows added to the algebra.
+
+
+@given(case=generated_models())
+def test_held_back_rows_hold_at_the_optimum(case):
+    """Whatever rows a solve held back, its optimum is HiGHS's over every
+    row within a relative 1e-9, every row and bound holds at its point, and
+    the reduced costs of the movable nonbasic variables have the sign
+    their moves need, within OPT_TOL; those of the result are the
+    structural ones, 0 on a ``pi`` column that meets no row added."""
+    _, model = case
+    res = solve_lp(model)
+    ref = scipy_solve(model)
+    assert res.status == "optimal" and ref.status == 0
+    assert abs(res.objective - ref.fun) <= 1e-9 * (1 + abs(ref.fun))
+    assert residuals_ok(model, res.values)
+    sx = res.start.sx
+    d = sx._reduced_costs()
+    assert np.all(sx.move[sx.movable] * d[sx.movable] >= -milp.OPT_TOL)
+    structural = sx.nb < model.num_vars
+    assert np.array_equal(res.reduced_costs[sx.nb[structural]], d[structural])
+    live = np.setdiff1d(np.arange(len(model.rows)), sx.held)
+    met = np.zeros(model.num_vars, dtype=bool)
+    for i in live:
+        met[model.rows[i].cols] = True
+    assert np.all(res.reduced_costs[~met] == 0.0)
+
+
+@pytest.mark.parametrize("case", [(8, 0.5, 4, 1), (6, 0.8, 3, 3), (12, 0.3, 6, 1)], ids=["8-0.5-4-1", "6-0.8-3-3", "12-0.3-6-1"])
+def test_completed_root_is_the_tableau_of_every_row(case):
+    """Once solve_bnb has added every held-back row to its root, the
+    root's tableau is B^-1 [N | b] of ``[A | I | b]`` over every row for
+    its final basis, as np.linalg.solve gives it, and its kept pricing
+    state is what it stands for; its point is the root's."""
+    inst = generate_instance(*case)
+    model = build_model(inst, compute_big_m(inst))
+    root = solve_lp(model)
+    sx = root.start.sx
+    assert sx.held.size and sx.m < len(model.rows)
+    solve_bnb(model, model.integer_ok, root)
+    assert sx.held.size == 0 and sx.m == len(model.rows)
+    assert_basis_inverse_times_start(sx, a_i_b_of(model), model, rtol=1e-12)
+    check_kept_state(sx, model)
+    assert np.array_equal(sx.values[: model.num_vars], root.values)
+    assert np.max(np.maximum(sx.lbb - sx.xb, sx.xb - sx.ubb)) <= milp.FEAS_TOL
+
+
+def test_solve_cut_before_any_row_was_added_still_bounds(monkeypatch):
+    """A solve whose deadline falls before its point was first primal
+    feasible (pivot 70 on 12-0.3-6-1) has added no row. Its basis is dual
+    feasible for the LP without the rows it held back, a relaxation, so its
+    bound is at most the LP optimum over every row."""
+    inst = generate_instance(12, 0.3, 6, 1)
+    model = build_model(inst, compute_big_m(inst))
+    optimum = solve_lp(model).objective
+    rounds = rounds_of_rows(monkeypatch)
+    for pivots in (0, 20, 50, 69):
+        # a clock that ticks once per reading: the dual reads it once before
+        # each pivot
+        ticks = itertools.count()
+        monkeypatch.setattr(milp.time, "monotonic", lambda: float(next(ticks)))
+        cut = solve_lp(model, deadline=float(pivots))
+        assert (cut.status, cut.iterations) == ("iteration-limit", pivots)
+        assert -math.inf < cut.bound <= optimum
+    assert rounds == []
+
+
+def test_two_bnb_calls_add_their_roots_rows_once(monkeypatch):
+    """Two solve_bnb calls from one root add the rows its solve held back
+    once, in the first call, find the same bytes, and find what a B&B
+    from a root solved with every row from the start finds."""
+    inst = generate_instance(8, 0.5, 4, 1)
+    model = build_model(inst, compute_big_m(inst))
+    every = replace(model, lazy=np.empty(0, dtype=int))
+    expected = solve_bnb(every, every.integer_ok, solve_lp(every))
+    root = solve_lp(model)
+    held = root.start.sx.held.size
+    added = []
+    add_rows = milp._Simplex.add_rows
+
+    def counted(self, which=None):
+        before = self.held.size
+        add_rows(self, which)
+        added.append(before - self.held.size)
+
+    monkeypatch.setattr(milp._Simplex, "add_rows", counted)
+    first, second = (solve_bnb(model, model.integer_ok, root) for _ in range(2))
+    assert held and [n for n in added if n] == [held]
+    assert (first.status, first.objective, first.nodes) == (second.status, second.objective, second.nodes)
+    assert first.values.tobytes() == second.values.tobytes()
+    assert first.status == expected.status == "optimal"
+    assert first.objective == pytest.approx(expected.objective, rel=1e-9)
 
 
 def test_cut_solve_bounds_with_a_margin():
@@ -1179,7 +1324,8 @@ def test_dual_stops_on_a_reduced_cost_that_is_not_finite(monkeypatch):
     model = tiny_model([1.0, 1.0], [0.0, 0.0], [5.0, 5.0], rows=[([0, 1], [1.0, 1.0], SENSE_GE, 1.0)])
     assert solve_lp(model).iterations == 1
     sx = milp._Simplex(model, model.lb.copy(), model.ub.copy(), 100)
-    monkeypatch.setattr(milp._Simplex, "_reduced_costs", lambda self: np.full(self.nb.size, math.nan))
+    # the dual reads the reduced costs the constructor derived
+    monkeypatch.setattr(milp._Simplex, "_derived_d", lambda self: np.full(self.nb.size, math.nan))
     assert sx.solve() == "iteration-limit"
     assert sx.iterations == 0
 
