@@ -18,11 +18,10 @@ variables and m live rows, where the full tableau ``B^-1 [A | I | b]``
 would be m x (n + m + 1). The rows a model lets the kernel hold back
 (``MipModel.lazy``: the optimality rows of ``build_model``) are not live
 at a cold start: each has no tableau row, and its slack is in no basis
-and no slot. At each primal feasible point the dual evaluates them and
-adds every one the point violates by more than ``FEAS_TOL`` to the live
-tableau, its slack basic, and goes on pivoting (``_Simplex.add_rows``);
-``solve_bnb`` adds those still held back to its root, so every B&B node
-works on every row. On 15-0.25-8-1 the cold tableau is 328 x 451 and
+and no slot. At each optimum of the live rows ``solve_lp`` adds every one
+the point violates by more than ``FEAS_TOL``, its slack basic, and solves
+again; ``solve_bnb`` adds those still held back to its root, so every B&B
+node works on every row. On 15-0.25-8-1 the cold tableau is 328 x 451 and
 the optimal one 329 x 451, where every row from the start takes
 744 x 451, and the full tableau 744 x 1,307.
 It is a bounded dual simplex, the kernel's only algorithm, and prices by
@@ -52,12 +51,13 @@ each other structural variable nonbasic at the bound its cost points to
 each commodity's shortest-path in-tree toward its destination, a crash
 basis in the sense of Bixby (*Implementing the simplex method: the
 initial basis*, ORSA J. Comput. 4, 1992) that routes every commodity
-before the first pivot; an empty start is the slack basis. The cold
-tableau is built without pivots or LAPACK: ``[N | b]`` is filled straight
-from ``MipModel.rows``, and the start block, unit lower triangular, is
-eliminated row by row, which is exact on these models' 0/+-1 entries, so
-the tableau is the only dense copy of the model and numpy is all it
-needs. A start that is not of distinct columns in distinct equality rows,
+before the first pivot; an empty start is the slack basis. One routine
+writes a row into the tableau, ``_Simplex.add_rows``, without pivots or
+LAPACK, and the cold tableau is a tableau of no rows that it adds every
+row not held back to; the start block is unit lower triangular, and its
+elimination exact on these models' 0/+-1 entries, so the tableau is the
+only dense copy of the model and numpy is all it needs.
+A start that is not of distinct columns in distinct equality rows,
 not unit lower triangular or not dual feasible (up to ``OPT_TOL``) is
 refused with ``ValueError``, and so is a variable unbounded in the
 direction its cost falls, a free one included; every model built in this
@@ -157,10 +157,13 @@ def _near_max(values: np.ndarray, ids: np.ndarray | None = None) -> int:
 
 
 def _entries(rows) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The entries of a nonempty list of rows: their rows, columns and
+    """The entries of a list of rows: their rows, columns and
     coefficients."""
-    at_row = np.repeat(np.arange(len(rows)), [row.cols.size for row in rows])
-    return at_row, np.concatenate([row.cols for row in rows]), np.concatenate([row.coefs for row in rows])
+    if not rows:
+        return np.empty(0, dtype=int), np.empty(0, dtype=int), np.empty(0)
+    cols = [row.cols for row in rows]
+    at_row = np.repeat(np.arange(len(rows)), list(map(len, cols)))
+    return at_row, np.concatenate(cols), np.concatenate([row.coefs for row in rows])
 
 
 @dataclass
@@ -195,10 +198,11 @@ class _Simplex:
     """One solver state, solved by ``solve``, the dual simplex. The
     constructor builds the cold start, the model's start basis of
     ``[A | I]`` over the rows not held back (``MipModel.lazy``) with each
-    nonbasic structural variable at the bound its cost points to; it
-    refuses a start that is not a dual feasible, unit lower triangular
-    basis of equality rows, a start row held back, and a variable
-    unbounded in the direction its cost falls.
+    nonbasic structural variable at the bound its cost points to, by
+    ``add_rows`` on a tableau of no rows; it refuses a start that is not a
+    dual feasible, unit lower triangular basis of equality rows, a start
+    row held back, and a variable unbounded in the direction its cost
+    falls.
     A warm start puts new bounds on a solved state, after a ``rebase`` to
     another basis of the same rows if need be.
 
@@ -207,11 +211,12 @@ class _Simplex:
     basic ones, whose columns are unit vectors. ``nb[s]`` is the variable
     in slot ``s`` and ``slot[j]`` the slot of variable ``j``, -1 while
     ``j`` is basic and always for a start row's slack and for the slack of
-    a row still held back (``held``, by model row); at a pivot the leaving
-    variable takes the entering one's slot, and ``add_rows`` appends a row
-    with its slack basic. The reduced costs ``d`` and the pricing state
-    ``move`` and ``movable`` are kept by slot; ``d`` is derived from the
-    tableau again only after a pivot, a rebase or new bounds."""
+    a row still held back (``held``, the model rows not yet live); at a
+    pivot the leaving variable takes the entering one's slot, and
+    ``add_rows`` appends a row with its basic variable. The reduced costs
+    ``d`` and the pricing state ``move`` and ``movable`` are kept by slot;
+    ``d`` is derived from the tableau again only after a pivot or a
+    rebase."""
 
     def __init__(self, model: MipModel, lb: np.ndarray, ub: np.ndarray, iter_limit: int):
         rows = model.rows
@@ -237,23 +242,33 @@ class _Simplex:
             or any(rows[i].sense != SENSE_EQ for i in start_rows.tolist())
         ):
             raise ValueError("the start basis needs distinct structural columns in distinct equality rows")
-        held = np.zeros(m, dtype=bool)
-        held[model.lazy] = True
-        if held[start_rows].any():
+        lazy = np.zeros(m, dtype=bool)
+        lazy[model.lazy] = True
+        if lazy[start_rows].any():
             raise ValueError("a start row cannot be held back")
-        # the live rows, by position in the tableau: every row not held
-        # back, in model order, then each held-back row as it is added
-        live = np.flatnonzero(~held)
-        self.held = np.flatnonzero(held)
-        self.m = live.size
-        position = np.full(m, -1)
-        position[live] = np.arange(live.size)
-        # the start basis: each start column basic in its start row, every
-        # other live row's slack basic; a start row's slack is fixed at 0,
+        # every row's entries and right-hand side, kept once
+        self._at_row, self._cols, self._coefs = _entries(rows)
+        self._rhs = np.array([row.rhs for row in rows], dtype=float)
+        # start row i must meet start column i with coefficient 1 and no
+        # start column after it
+        col_pos = np.full(n, -1)
+        col_pos[start_cols] = np.arange(start_cols.size)
+        row_pos = np.full(m, -1)
+        row_pos[start_rows] = np.arange(start_rows.size)
+        col_pos, row_pos = col_pos[self._cols], row_pos[self._at_row]
+        diagonal = (row_pos == col_pos) & (row_pos >= 0)
+        if (
+            np.any((row_pos >= 0) & (row_pos < col_pos))
+            or np.count_nonzero(diagonal) != start_cols.size
+            or np.any(self._coefs[diagonal] != 1.0)
+        ):
+            raise ValueError("the start basis is not unit lower triangular")
+        # each row's basic variable once it is live: its start column for a
+        # start row, its slack otherwise. A start row's slack is fixed at 0,
         # so it never enters and gets no slot, and a held-back row's slack
         # is in no basis and no slot until its row is added
-        self.basis = n + live
-        self.basis[position[start_rows]] = start_cols
+        self._basic_of = n + np.arange(m)
+        self._basic_of[start_rows] = start_cols
         nonbasic = np.ones(n, dtype=bool)
         nonbasic[start_cols] = False
         self.nb = np.flatnonzero(nonbasic)
@@ -269,75 +284,33 @@ class _Simplex:
         self.deadline = math.inf  # in time.monotonic(); a solve stops there as at iter_limit
         self.iterations = 0
         self.ncols = n + m
-        # the starting tableau B^-1 [N | b] over the live rows, N the
-        # nonbasic structurals in id order: [N | b] filled by one assignment
-        # of the rows' entries, then the start columns eliminated. Its
-        # array, and the pending block's, have room for every row, so that
-        # a row is added in place; the rows past the live ones are left
-        # unwritten until then, so that they take no memory.
+        # the tableau B^-1 [N | b], N the nonbasic structurals in id order,
+        # starts with no row, every row held. Its array, and the pending
+        # block's, have room for every row, so that a row is added in
+        # place; the rows past the live ones are left unwritten until then,
+        # so that they take no memory.
+        self.held = np.arange(m)
+        self.m = 0
+        self.basis = np.empty(0, dtype=int)
         self._tableau_rows = np.empty((m, self.nb.size + 1))
         self._pend_c_rows = np.empty((m, _REFRESH))
         self._view_rows()
-        self.tableau.fill(0.0)
-        # the held-back rows' entries (by index into ``held``), right-hand
-        # sides and slack ids, to evaluate them at a point and add them
-        self._held_at = self._held_cols = np.empty(0, dtype=int)
-        self._held_coefs = self._held_rhs = np.empty(0)
-        if m:
-            at_row, cols, coefs = _entries(rows)
-            rhs = np.array([row.rhs for row in rows])
-            at = position[at_row]
-            out = at < 0
-            self._held_at = np.searchsorted(self.held, at_row[out])
-            self._held_cols, self._held_coefs, self._held_rhs = cols[out], coefs[out], rhs[self.held]
-            at, cols, coefs = at[~out], cols[~out], coefs[~out]
-            slots = self.slot[cols]
-            own = slots >= 0
-            self.tableau[at[own], slots[own]] = coefs[own]
-            self.tableau[:, -1] = rhs[live]
-            self._eliminate_start(position[start_rows], start_cols, at[~own], cols[~own], coefs[~own])
         # pivots held back from the tableau: the live tableau is
         # tableau - pend_c[:, :pend_k] @ pend_r[:pend_k]
         self.pend_r = np.empty((_REFRESH, self.nb.size + 1))
         self.pend_k = 0
-        # Devex reference weights of the dual pricing, one per row
-        self.row_weights = np.ones(self.m)
+        # the basic values and the Devex reference weights, one per row
+        self.xb, self.row_weights = np.empty(0), np.empty(0)
         self._sync()
-        self._refresh_xb()
+        # the live rows, by position in the tableau: every row not held
+        # back, in model order, then each held-back row as it is added
+        self.add_rows(np.flatnonzero(~lazy))
         # the reduced costs last derived from the tableau, by slot; None once
-        # a pivot, a rebase or new bounds may have made them stale
+        # a pivot or a rebase may have made them stale
         self._d: np.ndarray | None = None
         d = self._derived_d()
         if not np.all(self.move[self.movable] * d[self.movable] >= -OPT_TOL):
             raise ValueError("the start basis is not dual feasible")
-
-    def _eliminate_start(self, start_rows, start_cols, at_row, cols, coefs) -> None:
-        """Turns the tableau ``[N | b]`` into ``B^-1 [N | b]`` for the start
-        basis, given the start rows' positions and the start columns'
-        entries in the live rows (``at_row`` by position, ``cols``,
-        ``coefs``): start column i, in start order, is eliminated from
-        every other row it meets with start row i, which is then final,
-        since the start block is unit lower triangular. On the models
-        ``build_model`` makes every live entry is 0 or +-1, so this is
-        exact."""
-        col_pos = np.full(self.ncols, -1)
-        col_pos[start_cols] = np.arange(start_cols.size)
-        col_pos = col_pos[cols]
-        row_pos = np.full(self.m, -1)
-        row_pos[start_rows] = np.arange(start_rows.size)
-        row_pos = row_pos[at_row]
-        diagonal = row_pos == col_pos
-        if (
-            np.any((row_pos >= 0) & (row_pos < col_pos))
-            or np.count_nonzero(diagonal) != start_cols.size
-            or np.any(coefs[diagonal] != 1.0)
-        ):
-            raise ValueError("the start basis is not unit lower triangular")
-        tableau, pivot_rows = self.tableau, start_rows.tolist()
-        order = np.lexsort((at_row, col_pos))
-        order = order[~diagonal[order]]
-        for i, r, a in zip(col_pos[order].tolist(), at_row[order].tolist(), coefs[order].tolist()):
-            tableau[r] -= a * tableau[pivot_rows[i]]
 
     def _view_rows(self) -> None:
         """Points ``tableau`` and ``pend_c`` at the live rows of the arrays
@@ -364,7 +337,11 @@ class _Simplex:
         column that differs. Then takes the nonbasic flags ``at_upper`` and
         re-derives ``xb`` under the current bounds. Returns False, on a
         tableau that is still valid but not on ``basis``, when a wanted
-        column has no entry above ``PIVOT_TOL`` to pivot on."""
+        column has no entry above ``PIVOT_TOL`` to pivot on. A basis of
+        another number of rows than the live tableau's is refused with
+        ``ValueError``."""
+        if basis.size != self.m:
+            raise ValueError(f"a basis of {basis.size} rows cannot be reached on a tableau of {self.m}")
         wanted = np.zeros(self.ncols, dtype=bool)
         wanted[basis] = True
         self._d = None
@@ -400,11 +377,11 @@ class _Simplex:
         """New structural bounds. ``xb`` is left as it is, which is right when
         only basic variables change bounds (a branch on the current basis) or
         the bounds tighten around the current point (every nonbasic variable
-        keeps its value); ``rebase`` re-derives it otherwise."""
+        keeps its value); ``rebase`` re-derives it otherwise. The reduced
+        costs do not depend on the bounds and are kept."""
         n = lb.size
         self.l[:n] = lb
         self.u[:n] = ub
-        self._d = None
         self._sync()
 
     def _col(self, s: int) -> np.ndarray:
@@ -446,61 +423,80 @@ class _Simplex:
     def _violated(self) -> np.ndarray:
         """The held-back rows that the point ``values`` violates by more
         than ``FEAS_TOL``, by index into ``held``."""
-        terms = self._held_coefs * self.values[self._held_cols]
-        slack = self._held_rhs - np.bincount(self._held_at, terms, minlength=self.held.size)
+        activity = np.bincount(self._at_row, self._coefs * self.values[self._cols], minlength=self._rhs.size)
+        slack = self._rhs[self.held] - activity[self.held]
         ids = self.n + self.held
         return np.flatnonzero((slack < self.l[ids] - FEAS_TOL) | (slack > self.u[ids] + FEAS_TOL))
 
     def add_rows(self, which: np.ndarray | None = None) -> None:
-        """Adds the held-back rows ``which`` (by index into ``held``; all of
-        them by default) to the live tableau, each with its slack basic at
-        its row's value and Devex weight 1. A new row of ``B^-1 [N | b]``
-        is the row's coefficients on the slots and its right-hand side,
-        less, for each basic variable it meets, the coefficient times that
-        variable's row. The slacks cost 0, so the reduced costs stay as
-        they are; no pivot is taken."""
-        which = np.arange(self.held.size) if which is None else np.unique(which)
-        if not which.size:
+        """Appends the held rows ``which`` (increasing indices into
+        ``held``; all of them by default) to the live tableau, each with
+        its basic variable (``_basic_of``) at its row's value and Devex
+        weight 1. A new row of ``B^-1 [N | b]`` is the row's coefficients
+        on the slots and its right-hand side, less, for each other basic
+        variable it meets, in entry order, the coefficient times that
+        variable's row, which must be final first: the rows go level by
+        level (a start row after those of the start columns it meets), and
+        within a level rank k takes the k-th such entry of every row. A
+        held-back row's slack costs 0, so the reduced costs stay as they
+        are."""
+        rows = self.held if which is None else self.held[which]
+        if not rows.size:
             return
         self._flush()
-        added = np.full(self.held.size, -1)
-        added[which] = np.arange(which.size)
-        at = added[self._held_at]
+        old = self.m
+        self.m += rows.size
+        self._view_rows()
+        basic = self._basic_of[rows]
+        self.basis = np.concatenate([self.basis, basic])
+        added = np.full(self._rhs.size, -1)
+        added[rows] = np.arange(old, self.m)
+        at = added[self._at_row]
         mine = at >= 0
-        at, cols, coefs = at[mine], self._held_cols[mine], self._held_coefs[mine]
-        rows = self._tableau_rows[self.m : self.m + which.size]
-        rows.fill(0.0)
-        rows[:, -1] = self._held_rhs[which]
+        at, cols, coefs = at[mine], self._cols[mine], self._coefs[mine]
+        tableau = self.tableau
+        tableau[old:].fill(0.0)
+        tableau[old:, -1] = self._rhs[rows]
         slots = self.slot[cols]
         own = slots >= 0
-        rows[at[own], slots[own]] = coefs[own]
-        # each basic entry's row, in the order of the row's entries: rank k
-        # takes the k-th basic entry of every new row at once
+        tableau[at[own], slots[own]] = coefs[own]
+        # each basic entry but a row's own, with the row of its variable
         position = np.full(self.ncols, -1)
         position[self.basis] = np.arange(self.m)
-        at, basic, coefs = at[~own], position[cols[~own]], coefs[~own]
+        at, basic_at, coefs = at[~own], position[cols[~own]], coefs[~own]
+        other = basic_at != at
+        at, basic_at, coefs = at[other], basic_at[other], coefs[other]
         rank = np.arange(at.size) - np.searchsorted(at, at)
-        for k in range(int(rank.max(initial=-1)) + 1):
-            take = rank == k
-            rows[at[take]] -= coefs[take, None] * self.tableau[basic[take]]
-        ids = self.n + self.held[which]
-        xb, _ = self._basic_values(rows)
-        self.basis = np.concatenate([self.basis, ids])
+        # a row's level: one more than the most of the new rows it meets;
+        # finite, as the constructor refuses a start not lower triangular
+        level = np.zeros(self.m, dtype=int)
+        on_new = basic_at >= old
+        src, dst = basic_at[on_new], at[on_new]
+        total = 0
+        while src.size:
+            np.maximum.at(level, dst, level[src] + 1)
+            total, before = level.sum(), total
+            if total == before:
+                break
+        # one batch per level, rank and kind of coefficient: a batch of +1s
+        # or of -1s subtracts or adds the rows as they are
+        unit = np.abs(coefs) == 1.0
+        key = (level[at] * (int(rank.max(initial=0)) + 1) + rank) * 3 + np.where(unit, coefs < 0.0, 2)
+        order = np.argsort(key, kind="stable")
+        for take in np.split(order, np.flatnonzero(np.diff(key[order])) + 1) if order.size else ():
+            if not unit[take[0]]:
+                tableau[at[take]] -= coefs[take, None] * tableau[basic_at[take]]
+            elif coefs[take[0]] > 0.0:
+                tableau[at[take]] -= tableau[basic_at[take]]
+            else:
+                tableau[at[take]] += tableau[basic_at[take]]
+        xb, self.values = self._basic_values(tableau[old:])
         self.xb = np.concatenate([self.xb, xb])
-        self.values[ids] = xb
-        self.lbb = np.concatenate([self.lbb, self.l[ids]])
-        self.ubb = np.concatenate([self.ubb, self.u[ids]])
-        self.row_weights = np.concatenate([self.row_weights, np.ones(which.size)])
-        self.m += which.size
-        self._view_rows()
-        # the rows still held back, with their entries re-indexed
-        kept = np.ones(self.held.size, dtype=bool)
-        kept[which] = False
-        index = np.cumsum(kept) - 1
-        mine = kept[self._held_at]
-        self._held_at = index[self._held_at[mine]]
-        self._held_cols, self._held_coefs = self._held_cols[mine], self._held_coefs[mine]
-        self.held, self._held_rhs = self.held[kept], self._held_rhs[kept]
+        self.values[self.basis] = self.xb
+        self.lbb = np.concatenate([self.lbb, self.l[basic]])
+        self.ubb = np.concatenate([self.ubb, self.u[basic]])
+        self.row_weights = np.concatenate([self.row_weights, np.ones(rows.size)])
+        self.held = np.delete(self.held, slice(None) if which is None else which)
 
     def _reduced_costs(self) -> np.ndarray:
         """The reduced costs of the nonbasic variables, by slot."""
@@ -509,7 +505,7 @@ class _Simplex:
 
     def _derived_d(self) -> np.ndarray:
         """The reduced costs derived from the tableau, derived again only
-        when a pivot, a rebase or new bounds came since the last time. A
+        when a pivot or a rebase came since the last time. A
         caller that updates them in place must clear ``_d``, as
         ``_pivot`` does."""
         if self._d is None:
@@ -522,10 +518,9 @@ class _Simplex:
         point is primal feasible. Dual Devex pricing picks the leaving row
         (the largest infeasibility^2 / w_i, with every row weight 1 at the
         start of each call) and Harris's two-pass ratio test the entering
-        column. Once primal feasible, it re-derives the point from the
-        tableau and adds every held-back row the point violates by more
-        than ``FEAS_TOL``, then goes on; with none to add, it re-derives the
-        reduced costs and returns ``STATUS_OPTIMAL``, however late. Ends
+        column. Once primal feasible, it re-derives the point and the
+        reduced costs from the tableau and returns ``STATUS_OPTIMAL``,
+        however late. Ends
         with ``STATUS_ITERATION_LIMIT`` at the pivot budget or the
         deadline, and also when rounding has spoilt the tableau: the
         point is no longer finite, the entering column's entry in the pivot
@@ -535,8 +530,8 @@ class _Simplex:
         ratio test rules out but for rounding."""
         d = self._derived_d()
         since_refresh = 0
-        # the kept state, bound once: pivots update these arrays in place;
-        # _refresh_xb replaces xb, and add_rows all but the slot-sized ones
+        # the kept state, bound once: pivots update these arrays in place,
+        # and _refresh_xb replaces xb
         xb, lbb, ubb, weights = self.xb, self.lbb, self.ubb, self.row_weights
         move, movable, nb = self.move, self.movable, self.nb
         # work arrays, rewritten in place at every pivot
@@ -558,16 +553,6 @@ class _Simplex:
                 return STATUS_ITERATION_LIMIT
             if top <= FEAS_TOL:
                 self._refresh_xb()
-                if self.held.size:
-                    add = self._violated()
-                    if add.size:
-                        # the new rows' slacks are basic, and infeasible:
-                        # the dual goes on from here over every live row
-                        self.add_rows(add)
-                        xb, lbb, ubb, weights = self.xb, self.lbb, self.ubb, self.row_weights
-                        below, worst, shift, price = (np.empty(self.m) for _ in range(4))
-                        infeasible = np.empty(self.m, dtype=bool)
-                        continue
                 d = self._derived_d()
                 if not np.all(move[movable] * d[movable] >= -OPT_TOL):
                     return STATUS_ITERATION_LIMIT
@@ -687,7 +672,10 @@ def solve_lp(model: MipModel, *, deadline: float | None = None) -> LpResult:
     the model's bounds stay as they are or tighten around its point.
 
     The solve adds a row of ``model.lazy`` only once its point violates
-    it, yet the result covers every row: an optimal point satisfies the
+    it: at each optimum of the live rows it adds every held-back row the
+    point violates by more than ``FEAS_TOL`` and solves again, from that
+    basis, until none is. Yet the result covers every row: an optimal
+    point satisfies the
     rows still held back within ``FEAS_TOL``, whose slacks are basic, so
     the reduced costs are those of the full LP (0 on a variable that only
     such rows meet); a cut solve's ``bound`` is one on the LP of the rows
@@ -698,6 +686,14 @@ def solve_lp(model: MipModel, *, deadline: float | None = None) -> LpResult:
     sx = _Simplex(model, lb, ub, limit)
     sx.deadline = math.inf if deadline is None else deadline
     status = sx.solve()
+    while status == STATUS_OPTIMAL and sx.held.size:
+        add = sx._violated()
+        if not add.size:
+            break
+        # the new rows' slacks are basic, and infeasible: the dual goes on
+        # from here over every live row
+        sx.add_rows(add)
+        status = sx.solve()
     if status != STATUS_OPTIMAL:
         sx._refresh_xb()  # the point of the basis the solve stopped on
     d = np.zeros(sx.ncols)
@@ -730,13 +726,13 @@ def _dual_bound(model: MipModel, sx: _Simplex, objective: float, d: np.ndarray) 
     n, m = model.num_vars, len(model.rows)
     ranges = sx.u - sx.l
     if m:
-        at_row, cols, coefs = _entries(model.rows)
+        at_row, cols, coefs = sx._at_row, sx._cols, sx._coefs
         with np.errstate(invalid="ignore"):
             ends = np.stack([coefs * sx.l[cols], coefs * sx.u[cols]])
         ends[:, coefs == 0.0] = 0.0
         reach_lo = np.bincount(at_row, ends.min(axis=0), minlength=m)
         reach_hi = np.bincount(at_row, ends.max(axis=0), minlength=m)
-        rhs = np.array([row.rhs for row in model.rows])
+        rhs = sx._rhs
         # the slack of row i is rhs_i - (row activity)
         lo = np.maximum(sx.l[n:], rhs - reach_hi)
         hi = np.minimum(sx.u[n:], rhs - reach_lo)

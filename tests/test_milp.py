@@ -714,12 +714,13 @@ def test_rebase_past_a_full_block(monkeypatch):
 
 def rounds_of_rows(monkeypatch) -> list[int]:
     """Records, per round of rows a solve adds at a primal feasible point,
-    how many it adds."""
+    how many it adds. The constructor's call, which adds the rows not held
+    back to a tableau of no rows, is not a round."""
     add_rows = milp._Simplex.add_rows
     rounds: list[int] = []
 
     def counted(self, which=None):
-        if which is not None:
+        if which is not None and self.m:
             rounds.append(len(which))
         add_rows(self, which)
 
@@ -1166,6 +1167,72 @@ def test_start_refused_unless_a_dual_feasible_triangular_basis_of_equalities(wor
     for match, start in refused.items():
         with pytest.raises(ValueError, match=match):
             solve_lp(replace(model, start=tuple(np.array(a) for a in start)))
+
+
+def test_start_of_four_levels_is_exact():
+    """A hand-built start of four levels, listed lower triangular but
+    scattered over the model's rows: start row i meets start column i and
+    those of start rows before it, with coefficients other than +-1 on the
+    nonbasic columns. Each coupling row meets start columns of several
+    levels, and so does a held-back row. The starting tableau is
+    B^-1 [N | b] of ``[A | I | b]`` as np.linalg.solve gives it, and so is
+    the tableau once the held-back row is added; the LP solves to HiGHS's
+    optimum."""
+    le, ge, eq = SENSE_LE, SENSE_GE, SENSE_EQ
+    rows = [
+        ([0, 2, 5], [1.0, 1.0, -1.0], le, 4.0),  # levels 0 and 2
+        ([2, 1, 0, 6], [1.0, -1.0, 1.0, 1.0], eq, 2.0),  # start row 2
+        ([0, 4], [1.0, 2.0], eq, 3.0),  # start row 0
+        ([1, 3, 6], [1.0, -1.0, 1.0], ge, -2.0),  # levels 1 and 3
+        ([3, 2, 0, 4], [1.0, -1.0, -1.0, 3.0], eq, 1.0),  # start row 3
+        ([1, 0, 5], [1.0, -1.0, 1.0], eq, 1.0),  # start row 1
+        ([3, 1, 0, 4], [1.0, 1.0, 1.0, 1.0], le, 8.0),  # levels 0, 1 and 3
+        ([3, 1, 0, 5], [1.0, -1.0, 1.0, 0.5], le, 6.0),  # held back
+    ]
+    model = tiny_model([0.0, 0.0, 0.0, 0.0, 1.0, 2.0, 1.5], [0.0] * 7, [10.0] * 7, rows=rows)
+    model = replace(model, start=(np.array([2, 5, 1, 4]), np.arange(4)), lazy=np.array([7]))
+    sx, a_i_b = exchanged(model, [])  # checks B^-1 [N | b] of the live rows
+    sx.add_rows()
+    assert sx.held.size == 0
+    assert_basis_inverse_times_start(sx, a_i_b, model, rtol=1e-12)
+    res, ref = solve_lp(model), scipy_solve(model)
+    assert res.status == "optimal" and ref.status == 0
+    assert abs(res.objective - ref.fun) <= 1e-9 * (1 + abs(ref.fun))
+    assert residuals_ok(model, res.values)
+
+
+def test_a_row_is_the_same_whenever_it_enters():
+    """The held-back rows of 15-0.25-8-1 added to the cold tableau, or
+    added with every other row by the constructor when none is held back,
+    give the same tableau row for each basic variable, bit for bit, and
+    the same basic values."""
+    inst = generate_instance(15, 0.25, 8, 1)
+    model = build_model(inst, compute_big_m(inst))
+    later = milp._Simplex(model, model.lb.copy(), model.ub.copy(), 0)
+    assert later.held.size
+    later.add_rows()
+    every = replace(model, lazy=np.empty(0, dtype=int))
+    at_once = milp._Simplex(every, every.lb.copy(), every.ub.copy(), 0)
+    assert at_once.held.size == later.held.size == 0
+    assert np.array_equal(later.nb, at_once.nb)
+    mine, theirs = np.argsort(later.basis), np.argsort(at_once.basis)
+    assert np.array_equal(later.basis[mine], at_once.basis[theirs])
+    assert later.tableau[mine].tobytes() == at_once.tableau[theirs].tobytes()
+    assert later.xb[mine].tobytes() == at_once.xb[theirs].tobytes()
+
+
+def test_rebase_refuses_a_basis_of_other_rows():
+    """A state that added every held-back row has more rows than its cold
+    root's basis covers, so a basis exchange to that basis is refused
+    rather than left on extra basic variables."""
+    inst = generate_instance(12, 0.3, 6, 1)
+    model = build_model(inst, compute_big_m(inst))
+    root = solve_lp(model).start.sx
+    grown = root.copy()
+    grown.add_rows()
+    assert grown.m > root.m
+    with pytest.raises(ValueError, match="a basis of 187 rows"):
+        grown.rebase(root.basis, root.at_upper)
 
 
 # build_model holds its optimality rows back (MipModel.lazy): a solve adds

@@ -5,7 +5,7 @@ every run goes through local branching and the perturbation rounds).
 Usage, from the repository root:
 
     python3 tools/sweep.py --seeds 1-5 --out sweep.ndjson
-    python3 tools/sweep.py --seeds 1-5 --against tools/sweep-d2358a4.ndjson
+    python3 tools/sweep.py --seeds 1-5 --against tools/sweep-8ab8f63.ndjson
 
 Writes one JSON line per run (instance, seed, mode, cost, bound, status,
 trajectory costs, a SHA-256 of the design, B&B nodes and simplex pivots),
