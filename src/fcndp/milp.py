@@ -90,10 +90,11 @@ their bounds, the reduced costs, the move directions and the Devex
 weights. Every pricing and ratio-test choice counts values within a
 relative 1e-9 of the best as tied. The leaving row's ties go to the lowest
 row. The ratio test's go to the largest pivot, then to the lowest variable
-id; a lone candidate needs no tie-break. A basis exchange's ties go to the
-lowest row. The matrix products round as the BLAS kernel does (OpenBLAS's
-SkylakeX kernel also by thread count), and the tolerance keeps those last
-bits from picking the pivots. The values still differ in their last
+id; a lone near column, the only one whose own ratio fits in the step,
+needs no tie-break. A basis exchange's ties go to the lowest row. The
+matrix products round as the BLAS kernel does (OpenBLAS's SkylakeX kernel
+also by thread count), and the tolerance keeps those last bits from
+picking the pivots. The values still differ in their last
 bits, and the B&B's branching and its callers' rounding can turn on them,
 so solves are bit-reproducible only under one BLAS build and thread count.
 """
@@ -140,30 +141,32 @@ def _near_max(values: np.ndarray, ids: np.ndarray | None = None) -> int:
     within a relative 1e-9 of the largest, which must be positive (a NaN
     wins outright); ``ids`` defaults to the positions. Entries that only
     rounding tells apart tie, so the choice does not turn on how a BLAS
-    kernel rounds."""
-    if ids is None:
-        # argmax finds the best, or the first NaN, and only entries before
-        # it can tie
-        best = int(values.argmax())
-        top = float(values[best])
-        if best == 0 or math.isnan(top):
-            return best
-        return int((values[: best + 1] >= top * (1.0 - 1e-9)).argmax())
-    top = np.maximum.reduce(values)
+    kernel rounds. A lone entry needs no tie-break."""
+    if values.size == 1:
+        return 0
+    # argmax finds the best, or the first NaN
+    best = int(values.argmax())
+    top = values.item(best)
     if math.isnan(top):
-        return int(np.argmax(values))
+        return best
+    if ids is None:
+        # only entries up to the best can tie
+        return int((values[: best + 1] >= top * (1.0 - 1e-9)).argmax())
     near = (values >= top * (1.0 - 1e-9)).nonzero()[0]
-    return int(near[0] if near.size == 1 else near[np.argmin(ids[near])])
+    return int(near[0] if near.size == 1 else near[ids[near].argmin()])
 
 
-def _entries(rows) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The entries of a list of rows: their rows, columns and
-    coefficients."""
+def _entries(rows) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The entries of a list of rows, row by row: their rows, columns and
+    coefficients, and where each row's entries start, then their end."""
+    start = np.zeros(len(rows) + 1, dtype=int)
     if not rows:
-        return np.empty(0, dtype=int), np.empty(0, dtype=int), np.empty(0)
+        return np.empty(0, dtype=int), np.empty(0, dtype=int), np.empty(0), start
     cols = [row.cols for row in rows]
-    at_row = np.repeat(np.arange(len(rows)), list(map(len, cols)))
-    return at_row, np.concatenate(cols), np.concatenate([row.coefs for row in rows])
+    sizes = np.fromiter(map(len, cols), dtype=int, count=len(rows))
+    np.cumsum(sizes, out=start[1:])
+    at_row = np.repeat(np.arange(len(rows)), sizes)
+    return at_row, np.concatenate(cols), np.concatenate([row.coefs for row in rows]), start
 
 
 @dataclass
@@ -247,7 +250,7 @@ class _Simplex:
         if lazy[start_rows].any():
             raise ValueError("a start row cannot be held back")
         # every row's entries and right-hand side, kept once
-        self._at_row, self._cols, self._coefs = _entries(rows)
+        self._at_row, self._cols, self._coefs, self._row_start = _entries(rows)
         self._rhs = np.array([row.rhs for row in rows], dtype=float)
         # start row i must meet start column i with coefficient 1 and no
         # start column after it
@@ -351,7 +354,7 @@ class _Simplex:
                 continue
             rows = np.flatnonzero(~wanted[self.basis])
             col = self._col(self.slot[q])
-            r = int(rows[_near_max(np.abs(col[rows]), rows)])
+            r = int(rows[_near_max(np.abs(col[rows]))])
             if not abs(col[r]) > PIVOT_TOL:
                 return False
             self._pivot(r, q, col, 0.0, False, d)
@@ -432,14 +435,14 @@ class _Simplex:
         """Appends the held rows ``which`` (increasing indices into
         ``held``; all of them by default) to the live tableau, each with
         its basic variable (``_basic_of``) at its row's value and Devex
-        weight 1. A new row of ``B^-1 [N | b]`` is the row's coefficients
-        on the slots and its right-hand side, less, for each other basic
-        variable it meets, in entry order, the coefficient times that
-        variable's row, which must be final first: the rows go level by
-        level (a start row after those of the start columns it meets), and
-        within a level rank k takes the k-th such entry of every row. A
-        held-back row's slack costs 0, so the reduced costs stay as they
-        are."""
+        weight 1; it reads the added rows' entries only (``_row_start``).
+        A new row of ``B^-1 [N | b]`` is the row's coefficients on the
+        slots and its right-hand side, less, for each other basic variable
+        it meets, in entry order, the coefficient times that variable's
+        row, which must be final first: the rows go level by level (a start
+        row after those of the start columns it meets), and within a level
+        rank k takes the k-th such entry of every row. A held-back row's
+        slack costs 0, so the reduced costs stay as they are."""
         rows = self.held if which is None else self.held[which]
         if not rows.size:
             return
@@ -449,11 +452,11 @@ class _Simplex:
         self._view_rows()
         basic = self._basic_of[rows]
         self.basis = np.concatenate([self.basis, basic])
-        added = np.full(self._rhs.size, -1)
-        added[rows] = np.arange(old, self.m)
-        at = added[self._at_row]
-        mine = at >= 0
-        at, cols, coefs = at[mine], self._cols[mine], self._coefs[mine]
+        # the added rows' entries, in model order
+        start = self._row_start[rows]
+        sizes = self._row_start[rows + 1] - start
+        take = np.arange(sizes.sum()) + np.repeat(start - np.cumsum(sizes) + sizes, sizes)
+        at, cols, coefs = np.repeat(np.arange(old, self.m), sizes), self._cols[take], self._coefs[take]
         tableau = self.tableau
         tableau[old:].fill(0.0)
         tableau[old:, -1] = self._rhs[rows]
@@ -536,7 +539,9 @@ class _Simplex:
         move, movable, nb = self.move, self.movable, self.nb
         # work arrays, rewritten in place at every pivot
         below = np.empty(self.m)
-        worst = np.empty(self.m)
+        # worst, and a last entry of 0 that wins when no row is worse
+        bounded = np.zeros(self.m + 1)
+        worst = bounded[:-1]
         shift = np.empty(self.m)
         push = np.empty(nb.size)
         pushes = np.empty(nb.size, dtype=bool)
@@ -548,7 +553,8 @@ class _Simplex:
             np.subtract(lbb, xb, out=below)
             np.subtract(xb, ubb, out=worst)
             np.maximum(below, worst, out=worst)
-            top = np.maximum.reduce(worst, initial=0.0)
+            # the largest entry, or the first NaN
+            top = bounded.item(bounded.argmax())
             if not math.isfinite(top):
                 return STATUS_ITERATION_LIMIT
             if top <= FEAS_TOL:
@@ -566,7 +572,8 @@ class _Simplex:
             np.greater(worst, FEAS_TOL, out=infeasible)
             price *= infeasible
             r = _near_max(price)
-            to_upper = bool(xb[r] - ubb[r] > below[r])
+            xb_r = xb.item(r)
+            to_upper = xb_r - ubb.item(r) > below.item(r)
             full_row = self._row(r)
             # a nonbasic column moves up from its lower bound, down from its
             # upper one; moving x_j by t moves the leaving variable by
@@ -585,27 +592,29 @@ class _Simplex:
             # the largest pivot, ties to the lowest variable id.
             slack = move[cand] * d[cand]
             pivots = push[cand]
-            t_max = max(float(np.minimum.reduce((slack + OPT_TOL) / pivots)), 0.0)
+            # the smallest ratio, or the first NaN
+            ratios = (slack + OPT_TOL) / pivots
+            t_max = max(ratios.item(ratios.argmin()), 0.0)
             if not math.isfinite(t_max):
                 return STATUS_ITERATION_LIMIT
             near = cand[np.maximum(slack, 0.0) / pivots <= t_max]
-            s = int(near[_near_max(push[near], nb[near])])
-            q = int(nb[s])
+            s = near.item(_near_max(push[near], nb[near]))
+            q = nb.item(s)
             col = self._col(s)
-            pivot = float(col[r])
+            pivot = col.item(r)
             if not abs(pivot) > PIVOT_TOL:
                 return STATUS_ITERATION_LIMIT
             self.iterations += 1
             since_refresh += 1
-            step = (xb[r] - (ubb[r] if to_upper else lbb[r])) / pivot
+            step = (xb_r - (ubb.item(r) if to_upper else lbb.item(r))) / pivot
             np.multiply(col, step, out=shift)
             xb -= shift
-            entering_val = (self.u[q] if self.at_upper[q] else self.l[q]) + step
+            entering_val = (self.u.item(q) if self.at_upper.item(q) else self.l.item(q)) + step
             self._pivot(r, q, col, entering_val, to_upper, d, full_row)
             # Devex update from the pivot column divided by the pivot:
             # w_i = max(w_i, (col_i / pivot)^2 w_r), and the entering
             # column's row gets max(w_r / pivot^2, 1)
-            w_r = weights[r]
+            w_r = weights.item(r)
             np.divide(col, pivot, out=price)
             np.square(price, out=price)
             price *= w_r
@@ -636,32 +645,35 @@ class _Simplex:
         whole tableau; for slot ``s`` it starts from the leaving variable's
         unit column ``e_r``, so the slot's stored column becomes ``e_r``,
         its earlier pending entries 0 and its new one ``1 / col[r]``."""
-        leaving = int(self.basis[r])
-        s = int(self.slot[q])
+        l, u, basis, slot = self.l, self.u, self.basis, self.slot
+        leaving = basis.item(r)
+        s = slot.item(q)
+        pivot = col.item(r)
         self._d = None
         self.at_upper[leaving] = leaves_at_upper
         self.move[s] = -1.0 if leaves_at_upper else 1.0
-        self.movable[s] = self.l[leaving] != self.u[leaving]
+        self.movable[s] = l.item(leaving) != u.item(leaving)
         self.nb[s] = leaving
-        self.slot[leaving] = s
-        self.slot[q] = -1
-        k = self.pend_k
-        row = np.divide(self._row(r) if row is None else row, col[r], out=self.pend_r[k])
-        row[s] = 1.0 / col[r]
-        self.pend_r[:k, s] = 0.0
-        self.tableau[:, s] = 0.0
-        self.tableau[r, s] = 1.0
-        self.pend_c[:, k] = col
-        self.pend_c[r, k] -= 1.0
+        slot[leaving] = s
+        slot[q] = -1
+        k, pend_r, tableau, pend_c = self.pend_k, self.pend_r, self.tableau, self.pend_c
+        row = np.divide(self._row(r) if row is None else row, pivot, out=pend_r[k])
+        row[s] = 1.0 / pivot
+        if k:
+            pend_r[:k, s] = 0.0
+        tableau[:, s] = 0.0
+        tableau[r, s] = 1.0
+        pend_c[:, k] = col
+        pend_c[r, k] = pivot - 1.0
         self.pend_k = k + 1
-        if self.pend_k == _REFRESH:
+        if k + 1 == _REFRESH:
             self._flush()
-        d_q = d[s]
+        d_q = d.item(s)
         d[s] = 0.0
         d -= d_q * row[:-1]
-        self.basis[r] = q
-        self.lbb[r] = self.l[q]
-        self.ubb[r] = self.u[q]
+        basis[r] = q
+        self.lbb[r] = l.item(q)
+        self.ubb[r] = u.item(q)
         self.xb[r] = entering_val
 
 
