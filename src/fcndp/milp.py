@@ -163,7 +163,7 @@ def _entries(rows) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     if not rows:
         return np.empty(0, dtype=int), np.empty(0, dtype=int), np.empty(0), start
     cols = [row.cols for row in rows]
-    sizes = np.fromiter(map(len, cols), dtype=int, count=len(rows))
+    sizes = list(map(len, cols))
     np.cumsum(sizes, out=start[1:])
     at_row = np.repeat(np.arange(len(rows)), sizes)
     return at_row, np.concatenate(cols), np.concatenate([row.coefs for row in rows]), start
