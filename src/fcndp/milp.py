@@ -163,9 +163,8 @@ def _entries(rows) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     if not rows:
         return np.empty(0, dtype=int), np.empty(0, dtype=int), np.empty(0), start
     cols = [row.cols for row in rows]
-    sizes = list(map(len, cols))
-    np.cumsum(sizes, out=start[1:])
-    at_row = np.repeat(np.arange(len(rows)), sizes)
+    np.cumsum(list(map(len, cols)), out=start[1:])
+    at_row = np.repeat(np.arange(len(rows)), np.diff(start))
     return at_row, np.concatenate(cols), np.concatenate([row.coefs for row in rows]), start
 
 
