@@ -150,7 +150,7 @@ def _near_max(values: np.ndarray, ids: np.ndarray | None = None) -> int:
     if math.isnan(top):
         return best
     if ids is None:
-        # only entries up to the best can tie
+        # the lowest tied position is at most the best's
         return int((values[: best + 1] >= top * (1.0 - 1e-9)).argmax())
     near = (values >= top * (1.0 - 1e-9)).nonzero()[0]
     return int(near[0] if near.size == 1 else near[ids[near].argmin()])
@@ -454,8 +454,8 @@ class _Simplex:
         # the added rows' entries, in model order
         start = self._row_start[rows]
         sizes = self._row_start[rows + 1] - start
-        take = np.arange(sizes.sum()) + np.repeat(start - np.cumsum(sizes) + sizes, sizes)
-        at, cols, coefs = np.repeat(np.arange(old, self.m), sizes), self._cols[take], self._coefs[take]
+        entries = np.arange(sizes.sum()) + np.repeat(start - np.cumsum(sizes) + sizes, sizes)
+        at, cols, coefs = np.repeat(np.arange(old, self.m), sizes), self._cols[entries], self._coefs[entries]
         tableau = self.tableau
         tableau[old:].fill(0.0)
         tableau[old:, -1] = self._rhs[rows]
